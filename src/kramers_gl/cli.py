@@ -10,16 +10,15 @@ mfpt      Monte Carlo mean first-passage time ensemble, JSON + CSV
 verify    deterministic self-checks with a per-check tolerance table
 
 Results are written deterministically: the same invocation with the same
-seed produces byte-identical CSV/JSON files regardless of thread count.
-Each result file written to disk gets exactly one sidecar manifest
-(``<out>.manifest.json``) recording the tool version, the resolved
-parameters, the seed, start/finish timestamps, and SHA-256 digests of
-every output file; timestamps live only in the manifest so the result
-files themselves stay reproducible.
+seed produces byte-identical CSV/JSON files. Each result file written to
+disk gets exactly one sidecar manifest (``<out>.manifest.json``)
+recording the tool version, the resolved parameters, the seed,
+start/finish timestamps, and SHA-256 digests of every output file;
+timestamps live only in the manifest so the result files themselves
+stay reproducible.
 
 Configuration may come from a JSON file (``--config``); explicit flags
-override file values. ``KRAMERS_GL_THREADS`` caps the worker threads
-used for sweep points (row order is deterministic regardless).
+override file values.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -125,31 +122,6 @@ def _finish_run(command: str, params: dict, seed, started: str, outputs: list) -
         outputs=tuple(outputs),
     )
     _write_result(outputs[0]["path"] + ".manifest.json", manifest.to_json())
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("KRAMERS_GL_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise UsageError(
-            f"KRAMERS_GL_THREADS must be a positive integer, got {raw!r}"
-        )
-    return n
-
-
-def _map_ordered(fn, items):
-    """Apply fn to items, possibly concurrently, preserving item order."""
-    items = list(items)
-    workers = min(_thread_cap(), len(items)) if items else 1
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +282,12 @@ def _get_l_grid(merged: dict) -> list:
 
 def _breakdown_row(bc: BoundaryCondition, L: float, eps: float) -> dict:
     rb = _rates.prefactor_corrected(L, eps, bc)
-    m = (
-        _instanton.solve_m_from_L(L, bc)
-        if rb.regime == "instanton_saddle"
-        else None
-    )
     return {
         "bc": bc.value,
         "L": L,
         "eps": eps,
         "regime": rb.regime,
-        "m": m,
+        "m": rb.m,
         "deltaW": rb.deltaW,
         "gamma0_classical": rb.gamma0_classical,
         "correction_factor": rb.correction_factor,
@@ -374,8 +341,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     l_grid = _get_l_grid(merged)
     eps_list = sorted(_get_eps_list(merged))
     started = _utc_now()
-    points = [(eps, L) for eps in eps_list for L in sorted(l_grid)]
-    rows = _map_ordered(lambda p: _breakdown_row(bc, p[1], p[0]), points)
+    rows = [_breakdown_row(bc, L, eps) for eps in eps_list for L in sorted(l_grid)]
     text = CSV_COLUMNS + "\n" + "".join(_row_to_csv(r) + "\n" for r in rows)
     out = merged.get("out")
     if out:

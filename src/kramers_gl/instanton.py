@@ -265,7 +265,11 @@ def activation_energy(L: float, bc: BoundaryCondition) -> float:
         raise ValueError(f"L must be positive and finite, got {L}")
     if L <= bc.critical_length:
         return L / 4.0
-    m = solve_m_from_L(L, bc)
+    return _instanton_energy(solve_m_from_L(L, bc), bc)
+
+
+def _instanton_energy(m: float, bc: BoundaryCondition) -> float:
+    """Activation energy of the instanton saddle with modulus m."""
     K, E = elliptic_K(m), elliptic_E(m)
     dw = (8.0 * E - (1.0 - m) * (3.0 * m + 5.0) / (1.0 + m) * K) / (
         3.0 * math.sqrt(1.0 + m)

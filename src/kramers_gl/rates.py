@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .instanton import (
     BoundaryCondition,
+    InstantonDescription,
     SystemParams,
+    _instanton_energy,
     activation_energy,
-    instanton_profile,
     solve_m_from_L,
 )
 from .specfun import (
@@ -30,7 +30,7 @@ from .specfun import (
     erf,
     erfcx,
 )
-from .spectrum import hessian_spectrum, mu0, uniform_spectrum
+from .spectrum import hessian_spectrum, mu0, mu1_approx, uniform_spectrum
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
@@ -55,6 +55,8 @@ class RateBreakdown:
     eps_exponent records the explicit power of eps carried inside
     gamma0_corrected: 0 generically, -1/2 on the periodic branch beyond
     the critical length where nucleation can occur anywhere in space.
+    m is the instanton modulus on the instanton branch, None on the
+    uniform one.
     """
 
     regime: str
@@ -64,6 +66,7 @@ class RateBreakdown:
     gamma0_corrected: float
     eps_exponent: float
     rate: float
+    m: float | None = None
 
     def __post_init__(self):
         if self.regime not in ("uniform_saddle", "instanton_saddle"):
@@ -230,24 +233,30 @@ def prefactor_classical(
         raise DivergentClassicalPrefactor(
             f"classical prefactor diverges at the critical length L = {L_c}"
         )
-    if bc is BoundaryCondition.NEUMANN:
-        if L < L_c:
+    if L < L_c:
+        if bc is BoundaryCondition.NEUMANN:
             return (2.0**-0.75 / math.pi) * math.sqrt(
                 math.sinh(_SQRT2 * L) / math.sin(L)
             )
-        m = solve_m_from_L(L, bc)
+        return math.sinh(L / _SQRT2) / math.sin(0.5 * L) / (2.0 * math.pi)
+    if bc is BoundaryCondition.PERIODIC:
+        if eps is None:
+            raise ValueError(
+                "eps is required on the periodic branch beyond the critical length"
+            )
+        if not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {eps}")
+    return _classical_instanton(L, bc, solve_m_from_L(L, bc), eps)
+
+
+def _classical_instanton(
+    L: float, bc: BoundaryCondition, m: float, eps: float | None
+) -> float:
+    """Classical prefactor beyond L_c at the instanton modulus m."""
+    if bc is BoundaryCondition.NEUMANN:
         det = _neumann_det_combo(m)
         ln_val = 0.5 * (_log_sinh(_SQRT2 * L) - math.log(_SQRT2 * det))
         return abs(mu0(m)) / math.pi * math.exp(ln_val)
-    if L < L_c:
-        return math.sinh(L / _SQRT2) / math.sin(0.5 * L) / (2.0 * math.pi)
-    if eps is None:
-        raise ValueError(
-            "eps is required on the periodic branch beyond the critical length"
-        )
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    m = solve_m_from_L(L, bc)
     ratio = _periodic_m_over_det(m)  # m / det, finite down to m = 0
     ln_val = (
         math.log(L)
@@ -263,10 +272,11 @@ def prefactor_classical(
 def _mu1_value(L: float, m: float, mu1: str) -> float:
     """Second transition-state eigenvalue: 3m substitution or diagonalized."""
     if mu1 == "approx":
-        return 3.0 * m
+        return mu1_approx(m)
     if mu1 == "numeric":
-        prof = instanton_profile(L, BoundaryCondition.NEUMANN)
-        spec = hessian_spectrum(prof, L, BoundaryCondition.NEUMANN, n_modes=256)
+        bc = BoundaryCondition.NEUMANN
+        prof = InstantonDescription(m=m, phase=elliptic_K(m), sign=1, bc=bc).sample(L)
+        spec = hessian_spectrum(prof, L, bc, n_modes=256)
         return float(spec.eigenvalues[1])
     raise ValueError(f"mu1 must be 'approx' or 'numeric', got {mu1!r}")
 
@@ -291,6 +301,7 @@ def prefactor_corrected(
     L_c = bc.critical_length
     a = math.sqrt(3.0 * eps / (4.0 * L))
     eps_exponent = 0.0
+    m = None
 
     if L <= L_c:
         regime = "uniform_saddle"
@@ -313,6 +324,11 @@ def prefactor_corrected(
                 * math.sinh(L / _SQRT2)
                 / (2.0 * math.pi)
             )
+        try:
+            classical = prefactor_classical(L, bc, eps)
+        except DivergentClassicalPrefactor:
+            classical = math.inf
+        deltaW = activation_energy(L, bc)
     else:
         regime = "instanton_saddle"
         m = solve_m_from_L(L, bc)
@@ -324,13 +340,10 @@ def prefactor_corrected(
         else:
             correction = phi_switch(3.0 * m / (2.0 * math.sqrt(3.0 * eps / L)))
             eps_exponent = -0.5
-        corrected = prefactor_classical(L, bc, eps) * correction
+        classical = _classical_instanton(L, bc, m, eps)
+        corrected = classical * correction
+        deltaW = _instanton_energy(m, bc)
 
-    try:
-        classical = prefactor_classical(L, bc, eps)
-    except DivergentClassicalPrefactor:
-        classical = math.inf
-    deltaW = activation_energy(L, bc)
     rate = corrected * math.exp(-deltaW / eps)
     return RateBreakdown(
         regime=regime,
@@ -340,6 +353,7 @@ def prefactor_corrected(
         gamma0_corrected=corrected,
         eps_exponent=eps_exponent,
         rate=rate,
+        m=m,
     )
 
 
@@ -393,6 +407,8 @@ def quartic_integral(nf: QuarticNormalForm, eps: float) -> float:
     relative precision; the quadrature window covers every point within
     200 eps of the maximum.
     """
+    from scipy.integrate import quad
+
     if not isinstance(nf, QuarticNormalForm):
         raise TypeError("nf must be a QuarticNormalForm")
     if not (math.isfinite(eps) and eps > 0):

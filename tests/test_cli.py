@@ -2,15 +2,17 @@
 
 main(argv) is exercised in-process: usage errors exit 2 and name the
 offending key, domain errors exit 1 with a readable message, result
-files are byte-deterministic (including across thread counts), every
-result file gets a sidecar manifest with the full provenance, and the
-verify table fails loudly (naming the check) when an anchor constant is
-tampered with.
+files are byte-deterministic across reruns, every result file gets a
+sidecar manifest with the full provenance, and the verify table fails
+loudly (naming the check) when an anchor constant is tampered with.
 """
 
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -69,6 +71,29 @@ def test_rate_matches_library(capsys):
     assert doc["rate"] == rb.rate
     assert doc["eps_exponent"] == -0.5
     assert doc["m"] == kramers_gl.solve_m_from_L(9.0, BoundaryCondition.PERIODIC)
+
+
+def test_import_and_rate_leave_scipy_unloaded():
+    # scipy serves only the quadrature oracles; importing it costs more
+    # than a short CLI call itself
+    code = (
+        "import sys\n"
+        "import kramers_gl\n"
+        "from kramers_gl.cli import main\n"
+        "main(['rate', '--bc', 'neumann', '--L', '4.0', '--eps', '0.01'])\n"
+        "main(['rate', '--bc', 'periodic', '--L', '5.0', '--eps', '0.01'])\n"
+        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(kramers_gl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_rate_rejects_multiple_eps(capsys):
@@ -219,7 +244,7 @@ def test_sweep_grid_endpoints_inclusive(capsys):
     assert [round(float(r[1]), 10) for r in rows] == [3.0, 3.1, 3.2]
 
 
-def test_sweep_deterministic_bytes_across_threads(tmp_path, monkeypatch, capsys):
+def test_sweep_deterministic_bytes_across_reruns(tmp_path, capsys):
     argv = [
         "sweep",
         "--bc",
@@ -231,23 +256,12 @@ def test_sweep_deterministic_bytes_across_threads(tmp_path, monkeypatch, capsys)
         "--eps",
         "1e-4",
     ]
-    monkeypatch.setenv("KRAMERS_GL_THREADS", "1")
     out1 = tmp_path / "a.csv"
     assert run_cli(argv + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("KRAMERS_GL_THREADS", "5")
     out2 = tmp_path / "b.csv"
     assert run_cli(argv + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_invalid_threads_env_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("KRAMERS_GL_THREADS", "0")
-    code = run_cli(
-        ["sweep", "--bc", "neumann", "--L-range", "3.0:3.1:0.05", "--eps", "1e-3"]
-    )
-    assert code == 2
-    assert "KRAMERS_GL_THREADS" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kramers_gl.instanton import BoundaryCondition, SystemParams, activation_energy
+from kramers_gl import instanton, rates
+from kramers_gl.instanton import (
+    BoundaryCondition,
+    SystemParams,
+    activation_energy,
+    solve_m_from_L,
+)
 from kramers_gl.rates import (
     PSI_LIMIT_AT_ZERO,
     DivergentClassicalPrefactor,
@@ -402,6 +408,34 @@ def test_breakdown_fields_are_consistent():
         )
         expect_exp = -0.5 if (bc is PER and L > 2 * math.pi) else 0.0
         assert rb.eps_exponent == expect_exp
+
+
+def test_modulus_is_solved_once_and_reported(monkeypatch):
+    calls = []
+
+    def counting_solve(L, bc):
+        calls.append(L)
+        return solve_m_from_L(L, bc)
+
+    monkeypatch.setattr(rates, "solve_m_from_L", counting_solve)
+    monkeypatch.setattr(instanton, "solve_m_from_L", counting_solve)
+    cases = (
+        (NEU, 2.0, "approx"),
+        (NEU, math.pi, "approx"),
+        (NEU, 4.0, "approx"),
+        (NEU, 4.0, "numeric"),
+        (PER, 5.0, "approx"),
+        (PER, 8.0, "approx"),
+    )
+    for bc, L, mu1 in cases:
+        calls.clear()
+        rb = prefactor_corrected(L, 0.05, bc, mu1=mu1)
+        if L > bc.critical_length:
+            assert calls == [L]
+            assert rb.m == solve_m_from_L(L, bc)
+        else:
+            assert calls == []
+            assert rb.m is None
 
 
 def test_neumann_uniform_correction_factor_bounds():
