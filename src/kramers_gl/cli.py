@@ -10,12 +10,12 @@ mfpt      Monte Carlo mean first-passage time ensemble, JSON + CSV
 verify    deterministic self-checks with a per-check tolerance table
 
 Results are written deterministically: the same invocation with the same
-seed produces byte-identical CSV/JSON files. Each result file written to
-disk gets exactly one sidecar manifest (``<out>.manifest.json``)
-recording the tool version, the resolved parameters, the seed,
-start/finish timestamps, and SHA-256 digests of every output file;
-timestamps live only in the manifest so the result files themselves
-stay reproducible.
+seed produces byte-identical CSV/JSON files. A run that writes to disk
+(``--out``) gets one manifest, ``<out>.manifest.json`` next to the
+primary output, recording the tool version, the resolved parameters,
+the seed, start/finish timestamps, and the SHA-256 digest of every file
+the run wrote; timestamps live only in the manifest so the result files
+themselves stay reproducible.
 
 Configuration may come from a JSON file (``--config``); explicit flags
 override file values.
@@ -28,7 +28,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
@@ -39,10 +38,12 @@ from . import specfun as _specfun
 from . import spectrum as _spectrum
 from .instanton import BoundaryCondition, NoInstantonRegime, SystemParams
 
-CSV_COLUMNS = (
-    "bc,L,eps,regime,m,deltaW,gamma0_classical,correction_factor,"
-    "gamma0_corrected,eps_exponent,rate"
+# one rate row: sweep CSV columns and rate JSON keys, in this order
+_ROW_FIELDS = (
+    "bc", "L", "eps", "regime", "m", "deltaW", "gamma0_classical",
+    "correction_factor", "gamma0_corrected", "eps_exponent", "rate",
 )
+CSV_COLUMNS = ",".join(_ROW_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +53,9 @@ CSV_COLUMNS = (
 
 def _fmt(value) -> str:
     """One CSV cell: 17 significant digits (round-trip exact), empty for
-    missing/divergent entries."""
+    missing/divergent entries; strings pass through unchanged."""
+    if isinstance(value, str):
+        return value
     if value is None:
         return ""
     if isinstance(value, float) and not math.isfinite(value):
@@ -65,31 +68,6 @@ def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one CLI run that produced result files."""
-
-    version: str
-    command: str
-    params: dict
-    seed: int | None
-    started: str
-    finished: str
-    outputs: tuple
-
-    def to_json(self) -> str:
-        doc = {
-            "version": self.version,
-            "command": self.command,
-            "params": self.params,
-            "seed": self.seed,
-            "started": self.started,
-            "finished": self.finished,
-            "outputs": list(self.outputs),
-        }
-        return json.dumps(doc, indent=2) + "\n"
 
 
 def _utc_now() -> str:
@@ -110,18 +88,31 @@ def _write_result(path: str, text: str) -> dict:
     }
 
 
-def _finish_run(command: str, params: dict, seed, started: str, outputs: list) -> None:
-    """Write the sidecar manifest next to the primary output file."""
-    manifest = RunManifest(
-        version=__version__,
-        command=command,
-        params=params,
-        seed=seed,
-        started=started,
-        finished=_utc_now(),
-        outputs=tuple(outputs),
-    )
-    _write_result(outputs[0]["path"] + ".manifest.json", manifest.to_json())
+def _emit(merged, command, params, seed, started, text, note="", extra=()) -> int:
+    """Deliver one run's result; returns the exit code 0.
+
+    With ``--out``: write ``text`` there and each ``(path, text)`` of
+    ``extra`` after it, then one manifest next to ``--out`` listing every
+    file written, and print ``wrote <out><note>``. Without ``--out``:
+    write ``text`` to stdout.
+    """
+    out = merged.get("out")
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    outputs = [_write_result(path, body) for path, body in ((out, text), *extra)]
+    manifest = {
+        "version": __version__,
+        "command": command,
+        "params": params,
+        "seed": seed,
+        "started": started,
+        "finished": _utc_now(),
+        "outputs": outputs,
+    }
+    _write_result(out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    print(f"wrote {out}{note}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +124,7 @@ class UsageError(ValueError):
     """Bad invocation: reported with the offending key, exit code 2."""
 
 
-_CONFIG_KEYS = {
-    "rate": {"bc", "L", "eps", "out"},
-    "sweep": {"bc", "L", "L_range", "eps", "out"},
-    "profile": {"bc", "L", "modes", "out"},
-    "spectrum": {"bc", "L", "modes", "out"},
-    "mfpt": {"bc", "L", "eps", "modes", "dt", "tmax", "ntraj", "seed", "out"},
-}
-
-
-def _load_config(path: str, command: str) -> dict:
+def _load_config(path: str, command: str, allowed: set) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -152,19 +134,22 @@ def _load_config(path: str, command: str) -> dict:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config {path} must contain a JSON object")
-    allowed = _CONFIG_KEYS[command]
     for key in doc:
         if key not in allowed:
             raise UsageError(f"unknown config key {key!r} for command {command!r}")
     return doc
 
 
-def _merge(args: argparse.Namespace, command: str) -> dict:
-    """Resolved parameter dict: flag values override config-file values."""
-    file_values = _load_config(args.config, command) if args.config else {}
-    merged = dict(file_values)
-    for key in _CONFIG_KEYS[command]:
-        flag_value = getattr(args, key, None)
+def _merge(args: argparse.Namespace) -> dict:
+    """Resolved parameter dict: flag values override config-file values.
+
+    A config file may set exactly the options the subcommand's parser
+    declares.
+    """
+    allowed = set(vars(args)) - {"command", "config"}
+    merged = _load_config(args.config, args.command, allowed) if args.config else {}
+    for key in allowed:
+        flag_value = getattr(args, key)
         if flag_value is not None:
             merged[key] = flag_value
     return merged
@@ -280,82 +265,37 @@ def _get_l_grid(merged: dict) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _breakdown_row(bc: BoundaryCondition, L: float, eps: float) -> dict:
+def _breakdown_row(bc: BoundaryCondition, L: float, eps: float) -> tuple:
+    """One rate row: the values of ``_ROW_FIELDS``, in order."""
     rb = _rates.prefactor_corrected(L, eps, bc)
-    return {
-        "bc": bc.value,
-        "L": L,
-        "eps": eps,
-        "regime": rb.regime,
-        "m": rb.m,
-        "deltaW": rb.deltaW,
-        "gamma0_classical": rb.gamma0_classical,
-        "correction_factor": rb.correction_factor,
-        "gamma0_corrected": rb.gamma0_corrected,
-        "eps_exponent": rb.eps_exponent,
-        "rate": rb.rate,
-    }
-
-
-def _row_to_csv(row: dict) -> str:
-    cells = [
-        row["bc"],
-        _fmt(row["L"]),
-        _fmt(row["eps"]),
-        row["regime"],
-        _fmt(row["m"]),
-        _fmt(row["deltaW"]),
-        _fmt(row["gamma0_classical"]),
-        _fmt(row["correction_factor"]),
-        _fmt(row["gamma0_corrected"]),
-        _fmt(row["eps_exponent"]),
-        _fmt(row["rate"]),
-    ]
-    return ",".join(cells)
+    return (bc.value, L, eps) + tuple(getattr(rb, key) for key in _ROW_FIELDS[3:])
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    merged = _merge(args, "rate")
+    merged = _merge(args)
     bc = _get_bc(merged)
     L = _get_positive_float(merged, "L")
     eps = _get_single_eps(merged)
     started = _utc_now()
     row = _breakdown_row(bc, L, eps)
-    doc = {key: _jsonable(value) for key, value in row.items()}
+    doc = {key: _jsonable(value) for key, value in zip(_ROW_FIELDS, row)}
     text = json.dumps(doc, indent=2) + "\n"
-    out = merged.get("out")
-    if out:
-        info = _write_result(out, text)
-        _finish_run(
-            "rate", {"bc": bc.value, "L": L, "eps": eps}, None, started, [info]
-        )
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    params = {"bc": bc.value, "L": L, "eps": eps}
+    return _emit(merged, "rate", params, None, started, text)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    merged = _merge(args, "sweep")
+    merged = _merge(args)
     bc = _get_bc(merged)
     l_grid = _get_l_grid(merged)
     eps_list = sorted(_get_eps_list(merged))
     started = _utc_now()
     rows = [_breakdown_row(bc, L, eps) for eps in eps_list for L in sorted(l_grid)]
-    text = CSV_COLUMNS + "\n" + "".join(_row_to_csv(r) + "\n" for r in rows)
-    out = merged.get("out")
-    if out:
-        info = _write_result(out, text)
-        params = {
-            "bc": bc.value,
-            "L_grid": l_grid,
-            "eps": eps_list,
-        }
-        _finish_run("sweep", params, None, started, [info])
-        print(f"wrote {out} ({len(rows)} rows)")
-    else:
-        sys.stdout.write(text)
-    return 0
+    lines = [CSV_COLUMNS]
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    params = {"bc": bc.value, "L_grid": l_grid, "eps": eps_list}
+    text = "\n".join(lines) + "\n"
+    return _emit(merged, "sweep", params, None, started, text, f" ({len(rows)} rows)")
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +304,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    merged = _merge(args, "profile")
+    merged = _merge(args)
     bc = _get_bc(merged)
     L = _get_positive_float(merged, "L")
     n_x = _get_int(merged, "modes", default=512, minimum=16)
@@ -373,20 +313,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
     xs = fieldcfg.grid(L)
     lines = ["x,phi"]
     lines += [f"{_fmt(float(x))},{_fmt(float(v))}" for x, v in zip(xs, fieldcfg.values)]
+    params = {"bc": bc.value, "L": L, "samples": n_x}
     text = "\n".join(lines) + "\n"
-    out = merged.get("out")
-    if out:
-        info = _write_result(out, text)
-        params = {"bc": bc.value, "L": L, "samples": n_x}
-        _finish_run("profile", params, None, started, [info])
-        print(f"wrote {out} ({n_x} samples)")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _emit(merged, "profile", params, None, started, text, f" ({n_x} samples)")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    merged = _merge(args, "spectrum")
+    merged = _merge(args)
     bc = _get_bc(merged)
     L = _get_positive_float(merged, "L")
     n = _get_int(merged, "modes", default=32, minimum=1)
@@ -405,16 +338,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         if i > n:
             break
         lines.append(f"{i},{_fmt(float(ev))},{int(mult)}")
-    text = "\n".join(lines) + "\n"
-    out = merged.get("out")
-    if out:
-        info = _write_result(out, text)
-        params = {"bc": bc.value, "L": L, "modes": n, "regime": regime}
-        _finish_run("spectrum", params, None, started, [info])
-        print(f"wrote {out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    params = {"bc": bc.value, "L": L, "modes": n, "regime": regime}
+    return _emit(merged, "spectrum", params, None, started, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +348,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_mfpt(args: argparse.Namespace) -> int:
-    merged = _merge(args, "mfpt")
+    merged = _merge(args)
     bc = _get_bc(merged)
     L = _get_positive_float(merged, "L")
     eps = _get_single_eps(merged)
@@ -478,63 +403,17 @@ def cmd_mfpt(args: argparse.Namespace) -> int:
         "ratio_sim_over_theory": _jsonable(ratio),
     }
     text = json.dumps(doc, indent=2) + "\n"
-    out = merged.get("out")
-    if out:
-        info = _write_result(out, text)
-        stem = out[: -len(".json")] if out.endswith(".json") else out
-        traj_lines = ["trajectory,passage_time"]
-        traj_lines += [
-            f"{i},{_fmt(t)}" for i, t in enumerate(est.per_trajectory)
-        ]
-        traj_info = _write_result(
-            stem + ".trajectories.csv", "\n".join(traj_lines) + "\n"
-        )
-        params = {k: doc[k] for k in ("bc", "L", "eps", "modes", "dt", "tmax", "ntraj")}
-        _finish_run("mfpt", params, seed, started, [info, traj_info])
-        print(f"wrote {out} and {traj_info['path']}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    stem = (merged.get("out") or "").removesuffix(".json")
+    traj_lines = ["trajectory,passage_time"]
+    traj_lines += [f"{i},{_fmt(t)}" for i, t in enumerate(est.per_trajectory)]
+    traj = (stem + ".trajectories.csv", "\n".join(traj_lines) + "\n")
+    params = {k: doc[k] for k in ("bc", "L", "eps", "modes", "dt", "tmax", "ntraj")}
+    return _emit(merged, "mfpt", params, seed, started, text, f" and {traj[0]}", [traj])
 
 
 # ---------------------------------------------------------------------------
 # verify: deterministic oracle checks with a per-check tolerance table
 # ---------------------------------------------------------------------------
-
-
-def _psi_plus_quadrature(alpha: float, L: float, eps: float) -> float:
-    a = math.sqrt(3.0 * eps / (4.0 * L))
-    lam1 = alpha * a
-    nf = _rates.QuarticNormalForm(lambda1=lam1, L=L)
-    ratio = _rates.quartic_integral(nf, eps) / math.sqrt(
-        2.0 * math.pi * eps / (L * lam1)
-    )
-    return ratio * math.sqrt((lam1 + a) / lam1)
-
-
-def _psi_minus_quadrature(alpha: float, L: float, eps: float) -> float:
-    a = math.sqrt(3.0 * eps / (4.0 * L))
-    mu1 = alpha * a
-    nf = _rates.QuarticNormalForm(lambda1=-0.5 * mu1, L=L)
-    shifted = _rates.quartic_integral(nf, eps) * math.exp(
-        -L * mu1 * mu1 / (24.0 * eps)
-    )
-    ratio = shifted / math.sqrt(2.0 * math.pi * eps / (L * mu1))
-    return ratio * math.sqrt((mu1 + a) / mu1)
-
-
-def _psi_tilde_quadrature(alpha: float, L: float, eps: float) -> float:
-    from scipy.integrate import quad
-
-    a = math.sqrt(3.0 * eps / (4.0 * L))
-    lam1 = alpha * a
-
-    def integrand(rho):
-        return rho * math.exp(-L * (0.5 * lam1 * rho**2 + 0.375 * rho**4) / eps)
-
-    upper = 10.0 * max((eps / L) ** 0.25, math.sqrt(eps / (L * lam1)))
-    val, _ = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=200)
-    return (L * lam1 / eps) * val * (lam1 + a) / lam1
 
 
 def _check_legendre_relation():
@@ -688,7 +567,7 @@ def _check_periodic_zero_mode():
 def _check_psi_plus_quadrature():
     dev = 0.0
     for alpha in (0.5, 1.0, 2.0, 5.0):
-        oracle = _psi_plus_quadrature(alpha, math.pi / 2.0, 1e-3)
+        oracle = _rates._psi_plus_quadrature(alpha, math.pi / 2.0, 1e-3)
         dev = max(dev, abs(_rates.psi_plus(alpha) / oracle - 1.0))
     return dev, 1e-5
 
@@ -696,7 +575,7 @@ def _check_psi_plus_quadrature():
 def _check_psi_minus_quadrature():
     dev = 0.0
     for alpha in (0.5, 1.0, 2.0, 5.0):
-        oracle = _psi_minus_quadrature(alpha, 4.0, 1e-2)
+        oracle = _rates._psi_minus_quadrature(alpha, 4.0, 1e-2)
         dev = max(dev, abs(_rates.psi_minus(alpha) / oracle - 1.0))
     return dev, 1e-5
 
@@ -704,7 +583,7 @@ def _check_psi_minus_quadrature():
 def _check_psi_tilde_quadrature():
     dev = 0.0
     for alpha in (0.5, 1.0, 2.0, 5.0):
-        oracle = _psi_tilde_quadrature(alpha, 3.0, 1e-3)
+        oracle = _rates._psi_tilde_quadrature(alpha, 3.0, 1e-3)
         dev = max(dev, abs(_rates.psi_plus_tilde(alpha) / oracle - 1.0))
     return dev, 1e-5
 

@@ -441,3 +441,42 @@ def quartic_integral(nf: QuarticNormalForm, eps: float) -> float:
     if ln_value > 709.0:
         return math.inf
     return math.exp(ln_value)
+
+
+def _psi_plus_quadrature(alpha: float, L: float, eps: float) -> float:
+    """psi_plus from the single-mode partition integral."""
+    a = math.sqrt(3.0 * eps / (4.0 * L))
+    lam1 = alpha * a
+    nf = QuarticNormalForm(lambda1=lam1, L=L)
+    ratio = quartic_integral(nf, eps) / math.sqrt(2.0 * math.pi * eps / (L * lam1))
+    return ratio * math.sqrt((lam1 + a) / lam1)
+
+
+def _psi_minus_quadrature(alpha: float, L: float, eps: float) -> float:
+    """psi_minus from the double-well partition integral.
+
+    The normal form with quadratic coefficient -mu1/2 has its two wells
+    at curvature exactly L*mu1; the well-depth Boltzmann factor
+    exp(L mu1^2/(24 eps)) is removed before normalizing.
+    """
+    a = math.sqrt(3.0 * eps / (4.0 * L))
+    mu1 = alpha * a
+    nf = QuarticNormalForm(lambda1=-0.5 * mu1, L=L)
+    shifted = quartic_integral(nf, eps) * math.exp(-L * mu1 * mu1 / (24.0 * eps))
+    ratio = shifted / math.sqrt(2.0 * math.pi * eps / (L * mu1))
+    return ratio * math.sqrt((mu1 + a) / mu1)
+
+
+def _psi_tilde_quadrature(alpha: float, L: float, eps: float) -> float:
+    """psi_plus_tilde from the radial form of the two-mode integral."""
+    from scipy.integrate import quad
+
+    a = math.sqrt(3.0 * eps / (4.0 * L))
+    lam1 = alpha * a
+
+    def integrand(rho):
+        return rho * math.exp(-L * (0.5 * lam1 * rho**2 + 0.375 * rho**4) / eps)
+
+    upper = 10.0 * max((eps / L) ** 0.25, math.sqrt(eps / (L * lam1)))
+    val, _ = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=200)
+    return (L * lam1 / eps) * val * (lam1 + a) / lam1

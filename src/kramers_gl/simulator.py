@@ -33,6 +33,7 @@ reproducible under any execution order or batching.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -75,6 +76,9 @@ class SimConfig:
     crossing_threshold: float = 0.5
 
     def __post_init__(self):
+        for name in ("K", "n_traj", "seed"):  # numpy integers are stored as int
+            if isinstance(getattr(self, name), numbers.Integral):
+                object.__setattr__(self, name, int(getattr(self, name)))
         if not isinstance(self.params, SystemParams):
             raise TypeError("params must be a SystemParams")
         if not (isinstance(self.K, int) and self.K >= 8):

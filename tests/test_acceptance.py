@@ -24,11 +24,6 @@ import numpy as np
 import pytest
 
 from kramers_gl.cli import CSV_COLUMNS, main as cli_main
-from kramers_gl.cli import (
-    _psi_minus_quadrature,
-    _psi_plus_quadrature,
-    _psi_tilde_quadrature,
-)
 from kramers_gl.instanton import (
     BoundaryCondition,
     SystemParams,
@@ -38,6 +33,9 @@ from kramers_gl.instanton import (
     solve_m_from_L,
 )
 from kramers_gl.rates import (
+    _psi_minus_quadrature,
+    _psi_plus_quadrature,
+    _psi_tilde_quadrature,
     kramers_rate,
     phi_switch,
     prefactor_classical,
@@ -236,12 +234,14 @@ def test_scaling_function_classical_limits():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_monte_carlo_rate_matches_prediction(mc_main_ensemble):
     config, est = mc_main_ensemble
     predicted = kramers_rate(config.params).rate
     assert 0.5 * predicted <= est.rate <= 2.0 * predicted
 
 
+@pytest.mark.slow
 def test_monte_carlo_arrhenius_slope():
     # ln(MFPT) against 1/eps measures the activation energy, L/4 = 0.5
     # at L = 2 (Neumann). Runs in about a minute; the full Monte Carlo

@@ -2,9 +2,10 @@
 
 main(argv) is exercised in-process: usage errors exit 2 and name the
 offending key, domain errors exit 1 with a readable message, result
-files are byte-deterministic across reruns, every result file gets a
-sidecar manifest with the full provenance, and the verify table fails
-loudly (naming the check) when an anchor constant is tampered with.
+files are byte-deterministic across reruns, every run that writes files
+gets one manifest listing them with the full provenance, and the verify
+table fails loudly (naming the check) when an anchor constant is
+tampered with.
 """
 
 import hashlib
@@ -24,6 +25,26 @@ from kramers_gl.instanton import BoundaryCondition, SystemParams, instanton_prof
 from kramers_gl.simulator import SimConfig, estimate_mfpt
 
 NEU = BoundaryCondition.NEUMANN
+
+MFPT_ARGV = [
+    "mfpt",
+    "--bc",
+    "neumann",
+    "--L",
+    "2.0",
+    "--eps",
+    "0.25",
+    "--modes",
+    "8",
+    "--dt",
+    "2e-3",
+    "--tmax",
+    "300",
+    "--ntraj",
+    "6",
+    "--seed",
+    "7",
+]
 
 
 def run_cli(argv):
@@ -155,6 +176,35 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"bc": "neumann", "L": 3.0, "eps": 0.1, "banana": 1}))
     assert run_cli(["rate", "--config", str(cfg)]) == 2
     assert "banana" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["rate", "--bc", "neumann", "--L", "3.0", "--eps", "0.1"], "modes", 16),
+        (["profile", "--bc", "neumann", "--L", "4.0"], "L_range", "3.5:4.5:0.5"),
+    ],
+)
+def test_config_key_of_another_subcommand_is_usage_error(
+    tmp_path, capsys, argv, key, value
+):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert run_cli(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown config key {key!r} for command {argv[0]!r}" in err
+
+
+def test_config_accepts_every_option_of_its_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "mfpt.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+    assert run_cli(MFPT_ARGV[:-2] + ["--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 7
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"L_range": "3.0:3.2:0.1"}))
+    argv = ["sweep", "--bc", "neumann", "--eps", "1e-3", "--config", str(cfg)]
+    assert run_cli(argv) == 0
+    assert len(_sweep_rows(capsys.readouterr().out)) == 3
 
 
 def test_unreadable_config_is_usage_error(tmp_path, capsys):
@@ -306,6 +356,69 @@ def test_manifest_records_run_and_digests(tmp_path, capsys):
     assert entry["bytes"] == out.stat().st_size
 
 
+# each writing command: argv without --out, the manifest's seed, and the
+# files one run writes
+WRITING_RUNS = {
+    "rate": (
+        ["rate", "--bc", "periodic", "--L", "9.0", "--eps", "0.01"],
+        None,
+        ["out.json"],
+    ),
+    "sweep": (
+        ["sweep", "--bc", "neumann", "--L-range", "3.0:3.2:0.1", "--eps", "1e-3"],
+        None,
+        ["out.csv"],
+    ),
+    "profile": (
+        ["profile", "--bc", "neumann", "--L", "4.0", "--modes", "32"],
+        None,
+        ["out.csv"],
+    ),
+    "spectrum": (
+        ["spectrum", "--bc", "periodic", "--L", "9.0", "--modes", "4"],
+        None,
+        ["out.csv"],
+    ),
+    "mfpt": (MFPT_ARGV, 7, ["out.json", "out.trajectories.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", list(WRITING_RUNS))
+def test_manifest_records_each_writing_command(
+    tmp_path, monkeypatch, capsys, command
+):
+    argv, seed, written = WRITING_RUNS[command]
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 0
+    stdout_text = capsys.readouterr().out
+    assert os.listdir(tmp_path) == []  # stdout mode writes no file
+
+    assert run_cli(argv + ["--out", written[0]]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {written[0]}")
+    assert (tmp_path / written[0]).read_text() == stdout_text
+    manifest_name = written[0] + ".manifest.json"
+    assert sorted(os.listdir(tmp_path)) == sorted(written + [manifest_name])
+    manifest = json.loads((tmp_path / manifest_name).read_text())
+    assert list(manifest) == [
+        "version",
+        "command",
+        "params",
+        "seed",
+        "started",
+        "finished",
+        "outputs",
+    ]
+    assert manifest["version"] == kramers_gl.__version__
+    assert manifest["command"] == command
+    assert manifest["seed"] == seed
+    assert manifest["params"]["bc"] == argv[2]
+    assert [entry["path"] for entry in manifest["outputs"]] == written
+    for entry in manifest["outputs"]:
+        data = (tmp_path / entry["path"]).read_bytes()
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+        assert entry["bytes"] == len(data)
+
+
 # ---------------------------------------------------------------------------
 # profile
 # ---------------------------------------------------------------------------
@@ -366,27 +479,6 @@ def test_spectrum_instanton_has_zero_mode(capsys):
 # ---------------------------------------------------------------------------
 # mfpt
 # ---------------------------------------------------------------------------
-
-MFPT_ARGV = [
-    "mfpt",
-    "--bc",
-    "neumann",
-    "--L",
-    "2.0",
-    "--eps",
-    "0.25",
-    "--modes",
-    "8",
-    "--dt",
-    "2e-3",
-    "--tmax",
-    "300",
-    "--ntraj",
-    "6",
-    "--seed",
-    "7",
-]
-
 
 def test_mfpt_summary_matches_library(tmp_path, capsys):
     out = tmp_path / "run.json"

@@ -25,6 +25,9 @@ from kramers_gl.rates import (
     DivergentClassicalPrefactor,
     QuarticNormalForm,
     RateBreakdown,
+    _psi_minus_quadrature,
+    _psi_plus_quadrature,
+    _psi_tilde_quadrature,
     kramers_rate,
     phi_switch,
     prefactor_classical,
@@ -138,52 +141,11 @@ def test_phi_switch_is_a_distribution_function(x):
 # ---------------------------------------------------------------------------
 
 
-def psi_plus_quadrature(alpha: float, L: float, eps: float) -> float:
-    """psi_plus from the single-mode partition integral."""
-    a = math.sqrt(3.0 * eps / (4.0 * L))
-    lam1 = alpha * a
-    ratio = quartic_integral(QuarticNormalForm(lambda1=lam1, L=L), eps) / math.sqrt(
-        2.0 * math.pi * eps / (L * lam1)
-    )
-    return ratio * math.sqrt((lam1 + a) / lam1)
-
-
-def psi_minus_quadrature(alpha: float, L: float, eps: float) -> float:
-    """psi_minus from the double-well partition integral.
-
-    The normal form with quadratic coefficient -mu1/2 has its two wells
-    at curvature exactly L*mu1; the well-depth Boltzmann factor
-    exp(L mu1^2/(24 eps)) is removed before normalizing.
-    """
-    a = math.sqrt(3.0 * eps / (4.0 * L))
-    mu1 = alpha * a
-    nf = QuarticNormalForm(lambda1=-0.5 * mu1, L=L)
-    shifted = quartic_integral(nf, eps) * math.exp(-L * mu1 * mu1 / (24.0 * eps))
-    ratio = shifted / math.sqrt(2.0 * math.pi * eps / (L * mu1))
-    return ratio * math.sqrt((mu1 + a) / mu1)
-
-
-def psi_tilde_quadrature(alpha: float, L: float, eps: float) -> float:
-    """psi_plus_tilde from the radial form of the two-mode integral."""
-    from scipy.integrate import quad
-
-    a = math.sqrt(3.0 * eps / (4.0 * L))
-    lam1 = alpha * a
-
-    def integrand(rho):
-        return rho * math.exp(-L * (0.5 * lam1 * rho**2 + 0.375 * rho**4) / eps)
-
-    upper = 10.0 * max((eps / L) ** 0.25, math.sqrt(eps / (L * lam1)))
-    val, _ = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=200)
-    two_mode_ratio = (L * lam1 / eps) * val
-    return two_mode_ratio * (lam1 + a) / lam1
-
-
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])
 def test_psi_plus_matches_quadrature(alpha):
     for eps in (1e-4, 1e-3):
         assert psi_plus(alpha) == pytest.approx(
-            psi_plus_quadrature(alpha, math.pi / 2, eps), rel=1e-6
+            _psi_plus_quadrature(alpha, math.pi / 2, eps), rel=1e-6
         )
 
 
@@ -191,7 +153,7 @@ def test_psi_plus_matches_quadrature(alpha):
 def test_psi_minus_matches_quadrature(alpha):
     for eps in (1e-2,):
         assert psi_minus(alpha) == pytest.approx(
-            psi_minus_quadrature(alpha, 4.0, eps), rel=1e-6
+            _psi_minus_quadrature(alpha, 4.0, eps), rel=1e-6
         )
 
 
@@ -199,7 +161,7 @@ def test_psi_minus_matches_quadrature(alpha):
 def test_psi_tilde_matches_two_mode_radial_quadrature(alpha):
     for eps in (1e-3,):
         assert psi_plus_tilde(alpha) == pytest.approx(
-            psi_tilde_quadrature(alpha, 3.0, eps), rel=1e-6
+            _psi_tilde_quadrature(alpha, 3.0, eps), rel=1e-6
         )
 
 

@@ -90,6 +90,18 @@ def test_config_validation():
         SimConfig(params=(2.0, 0.1, "neumann"))
 
 
+def test_config_accepts_numpy_integers_and_stores_int():
+    p = SystemParams(L=2.0, eps=0.1, bc=NEU)
+    cfg = SimConfig(params=p, K=np.int64(8), n_traj=np.int32(5), seed=np.uint64(3))
+    assert (cfg.K, cfg.n_traj, cfg.seed) == (8, 5, 3)
+    assert all(type(v) is int for v in (cfg.K, cfg.n_traj, cfg.seed))
+    assert cfg == SimConfig(params=p, K=8, n_traj=5, seed=3)
+    with pytest.raises(ValueError, match="seed"):
+        SimConfig(params=p, seed=np.int64(-1))
+    with pytest.raises(ValueError, match="K"):
+        SimConfig(params=p, K=8.0)
+
+
 # ---------------------------------------------------------------------------
 # cubic term against the direct triple-sum convolution
 # ---------------------------------------------------------------------------
@@ -427,10 +439,12 @@ def test_threshold_sensitivity_is_within_relaxation_scale():
 
 
 # ---------------------------------------------------------------------------
-# ensemble statistics on the shared reference run
+# ensemble statistics on the shared reference run (500 trajectories, about a
+# minute; the robustness runs add 300 trajectories each): marked slow
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_passage_times_exponentially_distributed(mc_main_ensemble):
     _, est = mc_main_ensemble
     times = np.array([t for t in est.per_trajectory if t is not None])
@@ -439,6 +453,7 @@ def test_passage_times_exponentially_distributed(mc_main_ensemble):
     assert ks.pvalue > 0.01
 
 
+@pytest.mark.slow
 def test_resolution_robustness(mc_main_ensemble):
     _, base = mc_main_ensemble
     cfg = SimConfig(
@@ -454,6 +469,7 @@ def test_resolution_robustness(mc_main_ensemble):
     assert diff <= 2.0 * math.hypot(other.std_error, base.std_error)
 
 
+@pytest.mark.slow
 def test_time_step_robustness(mc_main_ensemble):
     _, base = mc_main_ensemble
     cfg = SimConfig(
