@@ -17,8 +17,11 @@ the seed, start/finish timestamps, and the SHA-256 digest of every file
 the run wrote; timestamps live only in the manifest so the result files
 themselves stay reproducible.
 
-Configuration may come from a JSON file (``--config``); explicit flags
-override file values.
+Each option of a subcommand is declared once, in ``OPTIONS``: converter,
+default and help. Values may also come from a JSON file (``--config``);
+a flag overrides the file's value, which overrides the default, and the
+same converter checks both, so a JSON ``true`` is no number and an
+integer option takes only whole numbers.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ def _write_result(path: str, text: str) -> dict:
     }
 
 
-def _emit(merged, command, params, seed, started, text, note="", extra=()) -> int:
+def _emit(out, command, params, seed, started, text, note="", extra=()) -> int:
     """Deliver one run's result; returns the exit code 0.
 
     With ``--out``: write ``text`` there and each ``(path, text)`` of
@@ -96,8 +99,7 @@ def _emit(merged, command, params, seed, started, text, note="", extra=()) -> in
     file written, and print ``wrote <out><note>``. Without ``--out``:
     write ``text`` to stdout.
     """
-    out = merged.get("out")
-    if not out:
+    if out is None:
         sys.stdout.write(text)
         return 0
     outputs = [_write_result(path, body) for path, body in ((out, text), *extra)]
@@ -116,7 +118,8 @@ def _emit(merged, command, params, seed, started, text, note="", extra=()) -> in
 
 
 # ---------------------------------------------------------------------------
-# configuration resolution: JSON file merged under explicit flags
+# options: one converter per kind of value takes flag text and config values
+# alike, and raises TypeError or ValueError with the reason for a bad one
 # ---------------------------------------------------------------------------
 
 
@@ -124,7 +127,114 @@ class UsageError(ValueError):
     """Bad invocation: reported with the offending key, exit code 2."""
 
 
-def _load_config(path: str, command: str, allowed: set) -> dict:
+def _positive_float(value) -> float:
+    if isinstance(value, bool):  # JSON true/false would pass as 1.0/0.0
+        raise TypeError("must be a number")
+    number = float(value)
+    if not (math.isfinite(number) and number > 0):
+        raise ValueError("must be > 0")
+    return number
+
+
+def _eps_list(value) -> list:
+    items = value if isinstance(value, (list, tuple)) else [value]
+    if not items:
+        raise ValueError("no value given")
+    return [_positive_float(item) for item in items]
+
+
+def _one_eps(value) -> float:
+    values = _eps_list(value)
+    if len(values) != 1:
+        raise ValueError(f"exactly one is required here, got {len(values)} values")
+    return values[0]
+
+
+def _integer(minimum, maximum=math.inf):
+    """Converter for a whole number in [minimum, maximum], as text or JSON."""
+
+    def convert(value) -> int:
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        # what is left of JSON true/false, fractions, lists, ... is no integer
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise TypeError("must be an integer")
+        number = int(value)
+        if number < minimum:
+            raise ValueError(f"must be >= {minimum}")
+        if number > maximum:
+            raise ValueError(f"must be <= {maximum}")
+        return number
+
+    return convert
+
+
+def _l_range(value) -> list:
+    parts = str(value).split(":")
+    if len(parts) != 3:
+        raise ValueError("expected start:stop:step")
+    a, b, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (a, b, step))) or a <= 0 or step <= 0:
+        raise ValueError("need start > 0 and step > 0")
+    if b < a:
+        raise ValueError("empty L range: stop is below start")
+    intervals = (b - a) / step + 1e-9
+    if not math.isfinite(intervals):
+        raise ValueError("too many points")
+    return [a + i * step for i in range(math.floor(intervals) + 1)]
+
+
+def _out_path(value) -> str:
+    if not (isinstance(value, str) and value):
+        raise TypeError("must be a file path")
+    return value
+
+
+_REQUIRED = object()  # the default of an option that has none
+
+# per subcommand: option name -> (converter, default or _REQUIRED, help).
+# The flag is --name with "_" as "-", a config file may set the name, and
+# a given flag overrides the config value, which overrides the default.
+_BC = {"bc": (BoundaryCondition.parse, _REQUIRED, "periodic or neumann")}
+_L = {"L": (_positive_float, _REQUIRED, "interval length")}
+_OUT = {"out": (_out_path, None, "output file path (default: stdout)")}
+_ONE_EPS = (_one_eps, _REQUIRED, "noise intensity")
+OPTIONS = {
+    "rate": {**_BC, **_L, "eps": _ONE_EPS, **_OUT},
+    "sweep": {
+        **_BC,
+        "L": (_positive_float, None, "interval length (or --L-range)"),
+        "L_range": (_l_range, None, "inclusive L grid A:B:STEP"),
+        "eps": (_eps_list, _REQUIRED, "noise intensity; repeat for more curves"),
+        **_OUT,
+    },
+    "profile": {
+        **_BC,
+        **_L,
+        "modes": (_integer(16), 512, "number of profile samples"),
+        **_OUT,
+    },
+    "spectrum": {
+        **_BC,
+        **_L,
+        "modes": (_integer(1), 32, "number of eigenvalues to list"),
+        **_OUT,
+    },
+    "mfpt": {
+        **_BC,
+        **_L,
+        "eps": _ONE_EPS,
+        "modes": (_integer(8), _simulator.SimConfig.K, "spectral modes K"),
+        "dt": (_positive_float, _simulator.SimConfig.dt, "time step"),
+        "tmax": (_positive_float, _simulator.SimConfig.t_max, "censoring time"),
+        "ntraj": (_integer(1), _simulator.SimConfig.n_traj, "number of trajectories"),
+        "seed": (_integer(0, 2**64 - 1), _simulator.SimConfig.seed, "ensemble seed"),
+        **_OUT,
+    },
+}
+
+
+def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -134,130 +244,36 @@ def _load_config(path: str, command: str, allowed: set) -> dict:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config {path} must contain a JSON object")
-    for key in doc:
-        if key not in allowed:
-            raise UsageError(f"unknown config key {key!r} for command {command!r}")
     return doc
 
 
-def _merge(args: argparse.Namespace) -> dict:
-    """Resolved parameter dict: flag values override config-file values.
-
-    A config file may set exactly the options the subcommand's parser
-    declares.
-    """
-    allowed = set(vars(args)) - {"command", "config"}
-    merged = _load_config(args.config, args.command, allowed) if args.config else {}
-    for key in allowed:
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            merged[key] = flag_value
-    return merged
-
-
-def _require(merged: dict, key: str):
-    if key not in merged or merged[key] is None:
-        raise UsageError(f"missing required parameter: {key}")
-    return merged[key]
-
-
-def _get_bc(merged: dict) -> BoundaryCondition:
-    raw = _require(merged, "bc")
-    try:
-        return BoundaryCondition.parse(raw)
-    except ValueError as exc:
-        raise UsageError(f"invalid value for bc: {exc}") from exc
-
-
-def _get_positive_float(merged: dict, key: str, *, required=True, default=None):
-    if key not in merged or merged[key] is None:
-        if required:
-            raise UsageError(f"missing required parameter: {key}")
-        return default
-    try:
-        value = float(merged[key])
-    except (TypeError, ValueError):
-        raise UsageError(f"invalid value for {key}: {merged[key]!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise UsageError(f"invalid value for {key}: {value} (must be > 0)")
-    return value
-
-
-def _get_eps_list(merged: dict) -> list:
-    raw = _require(merged, "eps")
-    if not isinstance(raw, (list, tuple)):
-        raw = [raw]
-    if not raw:
-        raise UsageError("missing required parameter: eps")
-    values = []
-    for item in raw:
-        try:
-            value = float(item)
-        except (TypeError, ValueError):
-            raise UsageError(f"invalid value for eps: {item!r}") from None
-        if not (math.isfinite(value) and value > 0):
-            raise UsageError(f"invalid value for eps: {value} (must be > 0)")
-        values.append(value)
-    return values
-
-
-def _get_single_eps(merged: dict) -> float:
-    values = _get_eps_list(merged)
-    if len(values) != 1:
-        raise UsageError(
-            f"exactly one eps is required here, got {len(values)} values"
-        )
-    return values[0]
-
-
-def _get_int(merged: dict, key: str, *, default=None, minimum=1):
-    if key not in merged or merged[key] is None:
-        if default is None:
-            raise UsageError(f"missing required parameter: {key}")
-        return default
-    raw = merged[key]
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise UsageError(f"invalid value for {key}: {raw!r}") from None
-    if isinstance(raw, float) and raw != value:
-        raise UsageError(f"invalid value for {key}: {raw!r} (must be an integer)")
-    if value < minimum:
-        raise UsageError(f"invalid value for {key}: {value} (must be >= {minimum})")
-    return value
-
-
-def _parse_l_range(spec) -> list:
-    text = str(spec)
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(
-            f"invalid value for L_range: {text!r} (expected start:stop:step)"
-        )
-    try:
-        a, b, step = (float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"invalid value for L_range: {text!r}") from None
-    if not all(map(math.isfinite, (a, b, step))) or a <= 0 or step <= 0:
-        raise UsageError(
-            f"invalid value for L_range: {text!r} (need start > 0 and step > 0)"
-        )
-    if b < a:
-        raise UsageError(f"empty L range: {text!r} (stop is below start)")
-    count = int(math.floor((b - a) / step + 1e-9)) + 1
-    return [a + i * step for i in range(count)]
-
-
-def _get_l_grid(merged: dict) -> list:
-    has_single = merged.get("L") is not None
-    has_range = merged.get("L_range") is not None
-    if has_single and has_range:
-        raise UsageError("give either L or L_range, not both")
-    if has_range:
-        return _parse_l_range(merged["L_range"])
-    if has_single:
-        return [_get_positive_float(merged, "L")]
-    raise UsageError("missing required parameter: L (or L_range)")
+def _resolve(args: argparse.Namespace) -> dict:
+    """Every option of the subcommand, converted: the flag if given, else
+    the config-file value if set (and not null), else the default."""
+    options = OPTIONS[args.command]
+    config = _load_config(args.config) if args.config else {}
+    for key in config:
+        if key not in options:
+            raise UsageError(
+                f"unknown config key {key!r} for command {args.command!r}"
+            )
+    resolved = {}
+    for name, (convert, default, _) in options.items():
+        value = getattr(args, name)
+        if value is None:
+            value = config.get(name)
+        if value is not None:
+            try:
+                resolved[name] = convert(value)
+            except (TypeError, ValueError) as exc:
+                raise UsageError(
+                    f"invalid value for {name}: {value!r} ({exc})"
+                ) from None
+        elif default is _REQUIRED:
+            raise UsageError(f"missing required parameter: {name}")
+        else:
+            resolved[name] = default
+    return resolved
 
 
 # ---------------------------------------------------------------------------
@@ -272,30 +288,32 @@ def _breakdown_row(bc: BoundaryCondition, L: float, eps: float) -> tuple:
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
-    merged = _merge(args)
-    bc = _get_bc(merged)
-    L = _get_positive_float(merged, "L")
-    eps = _get_single_eps(merged)
+    opts = _resolve(args)
+    bc, L, eps = opts["bc"], opts["L"], opts["eps"]
     started = _utc_now()
     row = _breakdown_row(bc, L, eps)
     doc = {key: _jsonable(value) for key, value in zip(_ROW_FIELDS, row)}
     text = json.dumps(doc, indent=2) + "\n"
     params = {"bc": bc.value, "L": L, "eps": eps}
-    return _emit(merged, "rate", params, None, started, text)
+    return _emit(opts["out"], "rate", params, None, started, text)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    merged = _merge(args)
-    bc = _get_bc(merged)
-    l_grid = _get_l_grid(merged)
-    eps_list = sorted(_get_eps_list(merged))
+    opts = _resolve(args)
+    bc = opts["bc"]
+    if opts["L"] is not None and opts["L_range"] is not None:
+        raise UsageError("give either L or L_range, not both")
+    if opts["L"] is None and opts["L_range"] is None:
+        raise UsageError("missing required parameter: L (or L_range)")
+    l_grid = opts["L_range"] or [opts["L"]]
+    eps_list = sorted(opts["eps"])
     started = _utc_now()
     rows = [_breakdown_row(bc, L, eps) for eps in eps_list for L in sorted(l_grid)]
     lines = [CSV_COLUMNS]
     lines += [",".join(map(_fmt, row)) for row in rows]
     params = {"bc": bc.value, "L_grid": l_grid, "eps": eps_list}
     text = "\n".join(lines) + "\n"
-    return _emit(merged, "sweep", params, None, started, text, f" ({len(rows)} rows)")
+    return _emit(opts["out"], "sweep", params, None, started, text, f" ({len(rows)} rows)")
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +322,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    merged = _merge(args)
-    bc = _get_bc(merged)
-    L = _get_positive_float(merged, "L")
-    n_x = _get_int(merged, "modes", default=512, minimum=16)
+    opts = _resolve(args)
+    bc, L, n_x = opts["bc"], opts["L"], opts["modes"]
     started = _utc_now()
     fieldcfg = _instanton.instanton_profile(L, bc, n_x=n_x)
     xs = fieldcfg.grid(L)
@@ -315,14 +331,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
     lines += [f"{_fmt(float(x))},{_fmt(float(v))}" for x, v in zip(xs, fieldcfg.values)]
     params = {"bc": bc.value, "L": L, "samples": n_x}
     text = "\n".join(lines) + "\n"
-    return _emit(merged, "profile", params, None, started, text, f" ({n_x} samples)")
+    return _emit(opts["out"], "profile", params, None, started, text, f" ({n_x} samples)")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    merged = _merge(args)
-    bc = _get_bc(merged)
-    L = _get_positive_float(merged, "L")
-    n = _get_int(merged, "modes", default=32, minimum=1)
+    opts = _resolve(args)
+    bc, L, n = opts["bc"], opts["L"], opts["modes"]
     started = _utc_now()
     if L <= bc.critical_length:
         spec = _spectrum.uniform_spectrum(L, bc, "transition", K_max=n)
@@ -339,7 +353,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             break
         lines.append(f"{i},{_fmt(float(ev))},{int(mult)}")
     params = {"bc": bc.value, "L": L, "modes": n, "regime": regime}
-    return _emit(merged, "spectrum", params, None, started, "\n".join(lines) + "\n")
+    return _emit(opts["out"], "spectrum", params, None, started, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -348,31 +362,24 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_mfpt(args: argparse.Namespace) -> int:
-    merged = _merge(args)
-    bc = _get_bc(merged)
-    L = _get_positive_float(merged, "L")
-    eps = _get_single_eps(merged)
-    modes = _get_int(merged, "modes", default=16, minimum=8)
-    dt = _get_positive_float(merged, "dt", required=False, default=1e-3)
-    tmax = _get_positive_float(merged, "tmax", required=False, default=1e4)
-    ntraj = _get_int(merged, "ntraj", default=100, minimum=1)
-    seed = _get_int(merged, "seed", default=12345, minimum=0)
-    if seed >= 2**64:
-        raise UsageError(f"invalid value for seed: {seed} (must fit in 64 bits)")
+    opts = _resolve(args)
+    out = opts.pop("out")
+    # the resolved options open the result document, in table order
+    run = dict(opts, bc=opts["bc"].value)
     started = _utc_now()
     config = _simulator.SimConfig(
-        params=SystemParams(L=L, eps=eps, bc=bc),
-        K=modes,
-        dt=dt,
-        t_max=tmax,
-        n_traj=ntraj,
-        seed=seed,
+        params=SystemParams(L=opts["L"], eps=opts["eps"], bc=opts["bc"]),
+        K=opts["modes"],
+        dt=opts["dt"],
+        t_max=opts["tmax"],
+        n_traj=opts["ntraj"],
+        seed=opts["seed"],
     )
     est = _simulator.estimate_mfpt(config)
 
     theory = None
     ratio = None
-    if eps <= 0.5:
+    if opts["eps"] <= 0.5:
         rb = _rates.kramers_rate(config.params)
         theory = {
             "gamma0_corrected": _jsonable(rb.gamma0_corrected),
@@ -382,14 +389,7 @@ def cmd_mfpt(args: argparse.Namespace) -> int:
         if rb.rate > 0:
             ratio = est.rate / rb.rate
     doc = {
-        "bc": bc.value,
-        "L": L,
-        "eps": eps,
-        "modes": modes,
-        "dt": dt,
-        "tmax": tmax,
-        "ntraj": ntraj,
-        "seed": seed,
+        **run,
         "crossing_threshold": config.crossing_threshold,
         "mean_passage_time": _jsonable(est.mean_passage_time),
         "std_error": _jsonable(est.std_error),
@@ -403,12 +403,12 @@ def cmd_mfpt(args: argparse.Namespace) -> int:
         "ratio_sim_over_theory": _jsonable(ratio),
     }
     text = json.dumps(doc, indent=2) + "\n"
-    stem = (merged.get("out") or "").removesuffix(".json")
+    stem = (out or "").removesuffix(".json")
     traj_lines = ["trajectory,passage_time"]
     traj_lines += [f"{i},{_fmt(t)}" for i, t in enumerate(est.per_trajectory)]
     traj = (stem + ".trajectories.csv", "\n".join(traj_lines) + "\n")
     params = {k: doc[k] for k in ("bc", "L", "eps", "modes", "dt", "tmax", "ntraj")}
-    return _emit(merged, "mfpt", params, seed, started, text, f" and {traj[0]}", [traj])
+    return _emit(out, "mfpt", params, run["seed"], started, text, f" and {traj[0]}", [traj])
 
 
 # ---------------------------------------------------------------------------
@@ -649,19 +649,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_physics_flags(parser: argparse.ArgumentParser, *, l_range=False):
-    parser.add_argument("--bc", choices=["periodic", "neumann"], default=None)
-    parser.add_argument("--L", type=float, default=None, help="interval length")
-    if l_range:
-        parser.add_argument(
-            "--L-range",
-            dest="L_range",
-            default=None,
-            metavar="A:B:STEP",
-            help="inclusive L grid",
-        )
-    parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--out", default=None, help="output file path")
+# subcommand -> (handler, help); every one but verify takes its OPTIONS
+_COMMANDS = {
+    "rate": (cmd_rate, "one-point rate breakdown (JSON)"),
+    "sweep": (cmd_sweep, "prefactor curves on an L grid (CSV)"),
+    "profile": (cmd_profile, "instanton profile samples (CSV)"),
+    "spectrum": (cmd_spectrum, "transition-state eigenvalues (CSV)"),
+    "mfpt": (cmd_mfpt, "Monte Carlo MFPT ensemble (JSON + CSV)"),
+    "verify": (cmd_verify, "deterministic self-checks"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -674,58 +670,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_rate = sub.add_parser("rate", help="one-point rate breakdown (JSON)")
-    _add_physics_flags(p_rate)
-    p_rate.add_argument("--eps", type=float, action="append", default=None)
-
-    p_sweep = sub.add_parser("sweep", help="prefactor curves on an L grid (CSV)")
-    _add_physics_flags(p_sweep, l_range=True)
-    p_sweep.add_argument("--eps", type=float, action="append", default=None)
-
-    p_profile = sub.add_parser("profile", help="instanton profile samples (CSV)")
-    _add_physics_flags(p_profile)
-    p_profile.add_argument(
-        "--modes", type=int, default=None, help="number of profile samples"
-    )
-
-    p_spec = sub.add_parser("spectrum", help="transition-state eigenvalues (CSV)")
-    _add_physics_flags(p_spec)
-    p_spec.add_argument(
-        "--modes", type=int, default=None, help="number of eigenvalues to list"
-    )
-
-    p_mfpt = sub.add_parser("mfpt", help="Monte Carlo MFPT ensemble (JSON + CSV)")
-    _add_physics_flags(p_mfpt)
-    p_mfpt.add_argument("--eps", type=float, action="append", default=None)
-    p_mfpt.add_argument("--modes", type=int, default=None, help="spectral modes K")
-    p_mfpt.add_argument("--dt", type=float, default=None)
-    p_mfpt.add_argument("--tmax", type=float, default=None)
-    p_mfpt.add_argument("--ntraj", type=int, default=None)
-    p_mfpt.add_argument("--seed", type=int, default=None)
-
-    p_verify = sub.add_parser("verify", help="deterministic self-checks")
-    p_verify.add_argument(
-        "--quick", action="store_true", help="skip the quadrature oracles"
-    )
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "verify":
+            p.add_argument(
+                "--quick", action="store_true", help="skip the quadrature oracles"
+            )
+            continue
+        # flags stay text here: _resolve converts them like config values
+        for name, (_, _, option_help) in OPTIONS[command].items():
+            p.add_argument(
+                "--" + name.replace("_", "-"),
+                dest=name,
+                action="append" if name == "eps" else "store",  # --eps repeats
+                help=option_help,
+            )
+        p.add_argument("--config", help="JSON config file; flags override its values")
     return parser
-
-
-_DISPATCH = {
-    "rate": cmd_rate,
-    "sweep": cmd_sweep,
-    "profile": cmd_profile,
-    "spectrum": cmd_spectrum,
-    "mfpt": cmd_mfpt,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (ValueError, NoInstantonRegime, RuntimeError) as exc:

@@ -161,7 +161,12 @@ class SpectralState:
 
 @dataclass(frozen=True)
 class MfptEstimate:
-    """Mean first-passage time over an ensemble, with delta-method rate CI."""
+    """Mean first-passage time over an ensemble, with delta-method rate CI.
+
+    With a single completed trajectory there is no spread to estimate:
+    ``std_error`` and ``rate_std_error`` are NaN and ``rate_ci`` is
+    ``(nan, nan)``.
+    """
 
     mean_passage_time: float
     std_error: float
@@ -482,12 +487,14 @@ def estimate_mfpt(config: SimConfig, *, _mirror: bool = False) -> MfptEstimate:
             f"({n_censored} censored, {n_blowup} blown up)"
         )
     mean = float(times.mean())
-    std_error = (
-        float(times.std(ddof=1) / math.sqrt(n_completed)) if n_completed > 1 else 0.0
-    )
     rate = 1.0 / mean
-    rate_se = std_error / mean**2
-    ci = (max(0.0, rate - 1.96 * rate_se), rate + 1.96 * rate_se)
+    if n_completed > 1:
+        std_error = float(times.std(ddof=1) / math.sqrt(n_completed))
+        rate_se = std_error / mean**2
+        ci = (max(0.0, rate - 1.96 * rate_se), rate + 1.96 * rate_se)
+    else:  # one passage time has no spread to estimate
+        std_error = rate_se = math.nan
+        ci = (math.nan, math.nan)
     return MfptEstimate(
         mean_passage_time=mean,
         std_error=std_error,

@@ -207,6 +207,35 @@ def test_config_accepts_every_option_of_its_subcommand(tmp_path, capsys):
     assert len(_sweep_rows(capsys.readouterr().out)) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["rate", "--bc", "neumann", "--eps", "0.1"], "L", True),
+        # MFPT_ARGV without its --ntraj flag
+        (MFPT_ARGV[:13] + MFPT_ARGV[15:], "ntraj", True),
+        (["rate", "--bc", "neumann", "--L", "2.0", "--eps", "0.1"], "out", 5),
+        (["rate", "--bc", "neumann", "--L", "2.0", "--eps", "0.1"], "out", ["a"]),
+    ],
+)
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, argv, key, value):
+    # config values go through the same checks as flag text; a child process,
+    # so that an integer out taken as a file descriptor could not hit pytest's
+    (tmp_path / "run.json").write_text(json.dumps({key: value}))
+    src = os.path.dirname(os.path.dirname(kramers_gl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kramers_gl.cli", *argv, "--config", "run.json"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"invalid value for {key}: {value!r}" in proc.stderr
+    assert proc.stdout == ""
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
 def test_unreadable_config_is_usage_error(tmp_path, capsys):
     assert run_cli(["rate", "--config", str(tmp_path / "missing.json")]) == 2
     assert "missing.json" in capsys.readouterr().err
@@ -266,6 +295,11 @@ def test_sweep_empty_range_is_usage_error(capsys):
         ["sweep", "--bc", "neumann", "--L-range", "4.0:3.0:0.1", "--eps", "1e-3"]
     ) == 2
     assert "empty L range" in capsys.readouterr().err
+    # a grid too long to count is refused before anything is allocated
+    assert run_cli(
+        ["sweep", "--bc", "neumann", "--L-range", "1:1e308:1e-308", "--eps", "1e-3"]
+    ) == 2
+    assert "invalid value for L_range" in capsys.readouterr().err
 
 
 def test_sweep_rejects_both_L_and_range(capsys):
@@ -531,6 +565,16 @@ def test_mfpt_stdout_mode(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["ntraj"] == 6
     assert doc["n_completed"] + doc["n_censored"] + doc["n_blowup"] == 6
+
+
+def test_mfpt_single_completion_reports_null_error_estimates(capsys):
+    assert run_cli(MFPT_ARGV + ["--ntraj", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["n_completed"] == 1
+    assert doc["rate"] > 0
+    assert doc["std_error"] is None
+    assert doc["rate_std_error"] is None
+    assert doc["rate_ci"] == [None, None]
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,18 @@ def test_estimate_deterministic_and_sane():
     )
 
 
+def test_estimate_from_one_completion_has_no_error_estimate():
+    cfg = SimConfig(
+        params=quick_params(), K=8, dt=2e-3, t_max=500.0, n_traj=1, seed=31337
+    )
+    est = estimate_mfpt(cfg)
+    assert est.n_completed == 1
+    assert est.rate == pytest.approx(1.0 / est.mean_passage_time, rel=1e-15)
+    assert math.isnan(est.std_error)
+    assert math.isnan(est.rate_std_error)
+    assert all(math.isnan(bound) for bound in est.rate_ci)
+
+
 def test_estimate_partial_censoring():
     cfg = SimConfig(
         params=quick_params(), K=8, dt=2e-3, t_max=8.0, n_traj=40, seed=2718
