@@ -37,19 +37,6 @@ from .rates import (
     psi_plus_tilde,
     quartic_integral,
 )
-from .simulator import (
-    EstimateUnavailable,
-    MfptEstimate,
-    SimConfig,
-    SimulationBlowUp,
-    SpectralState,
-    estimate_mfpt,
-    mode_eigenvalues,
-    nonlinear_term,
-    run_to_transition,
-    step,
-    trajectory_rng,
-)
 from .specfun import (
     bessel_I14,
     bessel_K14,
@@ -69,6 +56,34 @@ from .spectrum import (
 )
 
 __version__ = "0.1.0"
+
+# The simulator needs numpy at import; its names are loaded on first use
+# (PEP 562), so the closed-form rate path imports no numpy.
+_SIMULATOR_NAMES = (
+    "EstimateUnavailable",
+    "MfptEstimate",
+    "SimConfig",
+    "SimulationBlowUp",
+    "SpectralState",
+    "estimate_mfpt",
+    "mode_eigenvalues",
+    "nonlinear_term",
+    "run_to_transition",
+    "step",
+    "trajectory_rng",
+)
+
+
+def __getattr__(name):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_SIMULATOR_NAMES})
 
 __all__ = [
     "BoundaryCondition",

@@ -22,6 +22,11 @@ default and help. Values may also come from a JSON file (``--config``);
 a flag overrides the file's value, which overrides the default, and the
 same converter checks both, so a JSON ``true`` is no number and an
 integer option takes only whole numbers.
+
+``rate`` and ``sweep`` load no numpy: this module imports ``spectrum``
+and ``simulator`` only in the commands and checks that use them, so
+``profile``, ``spectrum``, ``mfpt`` and ``verify`` import numpy when
+they run.
 """
 
 from __future__ import annotations
@@ -36,9 +41,7 @@ from datetime import datetime, timezone
 from . import __version__
 from . import instanton as _instanton
 from . import rates as _rates
-from . import simulator as _simulator
 from . import specfun as _specfun
-from . import spectrum as _spectrum
 from .instanton import BoundaryCondition, NoInstantonRegime, SystemParams
 
 # one rate row: sweep CSV columns and rate JSON keys, in this order
@@ -169,6 +172,12 @@ def _integer(minimum, maximum=math.inf):
     return convert
 
 
+# The manifest records the whole grid and the CSV text is built in memory,
+# so a grid is refused before anything is allocated beyond this many points
+# (each point is one CSV row, about 150 bytes, per eps value).
+_MAX_L_POINTS = 100_000
+
+
 def _l_range(value) -> list:
     parts = str(value).split(":")
     if len(parts) != 3:
@@ -179,8 +188,8 @@ def _l_range(value) -> list:
     if b < a:
         raise ValueError("empty L range: stop is below start")
     intervals = (b - a) / step + 1e-9
-    if not math.isfinite(intervals):
-        raise ValueError("too many points")
+    if not intervals < _MAX_L_POINTS:  # also catches an infinite count
+        raise ValueError(f"more than {_MAX_L_POINTS} points")
     return [a + i * step for i in range(math.floor(intervals) + 1)]
 
 
@@ -224,11 +233,12 @@ OPTIONS = {
         **_BC,
         **_L,
         "eps": _ONE_EPS,
-        "modes": (_integer(8), _simulator.SimConfig.K, "spectral modes K"),
-        "dt": (_positive_float, _simulator.SimConfig.dt, "time step"),
-        "tmax": (_positive_float, _simulator.SimConfig.t_max, "censoring time"),
-        "ntraj": (_integer(1), _simulator.SimConfig.n_traj, "number of trajectories"),
-        "seed": (_integer(0, 2**64 - 1), _simulator.SimConfig.seed, "ensemble seed"),
+        # unset, these take SimConfig's defaults (see _SIM_FIELDS)
+        "modes": (_integer(8), None, "spectral modes K"),
+        "dt": (_positive_float, None, "time step"),
+        "tmax": (_positive_float, None, "censoring time"),
+        "ntraj": (_integer(1), None, "number of trajectories"),
+        "seed": (_integer(0, 2**64 - 1), None, "ensemble seed"),
         **_OUT,
     },
 }
@@ -335,17 +345,17 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
+    from .spectrum import hessian_spectrum, uniform_spectrum
+
     opts = _resolve(args)
     bc, L, n = opts["bc"], opts["L"], opts["modes"]
     started = _utc_now()
     if L <= bc.critical_length:
-        spec = _spectrum.uniform_spectrum(L, bc, "transition", K_max=n)
+        spec = uniform_spectrum(L, bc, "transition", K_max=n)
         regime = "uniform_saddle"
     else:
         fieldcfg = _instanton.instanton_profile(L, bc, n_x=1024)
-        spec = _spectrum.hessian_spectrum(
-            fieldcfg, L, bc, n_modes=max(256, 2 * n)
-        )
+        spec = hessian_spectrum(fieldcfg, L, bc, n_modes=max(256, 2 * n))
         regime = "instanton_saddle"
     lines = ["index,eigenvalue,multiplicity"]
     for i, (ev, mult) in enumerate(zip(spec.eigenvalues, spec.multiplicities)):
@@ -361,21 +371,24 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+# mfpt option -> SimConfig field
+_SIM_FIELDS = {"modes": "K", "dt": "dt", "tmax": "t_max", "ntraj": "n_traj", "seed": "seed"}
+
+
 def cmd_mfpt(args: argparse.Namespace) -> int:
+    from .simulator import SimConfig, estimate_mfpt
+
     opts = _resolve(args)
     out = opts.pop("out")
+    started = _utc_now()
+    config = SimConfig(
+        params=SystemParams(L=opts["L"], eps=opts["eps"], bc=opts["bc"]),
+        **{field: opts[name] for name, field in _SIM_FIELDS.items() if opts[name] is not None},
+    )
     # the resolved options open the result document, in table order
     run = dict(opts, bc=opts["bc"].value)
-    started = _utc_now()
-    config = _simulator.SimConfig(
-        params=SystemParams(L=opts["L"], eps=opts["eps"], bc=opts["bc"]),
-        K=opts["modes"],
-        dt=opts["dt"],
-        t_max=opts["tmax"],
-        n_traj=opts["ntraj"],
-        seed=opts["seed"],
-    )
-    est = _simulator.estimate_mfpt(config)
+    run.update((name, getattr(config, field)) for name, field in _SIM_FIELDS.items())
+    est = estimate_mfpt(config)
 
     theory = None
     ratio = None
@@ -548,19 +561,23 @@ def _check_anomalous_periodic_limit():
 
 
 def _check_instanton_lowest_eigenvalue():
+    from .spectrum import hessian_spectrum, mu0
+
     L = 4.0
     bc = BoundaryCondition.NEUMANN
     m = _instanton.solve_m_from_L(L, bc)
     fieldcfg = _instanton.instanton_profile(L, bc, n_x=1024)
-    spec = _spectrum.hessian_spectrum(fieldcfg, L, bc, n_modes=512)
-    return abs(float(spec.eigenvalues[0]) / _spectrum.mu0(m) - 1.0), 1e-6
+    spec = hessian_spectrum(fieldcfg, L, bc, n_modes=512)
+    return abs(float(spec.eigenvalues[0]) / mu0(m) - 1.0), 1e-6
 
 
 def _check_periodic_zero_mode():
+    from .spectrum import hessian_spectrum
+
     L = 9.0
     bc = BoundaryCondition.PERIODIC
     fieldcfg = _instanton.instanton_profile(L, bc, n_x=1024)
-    spec = _spectrum.hessian_spectrum(fieldcfg, L, bc, n_modes=512)
+    spec = hessian_spectrum(fieldcfg, L, bc, n_modes=512)
     return float(min(abs(ev) for ev in spec.expanded())), 1e-6
 
 

@@ -17,9 +17,10 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from .specfun import _sncndn, elliptic_E, elliptic_K
 
-from .specfun import elliptic_E, elliptic_K, jacobi_sn
+# numpy is imported inside the functions that build arrays, so the
+# closed-form rate path (modulus, activation energy) loads none of it
 
 
 class NoInstantonRegime(ValueError):
@@ -79,6 +80,8 @@ class FieldConfiguration:
     bc: BoundaryCondition
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "bc", BoundaryCondition.parse(self.bc))
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 16:
@@ -90,6 +93,8 @@ class FieldConfiguration:
         return self.values.size
 
     def grid(self, L: float) -> np.ndarray:
+        import numpy as np
+
         if self.bc is BoundaryCondition.PERIODIC:
             return np.arange(self.n_x) * (L / self.n_x)
         return np.linspace(0.0, L, self.n_x)
@@ -133,15 +138,23 @@ class InstantonDescription:
         return cls(m=m, phase=phase, sign=sign, bc=bc)
 
     def sample(self, L: float, n_x: int = 512) -> FieldConfiguration:
-        """Sample the profile on the standard grid for this bc."""
+        """Sample the profile on the standard grid for this bc.
+
+        Each sample is jacobi_sn(scale * x + phase, m), bit for bit; the
+        period 4K(m) it reduces the argument by is computed once here.
+        """
+        import numpy as np
+
+        if not (math.isfinite(L) and math.isfinite(self.phase)):
+            raise ValueError(f"L and phase must be finite, got {L} and {self.phase}")
         scale = 1.0 / math.sqrt(self.m + 1.0)
         if self.bc is BoundaryCondition.PERIODIC:
             x = np.arange(n_x) * (L / n_x)
         else:
             x = np.linspace(0.0, L, n_x)
-        vals = np.array(
-            [self.amplitude * jacobi_sn(scale * xi + self.phase, self.m) for xi in x]
-        )
+        period, mc = 4.0 * elliptic_K(self.m), 1.0 - float(self.m)
+        sn = [_sncndn(math.remainder(scale * xi + self.phase, period), mc)[0] for xi in x]
+        vals = self.amplitude * np.array(sn)
         return FieldConfiguration(values=self.sign * vals, bc=self.bc)
 
 
@@ -216,12 +229,9 @@ def instanton_profile(
 # ---------------------------------------------------------------------------
 
 
-def _even_extension(values: np.ndarray) -> np.ndarray:
-    """Extend samples on [0, L] (inclusive grid) evenly to a 2L period."""
-    return np.concatenate([values, values[-2:0:-1]])
-
-
 def _spectral_derivative_periodic(values: np.ndarray, L: float) -> np.ndarray:
+    import numpy as np
+
     n = values.size
     vhat = np.fft.rfft(values)
     k = np.fft.rfftfreq(n, d=L / n)  # cycles per unit length
@@ -237,18 +247,19 @@ def energy_functional(fieldcfg: FieldConfiguration, L: float) -> float:
     Spectral differentiation plus trapezoid quadrature consistent with the
     boundary condition; both are spectrally accurate for smooth fields.
     """
+    import numpy as np
+
     if not (math.isfinite(L) and L > 0):
         raise ValueError(f"L must be positive and finite, got {L}")
     vals = fieldcfg.values
     if not np.all(np.isfinite(vals)):
         raise ValueError("field values must be finite")
-    if fieldcfg.bc is BoundaryCondition.PERIODIC:
-        dvals = _spectral_derivative_periodic(vals, L)
-        integrand = 0.5 * dvals**2 + 0.25 * vals**4 - 0.5 * vals**2
-        return float(np.mean(integrand) * L)
-    ext = _even_extension(vals)
-    dext = _spectral_derivative_periodic(ext, 2.0 * L)
-    integrand = 0.5 * dext**2 + 0.25 * ext**4 - 0.5 * ext**2
+    period = L
+    if fieldcfg.bc is BoundaryCondition.NEUMANN:
+        # even extension of the inclusive grid on [0, L] to a 2L period
+        vals, period = np.concatenate([vals, vals[-2:0:-1]]), 2.0 * L
+    dvals = _spectral_derivative_periodic(vals, period)
+    integrand = 0.5 * dvals**2 + 0.25 * vals**4 - 0.5 * vals**2
     return float(np.mean(integrand) * L)
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .instanton import (
     BoundaryCondition,
     InstantonDescription,
@@ -30,7 +28,10 @@ from .specfun import (
     erf,
     erfcx,
 )
-from .spectrum import hessian_spectrum, mu0, mu1_approx, uniform_spectrum
+from .spectrum import mu0, mu1_approx
+
+# numpy, the numeric spectra and scipy are imported inside the oracles
+# and the mu1="numeric" path, so a closed-form rate loads none of them
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
@@ -274,6 +275,8 @@ def _mu1_value(L: float, m: float, mu1: str) -> float:
     if mu1 == "approx":
         return mu1_approx(m)
     if mu1 == "numeric":
+        from .spectrum import hessian_spectrum
+
         bc = BoundaryCondition.NEUMANN
         prof = InstantonDescription(m=m, phase=elliptic_K(m), sign=1, bc=bc).sample(L)
         spec = hessian_spectrum(prof, L, bc, n_modes=256)
@@ -377,6 +380,10 @@ def prefactor_from_determinants(L: float, bc: BoundaryCondition, K_max: int) -> 
     prefactor_classical. Only defined below the critical length, where
     the transition state is uniform.
     """
+    import numpy as np
+
+    from .spectrum import uniform_spectrum
+
     bc = BoundaryCondition.parse(bc)
     if not (math.isfinite(L) and L > 0):
         raise ValueError(f"L must be positive and finite, got {L}")

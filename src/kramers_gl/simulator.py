@@ -77,8 +77,11 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("K", "n_traj", "seed"):  # numpy integers are stored as int
-            if isinstance(getattr(self, name), numbers.Integral):
-                object.__setattr__(self, name, int(getattr(self, name)))
+            value = getattr(self, name)
+            if isinstance(value, bool):  # an Integral, but True is no count
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if isinstance(value, numbers.Integral):
+                object.__setattr__(self, name, int(value))
         if not isinstance(self.params, SystemParams):
             raise TypeError("params must be a SystemParams")
         if not (isinstance(self.K, int) and self.K >= 8):

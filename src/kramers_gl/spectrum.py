@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .instanton import BoundaryCondition, FieldConfiguration
+
+# numpy is imported inside the functions that build arrays: mu0 and
+# mu1_approx serve the closed-form rate path, which loads none of it
 
 _MAX_DENSE_MODES = 1024
 
@@ -28,6 +29,8 @@ class LinearizationSpectrum:
     state: str
 
     def __post_init__(self):
+        import numpy as np
+
         ev = np.asarray(self.eigenvalues, dtype=float)
         mult = np.asarray(self.multiplicities, dtype=int)
         if ev.shape != mult.shape or ev.ndim != 1:
@@ -39,7 +42,7 @@ class LinearizationSpectrum:
 
     def expanded(self) -> np.ndarray:
         """Eigenvalues repeated according to their multiplicities."""
-        return np.repeat(self.eigenvalues, self.multiplicities)
+        return self.eigenvalues.repeat(self.multiplicities)
 
 
 def uniform_spectrum(
@@ -51,6 +54,8 @@ def uniform_spectrum(
     -1 + (2 pi k / L)^2 (periodic). Stable states phi = +-1: eta_k with
     -1 replaced by +2. Periodic nonzero-k eigenvalues carry multiplicity 2.
     """
+    import numpy as np
+
     bc = BoundaryCondition.parse(bc)
     if not (math.isfinite(L) and L > 0):
         raise ValueError(f"L must be positive and finite, got {L}")
@@ -73,6 +78,8 @@ def uniform_spectrum(
 
 def _fourier_resample(values: np.ndarray, n_new: int) -> np.ndarray:
     """Trigonometric interpolation of periodic samples onto a finer grid."""
+    import numpy as np
+
     n = values.size
     vhat = np.fft.rfft(values)
     if n % 2 == 0 and n_new != n:
@@ -88,6 +95,8 @@ def _cosine_coeffs(values_inclusive: np.ndarray) -> np.ndarray:
     computed through the even extension, which is exact for fields band
     limited below the grid's alias limit.
     """
+    import numpy as np
+
     ext = np.concatenate([values_inclusive, values_inclusive[-2:0:-1]])
     P = ext.size  # 2M
     F = np.fft.rfft(ext).real / P
@@ -100,6 +109,8 @@ def _cosine_coeffs(values_inclusive: np.ndarray) -> np.ndarray:
 
 def _cosine_resample(values_inclusive: np.ndarray, m_new: int) -> np.ndarray:
     """Resample Neumann samples onto an inclusive grid with m_new intervals."""
+    import numpy as np
+
     w = _cosine_coeffs(values_inclusive)
     w_pad = np.zeros(m_new + 1)
     w_pad[: w.size] = w
@@ -124,6 +135,8 @@ def hessian_spectrum(
     collocation grid so no aliasing reaches the retained modes. Dense
     symmetric diagonalization; returns all n_modes eigenvalues ascending.
     """
+    import numpy as np
+
     bc = BoundaryCondition.parse(bc)
     if fieldcfg.bc is not bc:
         raise ValueError("field boundary condition does not match bc argument")

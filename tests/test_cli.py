@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 import kramers_gl
-from kramers_gl.cli import CSV_COLUMNS, main
+from kramers_gl.cli import _MAX_L_POINTS, CSV_COLUMNS, _l_range, main
 from kramers_gl.instanton import BoundaryCondition, SystemParams, instanton_profile
 from kramers_gl.simulator import SimConfig, estimate_mfpt
 
@@ -95,15 +96,19 @@ def test_rate_matches_library(capsys):
 
 
 def test_import_and_rate_leave_scipy_unloaded():
-    # scipy serves only the quadrature oracles; importing it costs more
-    # than a short CLI call itself
+    # scipy serves only the quadrature oracles and numpy only the arrays of
+    # profiles, spectra and the simulator; importing either costs more than
+    # a closed-form rate call itself
     code = (
         "import sys\n"
         "import kramers_gl\n"
         "from kramers_gl.cli import main\n"
         "main(['rate', '--bc', 'neumann', '--L', '4.0', '--eps', '0.01'])\n"
         "main(['rate', '--bc', 'periodic', '--L', '5.0', '--eps', '0.01'])\n"
-        "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))\n"
+        "main(['sweep', '--bc', 'neumann', '--L-range', '2.5:4.5:0.5',\n"
+        "      '--eps', '0.01', '--eps', '1e-4'])\n"
+        "print(sorted(k for k in sys.modules\n"
+        "             if k.split('.')[0] in ('numpy', 'scipy')))\n"
     )
     src = os.path.dirname(os.path.dirname(kramers_gl.__file__))
     proc = subprocess.run(
@@ -115,6 +120,21 @@ def test_import_and_rate_leave_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_package_exports_resolve_to_their_defining_modules():
+    # the simulator's names are loaded on first use, the others eagerly
+    for name in kramers_gl.__all__:
+        obj = getattr(kramers_gl, name)
+        assert obj.__module__.startswith("kramers_gl.")
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    namespace = {}
+    exec("from kramers_gl import *", namespace)
+    for name in kramers_gl.__all__:
+        assert namespace[name] is getattr(kramers_gl, name)
+    assert set(kramers_gl.__all__) <= set(dir(kramers_gl))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kramers_gl.no_such_name
 
 
 def test_rate_rejects_multiple_eps(capsys):
@@ -220,6 +240,7 @@ def test_config_accepts_every_option_of_its_subcommand(tmp_path, capsys):
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, argv, key, value):
     # config values go through the same checks as flag text; a child process,
     # so that an integer out taken as a file descriptor could not hit pytest's
+    # own descriptor 5
     (tmp_path / "run.json").write_text(json.dumps({key: value}))
     src = os.path.dirname(os.path.dirname(kramers_gl.__file__))
     proc = subprocess.run(
@@ -300,6 +321,36 @@ def test_sweep_empty_range_is_usage_error(capsys):
         ["sweep", "--bc", "neumann", "--L-range", "1:1e308:1e-308", "--eps", "1e-3"]
     ) == 2
     assert "invalid value for L_range" in capsys.readouterr().err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_sweep_oversized_grid_is_refused_before_allocating(tmp_path):
+    # 10^12 points: a grid built before it is counted ends, under the child's
+    # 1 GB address-space limit, in a MemoryError (exit 1) instead of exit 2
+    src = os.path.dirname(os.path.dirname(kramers_gl.__file__))
+    argv = ["sweep", "--bc", "neumann", "--L-range", "1:1e9:1e-3", "--eps", "1e-3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "kramers_gl.cli", *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    reason = f"(more than {_MAX_L_POINTS} points)"
+    assert f"invalid value for L_range: '1:1e9:1e-3' {reason}" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_l_range_point_limit_is_inclusive():
+    assert len(_l_range(f"1:{_MAX_L_POINTS}:1")) == _MAX_L_POINTS
+    with pytest.raises(ValueError, match="more than"):
+        _l_range(f"1:{_MAX_L_POINTS + 1}:1")
 
 
 def test_sweep_rejects_both_L_and_range(capsys):

@@ -16,7 +16,7 @@ from kramers_gl.instanton import (
     instanton_profile,
     solve_m_from_L,
 )
-from kramers_gl.specfun import elliptic_K
+from kramers_gl.specfun import elliptic_K, jacobi_sn
 
 PERIODIC = BoundaryCondition.PERIODIC
 NEUMANN = BoundaryCondition.NEUMANN
@@ -102,6 +102,26 @@ class TestProfile:
     def test_raises_below_critical(self):
         with pytest.raises(NoInstantonRegime):
             instanton_profile(3.0, NEUMANN)
+
+    @pytest.mark.parametrize(
+        "bc, L, phase, sign",
+        [(PERIODIC, 9.0, 0.7, 1), (PERIODIC, 7.0, -50.0, -1), (NEUMANN, 4.5, 0.0, -1)],
+    )
+    def test_sample_is_jacobi_sn_point_by_point(self, bc, L, phase, sign):
+        desc = InstantonDescription.from_length(L, bc, phase=phase, sign=sign)
+        fieldcfg = desc.sample(L, n_x=257)
+        scale = 1.0 / math.sqrt(desc.m + 1.0)
+        expect = [
+            sign * (desc.amplitude * jacobi_sn(scale * x + desc.phase, desc.m))
+            for x in fieldcfg.grid(L)
+        ]
+        assert all(v == e for v, e in zip(fieldcfg.values, expect, strict=True))
+
+    @pytest.mark.parametrize("L, phase", [(math.nan, 0.0), (8.0, math.nan), (8.0, math.inf)])
+    def test_sample_rejects_nonfinite_arguments(self, L, phase):
+        desc = InstantonDescription(m=0.5, phase=phase, sign=1, bc=PERIODIC)
+        with pytest.raises(ValueError):
+            desc.sample(L)
 
 
 class TestEnergyFunctional:

@@ -102,6 +102,14 @@ def test_config_accepts_numpy_integers_and_stores_int():
         SimConfig(params=p, K=8.0)
 
 
+@pytest.mark.parametrize("name", ["K", "n_traj", "seed"])
+def test_config_rejects_booleans(name):
+    # bool is an Integral, but True is no mode count, ensemble size or seed
+    p = SystemParams(L=2.0, eps=0.1, bc=NEU)
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got True"):
+        SimConfig(params=p, **{name: True})
+
+
 # ---------------------------------------------------------------------------
 # cubic term against the direct triple-sum convolution
 # ---------------------------------------------------------------------------
