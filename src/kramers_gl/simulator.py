@@ -27,13 +27,19 @@ boundary conditions.
 
 Trajectories draw their noise from counter-based per-trajectory
 substreams keyed by (seed, trajectory index), so ensemble results are
-reproducible under any execution order or batching.
+reproducible under any execution order or batching. An ensemble advances
+in blocks of at most 128 steps; one worker thread draws the next block's
+noise while the calling thread integrates the current one. Each of the two
+noise buffers holds at most max(2^20, 16·n·width) draws for n trajectories
+of width draws per step, whatever the horizon.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import queue
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -43,7 +49,13 @@ import numpy as np
 from .instanton import BoundaryCondition, SystemParams
 
 _DEALIAS_FACTOR = 4  # grid points per retained mode bundle (exact for cubes)
-_DEFAULT_BLOCK_STEPS = 512
+# Noise blocks: two (n, B, width) buffers, B from a budget of draws per buffer
+# (8 MiB of float64). The floor keeps the per-block hand-off cheap for very
+# wide ensembles; the cap keeps the serial first block and the draws thrown
+# away after a passage short.
+_NOISE_BUDGET = 1 << 20
+_MIN_BLOCK_STEPS = 16
+_MAX_BLOCK_STEPS = 128
 
 
 class SimulationBlowUp(RuntimeError):
@@ -366,6 +378,59 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _block_steps(n: int, width: int, n_steps: int) -> int:
+    """Steps per noise block: the budget's share, clipped to the bounds and horizon."""
+    fit = _NOISE_BUDGET // (n * width)
+    return min(n_steps, _MAX_BLOCK_STEPS, max(_MIN_BLOCK_STEPS, fit))
+
+
+def _draw_noise(rngs, block: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Fill block[i] with the next draws of rngs[i], then scale by s in place."""
+    for rng, out in zip(rngs, block):
+        rng.standard_normal(out=out)
+    np.multiply(block, s, out=block)
+    return block
+
+
+class _NoiseWorker(threading.Thread):
+    """Thread that runs ``_draw_noise`` on each submitted block, in order.
+
+    It sleeps on a queue between blocks, so each block wakes it afresh
+    and the scheduler can place it on an idle CPU. ``result()`` returns
+    the oldest outstanding block, or raises what drawing it raised.
+    Leaving the ``with`` block lets the thread finish and joins it.
+    """
+
+    def __init__(self):
+        super().__init__(name="kramers-gl-noise")
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._done: queue.SimpleQueue = queue.SimpleQueue()
+
+    def run(self):
+        while (job := self._jobs.get()) is not None:
+            try:
+                self._done.put(_draw_noise(*job))
+            except BaseException as exc:  # raised again by result()
+                self._done.put(exc)
+
+    def submit(self, rngs, block: np.ndarray, s: np.ndarray) -> None:
+        self._jobs.put((rngs, block, s))
+
+    def result(self) -> np.ndarray:
+        block = self._done.get()
+        if isinstance(block, BaseException):
+            raise block
+        return block
+
+    def __enter__(self) -> "_NoiseWorker":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._jobs.put(None)
+        self.join()
+
+
 def _evolve_ensemble(
     config: SimConfig,
     rngs: Sequence[np.random.Generator],
@@ -378,11 +443,20 @@ def _evolve_ensemble(
     trajectory i or None (censored or blown up); blowups is a list of
     (trajectory_index, step_index).
 
-    Each trajectory consumes noise only from its own generator, and all
-    inter-trajectory operations are elementwise or row-wise, so results
-    do not depend on which trajectories happen to share a batch
-    (active-set compaction is transparent). ``mirror=True`` negates the
-    initial state, the detector, and the noise draws, which maps every
+    Time advances in blocks of B steps (``_block_steps``). While the
+    calling thread integrates steps [t, t+B) of the active trajectories,
+    one worker thread draws and scales the noise of steps [t+B, t+2B)
+    into the second of two (n, B, width) buffers. Trajectories that stop
+    in a block are compacted out of the state and of the prefetched
+    block; their extra draws are discarded, so a generator ends up to
+    two blocks past its trajectory's last step.
+
+    Each trajectory consumes noise only from its own generator, in step
+    order, and all inter-trajectory operations are elementwise or
+    row-wise, so results depend neither on which trajectories share a
+    batch (active-set compaction is transparent) nor on B.
+    ``mirror=True`` negates the initial state, the detector, and the
+    noise amplitudes (s·(−ξ) = (−s)·ξ exactly), which maps every
     trajectory to its exact φ → -φ image.
     """
     params = config.params
@@ -393,60 +467,82 @@ def _evolve_ensemble(
     sign = -1.0 if mirror else 1.0
 
     decay, w, s = _stepping_constants(L, bc.value, K, dt, params.eps)
+    s = sign * s
     synth, anal = _transform_plan(L, bc.value, K)
     width = _noise_width(bc, K)
     inv_sqrt_L = 1.0 / math.sqrt(L)
 
     n = len(rngs)
+    # one row per trajectory: same products as broadcasting, in one pass
+    decay, w = np.tile(decay, (n, 1)), np.tile(w, (n, 1))
+    n_steps_total = int(math.ceil(config.t_max / dt - 1e-12))
+    B = _block_steps(n, width, n_steps_total)
     rows = np.zeros((n, width), dtype=np.float64)
     rows[:, 0] = sign * (-1.0) * math.sqrt(L)
+    g = np.empty((n, synth.shape[1]), dtype=np.float64)
+    g3 = np.empty_like(g)
+    cubic = np.empty_like(rows)
+    means = np.empty((n, B), dtype=np.float64)
+    buffers = [np.empty((n, B, width), dtype=np.float64) for _ in range(2)]
 
     outcomes: list = [None] * n
     blowups: list = []
     active = list(range(n))
     active_rngs = list(rngs)
-    n_steps_total = int(math.ceil(config.t_max / dt - 1e-12))
     steps_done = 0
-    draws = np.empty((n, _DEFAULT_BLOCK_STEPS, width), dtype=np.float64)
+    noise = _draw_noise(active_rngs, buffers[0][:, :B], s)
+    with _NoiseWorker() as worker:
+        while True:
+            m, bs = noise.shape[:2]
+            bs_next = min(B, n_steps_total - steps_done - bs)
+            if bs_next:
+                buffers.reverse()
+                worker.submit(active_rngs, buffers[0][:m, :bs_next], s)
+            r, gv, g3v, cv, mv = rows[:m], g[:m], g3[:m], cubic[:m], means[:m, :bs]
+            dv, wv = decay[:m], w[:m]
+            # overflow in a diverging trajectory is handled via the
+            # finiteness scan below, not as a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(bs):
+                    np.matmul(r, synth, out=gv)
+                    np.multiply(gv, gv, out=g3v)
+                    np.multiply(g3v, gv, out=g3v)
+                    np.matmul(g3v, anal, out=cv)
+                    np.multiply(dv, r, out=r)
+                    np.multiply(wv, cv, out=cv)
+                    np.subtract(r, cv, out=r)
+                    np.add(r, noise[:, j], out=r)
+                    mv[:, j] = r[:, 0]
+                mv *= sign * inv_sqrt_L
 
-    while active and steps_done < n_steps_total:
-        bs = min(_DEFAULT_BLOCK_STEPS, n_steps_total - steps_done)
-        block = draws[: len(active), :bs]
-        for i, rng in enumerate(active_rngs):
-            rng.standard_normal(out=block[i])
-        if mirror:
-            np.negative(block, out=block)
-        means = np.empty((len(active), bs), dtype=np.float64)
-        # overflow in a diverging trajectory is handled via the finiteness
-        # scan below, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(bs):
-                g = rows @ synth
-                cubic = (g * g * g) @ anal
-                rows = decay * rows - w * cubic + s * block[:, j]
-                means[:, j] = rows[:, 0]
-            means *= sign * inv_sqrt_L
+            crossed = mv >= config.crossing_threshold  # NaN compares False
+            any_crossed = crossed.any(axis=1)
+            first = crossed.argmax(axis=1)
+            finite = np.isfinite(r).all(axis=1)
 
-        crossed = means >= config.crossing_threshold  # NaN compares False
-        any_crossed = crossed.any(axis=1)
-        first = crossed.argmax(axis=1)
-        finite = np.isfinite(rows).all(axis=1)
-
-        keep = []
-        for row_i, traj in enumerate(active):
-            if any_crossed[row_i]:
-                outcomes[traj] = (steps_done + int(first[row_i]) + 1) * dt
-            elif not finite[row_i]:
-                bad = np.flatnonzero(~np.isfinite(means[row_i]))
-                step_index = steps_done + (int(bad[0]) if bad.size else bs)
-                blowups.append((traj, step_index))
-            else:
-                keep.append(row_i)
-        if len(keep) < len(active):
-            rows = np.ascontiguousarray(rows[keep])
-            active = [active[r] for r in keep]
-            active_rngs = [active_rngs[r] for r in keep]
-        steps_done += bs
+            keep = []
+            for row_i, traj in enumerate(active):
+                if any_crossed[row_i]:
+                    outcomes[traj] = (steps_done + int(first[row_i]) + 1) * dt
+                elif not finite[row_i]:
+                    bad = np.flatnonzero(~np.isfinite(mv[row_i]))
+                    step_index = steps_done + (int(bad[0]) if bad.size else bs)
+                    blowups.append((traj, step_index))
+                else:
+                    keep.append(row_i)
+            steps_done += bs
+            if not bs_next:
+                break
+            noise = worker.result()
+            if not keep:
+                break
+            if len(keep) < m:
+                k = len(keep)
+                rows[:k] = r[keep]
+                noise[:k] = noise[keep]
+                noise = noise[:k]
+                active = [active[i] for i in keep]
+                active_rngs = [active_rngs[i] for i in keep]
 
     return outcomes, blowups
 
@@ -458,6 +554,9 @@ def run_to_transition(
 
     Returns the passage time, or None if censored at t_max. A non-finite
     state raises SimulationBlowUp carrying the seed and step index.
+    Noise is drawn a block ahead (see ``_evolve_ensemble``), so on return
+    ``rng_stream`` stands up to two blocks past the passage step; the
+    passage time itself is the same as with one draw per step.
     """
     outcomes, blowups = _evolve_ensemble(config, [rng_stream])
     if blowups:

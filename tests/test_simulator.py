@@ -7,7 +7,15 @@ first-passage ensemble (Kolmogorov-Smirnov exponentiality, resolution and
 time-step robustness at combined 2σ).
 """
 
+import hashlib
 import math
+import os
+import resource
+import subprocess
+import sys
+import textwrap
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import kramers_gl
 from kramers_gl.instanton import BoundaryCondition, SystemParams
 from kramers_gl.simulator import (
     EstimateUnavailable,
@@ -456,6 +465,153 @@ def test_threshold_sensitivity_is_within_relaxation_scale():
     assert diffs.min() >= 0.0  # first passage is monotone in the threshold
     assert np.median(diffs) < 2.0  # typical lag is the slide, not the wait
     assert (diffs > 5.0).mean() < 0.2  # retreat-and-retry events are rare
+
+
+# ---------------------------------------------------------------------------
+# engine bytes, batching invariance, bounded noise buffers, the noise worker
+# ---------------------------------------------------------------------------
+
+# SHA-256 of repr(per_trajectory) for small seeded ensembles, recorded before
+# the engine drew noise on a worker thread; any changed passage time changes
+# the digest. The cases cover both boundary conditions, censoring, horizons
+# that are no multiple of the block length (4001 steps, a prime, and 10001),
+# the mirrored engine, and a lone trajectory.
+ENGINE_DIGESTS = {
+    "neumann": (
+        dict(L=2.0, eps=0.25, bc=NEU, K=8, dt=2e-3, t_max=500.0, n_traj=24, seed=4242),
+        False,
+        "193cb832ae42dc95febfd29766ee54565e107067039250353927b8dcd6f636ce",
+    ),
+    "neumann_mirror": (
+        dict(L=2.0, eps=0.25, bc=NEU, K=8, dt=2e-3, t_max=500.0, n_traj=24, seed=4242),
+        True,
+        "193cb832ae42dc95febfd29766ee54565e107067039250353927b8dcd6f636ce",
+    ),
+    "neumann_censored_odd_horizon": (
+        dict(L=2.0, eps=0.25, bc=NEU, K=8, dt=2e-3, t_max=8.002, n_traj=40, seed=2718),
+        False,
+        "b7d56891963595475eda82aff26b95661dba89b8a2659b328fde55d4aadfd9ec",
+    ),
+    "periodic": (
+        dict(L=7.0, eps=0.5, bc=PER, K=8, dt=2e-3, t_max=300.0, n_traj=24, seed=99),
+        False,
+        "b0952bba40d3db5758510d1e95fe6c2957567d89ad947a5513a48fe36bb26661",
+    ),
+    "periodic_censored_mirror": (
+        dict(L=7.0, eps=0.5, bc=PER, K=16, dt=1e-3, t_max=10.001, n_traj=30, seed=7),
+        True,
+        "4df2760ddbcdfd9bd429b39f3c309d8a5e265c99c3f3b56527e7f832b48faa2c",
+    ),
+    "neumann_single": (
+        dict(L=2.0, eps=0.25, bc=NEU, K=16, dt=1e-3, t_max=50.0, n_traj=1, seed=5),
+        False,
+        "700ee69607629f71c0d54084f3c01348d9e229669a8304575e3a14efb33adf7b",
+    ),
+}
+
+
+def sim_config(L, eps, bc, **kwargs):
+    return SimConfig(params=SystemParams(L=L, eps=eps, bc=bc), **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_DIGESTS))
+def test_engine_bytes_are_pinned(name):
+    spec, mirror, digest = ENGINE_DIGESTS[name]
+    est = estimate_mfpt(sim_config(**spec), _mirror=mirror)
+    assert hashlib.sha256(repr(est.per_trajectory).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["neumann_censored_odd_horizon", "periodic"])
+def test_ensemble_equals_trajectories_run_one_at_a_time(name):
+    # batching invariance: a trajectory's passage time does not depend on
+    # which others share its batch
+    cfg = sim_config(**ENGINE_DIGESTS[name][0])
+    est = estimate_mfpt(cfg)
+    for i, t in enumerate(est.per_trajectory):
+        assert t == run_to_transition(cfg, trajectory_rng(cfg.seed, i)), i
+
+
+def test_engine_bytes_hold_with_concurrent_ensembles_and_fast_switching():
+    # four ensembles at a time (eight threads with their noise workers) on a
+    # host of few cores, with the interpreter switching threads every
+    # microsecond
+    names = ["neumann_censored_odd_horizon", "periodic", "periodic_censored_mirror"] * 2
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [
+                pool.submit(
+                    estimate_mfpt,
+                    sim_config(**ENGINE_DIGESTS[name][0]),
+                    _mirror=ENGINE_DIGESTS[name][1],
+                )
+                for name in names
+            ]
+            results = [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for name, est in zip(names, results):
+        digest = hashlib.sha256(repr(est.per_trajectory).encode()).hexdigest()
+        assert digest == ENGINE_DIGESTS[name][2], name
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))  # 1.5 GB
+
+
+def test_wide_ensemble_noise_buffers_stay_bounded():
+    # 20000 periodic K = 16 trajectories over 200 steps: one noise block
+    # of 512 steps, or two that span the horizon, would take 2.1-2.5 GiB,
+    # past the child's address-space limit
+    src = os.path.dirname(os.path.dirname(kramers_gl.__file__))
+    script = textwrap.dedent(
+        """
+        from kramers_gl import BoundaryCondition, SimConfig, SystemParams, estimate_mfpt
+        from kramers_gl.simulator import EstimateUnavailable
+
+        params = SystemParams(L=7.0, eps=0.25, bc=BoundaryCondition.PERIODIC)
+        cfg = SimConfig(params=params, K=16, t_max=0.2, n_traj=20000, seed=3)
+        try:
+            estimate_mfpt(cfg)
+        except EstimateUnavailable as exc:
+            print(exc)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "20000 censored" in proc.stdout
+
+
+class FailingRng:
+    """Generator proxy whose third standard_normal call raises."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == 3:
+            raise RuntimeError("third draw failed")
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+def test_noise_failure_reaches_caller_and_leaves_no_thread():
+    baseline = threading.active_count()
+    cfg = SimConfig(params=quick_params(eps=1e-4), K=8, dt=1e-3, t_max=2.0, seed=1)
+    rng = FailingRng(trajectory_rng(1, 0))
+    with pytest.raises(RuntimeError, match="third draw failed"):
+        run_to_transition(cfg, rng)
+    assert rng.calls == 3
+    assert threading.active_count() == baseline
 
 
 # ---------------------------------------------------------------------------
