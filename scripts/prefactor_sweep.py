@@ -5,12 +5,15 @@ For each boundary condition, sweeps L across the critical length at
 several noise intensities using the ``kramers-gl sweep`` command and
 summarizes the curves: the classical prefactor diverges at L_c while the
 corrected one stays finite, with a peak that sharpens and moves toward
-L_c as eps decreases (height ~ eps^{-1/4} for Neumann, and ~ eps^{-1/2}
-in absolute terms for periodic bc past the bifurcation).
+L_c as eps decreases. The fitted exponent is that of the corrected
+prefactor at L = L_c exactly, where the paper predicts eps^{-1/4}
+(Neumann) and eps^{-1/2} (periodic). The grid maximum is not fitted: it
+lies on the L grid, off L_c, and follows this scaling only as eps -> 0.
 
 Outputs (in --out-dir):
     sweep_neumann.csv, sweep_periodic.csv   full curves (CLI format)
-    sweep_summary.json                      peak table and fitted exponents
+    sweep_summary.json                      peak table, values at L_c and
+                                            the fitted exponent at L_c
 
 Example:
     python3 scripts/prefactor_sweep.py --out-dir results/
@@ -26,6 +29,7 @@ import numpy as np
 
 from kramers_gl.cli import main as cli_main
 from kramers_gl.instanton import BoundaryCondition
+from kramers_gl.rates import prefactor_corrected
 
 
 def sweep_csv(path: str, bc: BoundaryCondition, eps_values, n_points: int) -> None:
@@ -42,7 +46,7 @@ def sweep_csv(path: str, bc: BoundaryCondition, eps_values, n_points: int) -> No
         path,
     ]
     for eps in eps_values:
-        argv += ["--eps", f"{eps:g}"]
+        argv += ["--eps", f"{eps:.17g}"]
     code = cli_main(argv)
     if code != 0:
         raise SystemExit(code)
@@ -51,24 +55,23 @@ def sweep_csv(path: str, bc: BoundaryCondition, eps_values, n_points: int) -> No
 def summarize(path: str, bc: BoundaryCondition) -> dict:
     rows = np.genfromtxt(path, delimiter=",", names=True, encoding="utf-8")
     summary = {"bc": bc.value, "critical_length": bc.critical_length, "curves": []}
-    peaks = []
     for eps in sorted(set(rows["eps"])):
         block = rows[rows["eps"] == eps]
         i = int(np.argmax(block["gamma0_corrected"]))
-        peak_L = float(block["L"][i])
-        peak_h = float(block["gamma0_corrected"][i])
-        peaks.append((eps, peak_h))
+        at_critical = prefactor_corrected(bc.critical_length, float(eps), bc)
         summary["curves"].append(
             {
                 "eps": float(eps),
-                "peak_L_over_Lc": peak_L / bc.critical_length,
-                "peak_height": peak_h,
+                "peak_L_over_Lc": float(block["L"][i]) / bc.critical_length,
+                "peak_height": float(block["gamma0_corrected"][i]),
+                "height_at_Lc": at_critical.gamma0_corrected,
             }
         )
-    if len(peaks) >= 2:
-        eps_arr, h_arr = zip(*peaks)
+    if len(summary["curves"]) >= 2:
+        eps_arr = [curve["eps"] for curve in summary["curves"]]
+        h_arr = [curve["height_at_Lc"] for curve in summary["curves"]]
         slope = float(np.polyfit(np.log(eps_arr), np.log(h_arr), 1)[0])
-        summary["fitted_peak_exponent"] = slope
+        summary["fitted_exponent_at_Lc"] = slope
     return summary
 
 
@@ -97,10 +100,10 @@ def main(argv=None) -> int:
         for curve in summary["curves"]:
             print(
                 f"  eps={curve['eps']:.1e}  peak L/L_c={curve['peak_L_over_Lc']:.4f}"
-                f"  height={curve['peak_height']:.4e}"
+                f"  height={curve['peak_height']:.4e}  at L_c={curve['height_at_Lc']:.4e}"
             )
-        if "fitted_peak_exponent" in summary:
-            print(f"  fitted peak-height exponent: {summary['fitted_peak_exponent']:+.4f}")
+        if "fitted_exponent_at_Lc" in summary:
+            print(f"  fitted exponent at L = L_c: {summary['fitted_exponent_at_Lc']:+.4f}")
 
     out = os.path.join(args.out_dir, "sweep_summary.json")
     with open(out, "w", encoding="utf-8") as fh:

@@ -1,0 +1,198 @@
+"""Deterministic oracle checks of the rate path: the table ``verify`` runs.
+
+A row of ``CHECKS`` is (name, tolerance, quick, check). A check yields its
+deviations from an independent oracle; ``worst`` reduces them to the
+largest, or to NaN if any is NaN, so a layer that returns NaN fails its row.
+Checks reach the layers through their modules (``_rates.psi_plus``), so a
+patched function or constant is what they check. numpy, scipy and
+``spectrum`` are imported only inside the checks that use them.
+"""
+
+from __future__ import annotations
+
+import math
+
+from . import instanton as _instanton
+from . import rates as _rates
+from . import specfun as _specfun
+from .instanton import BoundaryCondition
+
+NEU = BoundaryCondition.NEUMANN
+PER = BoundaryCondition.PERIODIC
+
+# The paper's anomalous prefactor at the critical length: as eps -> 0,
+# gamma0_corrected * eps^(1/4) -> NEUMANN_CRITICAL_CONST at L = pi (Neumann)
+# and gamma0_corrected * eps^(1/2) -> PERIODIC_CRITICAL_CONST at L = 2 pi.
+NEUMANN_CRITICAL_CONST = (
+    math.gamma(0.25)
+    / (2.0 * (3.0 * math.pi**7) ** 0.25)
+    * math.sqrt(math.sinh(math.sqrt(2.0) * math.pi))
+)
+PERIODIC_CRITICAL_CONST = math.sinh(math.sqrt(2.0) * math.pi) / (math.sqrt(3.0) * math.pi)
+
+
+def worst(deviations) -> float:
+    """The largest of ``deviations`` (0.0 for none), or NaN if any is NaN."""
+    largest = 0.0
+    for dev in deviations:
+        if math.isnan(dev):
+            return math.nan
+        largest = max(largest, dev)
+    return largest
+
+
+def _check_legendre_relation():
+    for m in (0.3, 0.7):
+        lhs = (
+            _specfun.elliptic_E(m) * _specfun.elliptic_K(1.0 - m)
+            + _specfun.elliptic_E(1.0 - m) * _specfun.elliptic_K(m)
+            - _specfun.elliptic_K(m) * _specfun.elliptic_K(1.0 - m)
+        )
+        yield abs(lhs / (math.pi / 2.0) - 1.0)
+
+
+def _check_sn_quarter_period():
+    for m in (0.25, 0.6):
+        quarter = _specfun.elliptic_K(m)
+        yield abs(_specfun.jacobi_sn(quarter, m) - 1.0)
+        half = _specfun.jacobi_sn(0.5 * quarter, m)
+        yield abs(half - 1.0 / math.sqrt(1.0 + math.sqrt(1.0 - m)))
+
+
+def _check_bessel_connection():
+    # K_nu from the two modified Bessel functions of the first kind;
+    # small z only: the I difference cancels ~e^{2z} digits at large z
+    for z in (0.2, 0.8, 2.0):
+        lhs = _specfun.bessel_K14(z)
+        rhs = math.pi / (2.0 * math.sin(math.pi * 0.25))
+        rhs *= _specfun.bessel_I14(-0.25, z) - _specfun.bessel_I14(0.25, z)
+        yield abs(lhs / rhs - 1.0)
+
+
+def _check_erf_complement():
+    for x in (0.3, 2.0, 6.0):
+        yield abs(_specfun.erf(x) + _specfun.erfc(x) - 1.0)
+
+
+def _check_modulus_roundtrip():
+    for L, bc in ((4.0, NEU), (7.0, PER)):
+        m = _instanton.solve_m_from_L(L, bc)
+        c = 2.0 if bc is NEU else 4.0
+        yield abs(c * math.sqrt(m + 1.0) * _specfun.elliptic_K(m) / L - 1.0)
+
+
+def _check_activation_energy_quadrature():
+    for L, bc in ((4.0, NEU), (8.0, PER)):
+        closed = _instanton.activation_energy(L, bc)
+        fieldcfg = _instanton.instanton_profile(L, bc, n_x=4096)
+        quadrature = _instanton.energy_functional(fieldcfg, L) + L / 4.0
+        yield abs(quadrature / closed - 1.0)
+
+
+def _check_determinant_prefactor():
+    L = math.pi / 2.0
+    closed = _rates.prefactor_classical(L, NEU)
+    truncated = _rates.prefactor_from_determinants(L, NEU, 10_000)
+    yield abs(truncated / closed - 1.0)
+
+
+def _check_psi_plus_asymptote():
+    # anchors of the soft-mode scaling function: the alpha -> 0 value
+    # (evaluated at alpha = 1e-8 so it goes through the Bessel route,
+    # independently of the stored limit constant) and the limit at infinity
+    yield abs(_rates.psi_plus(1e-8) / _rates.PSI_LIMIT_AT_ZERO - 1.0)
+    yield abs(_rates.psi_plus(1e8) - 1.0)
+
+
+def _check_psi_minus_asymptote():
+    yield abs(_rates.psi_minus(1e-8) / _rates.PSI_LIMIT_AT_ZERO - 1.0)
+    yield abs(_rates.psi_minus(1e8) / 2.0 - 1.0)
+
+
+def _check_psi_tilde_asymptote():
+    yield abs(_rates.psi_plus_tilde(1e-8) / _rates.PSI_TILDE_LIMIT_AT_ZERO - 1.0)
+    yield abs(_rates.psi_plus_tilde(1e8) - 1.0)
+
+
+def _check_phi_switch():
+    yield abs(_rates.phi_switch(0.0) - 0.5)
+    yield abs(_rates.phi_switch(1.3) + _rates.phi_switch(-1.3) - 1.0)
+
+
+def _check_continuity_at_critical_length():
+    eps = 1e-6
+    left = _rates.prefactor_corrected(math.pi * (1.0 - 1e-6), eps, NEU)
+    right = _rates.prefactor_corrected(math.pi * (1.0 + 1e-6), eps, NEU)
+    yield abs(left.gamma0_corrected / right.gamma0_corrected - 1.0)
+
+
+def _check_anomalous_neumann_limit():
+    eps = 1e-8
+    value = _rates.prefactor_corrected(math.pi, eps, NEU).gamma0_corrected * eps**0.25
+    yield abs(value / NEUMANN_CRITICAL_CONST - 1.0)
+
+
+def _check_anomalous_periodic_limit():
+    eps = 1e-8
+    value = _rates.prefactor_corrected(2.0 * math.pi, eps, PER).gamma0_corrected * math.sqrt(eps)
+    yield abs(value / PERIODIC_CRITICAL_CONST - 1.0)
+
+
+def _check_instanton_lowest_eigenvalue():
+    from . import spectrum as _spectrum
+
+    L = 4.0
+    m = _instanton.solve_m_from_L(L, NEU)
+    fieldcfg = _instanton.instanton_profile(L, NEU, n_x=1024)
+    spec = _spectrum.hessian_spectrum(fieldcfg, L, NEU, n_modes=512)
+    yield abs(float(spec.eigenvalues[0]) / _spectrum.mu0(m) - 1.0)
+
+
+def _check_periodic_zero_mode():
+    from . import spectrum as _spectrum
+
+    L = 9.0
+    fieldcfg = _instanton.instanton_profile(L, PER, n_x=1024)
+    spec = _spectrum.hessian_spectrum(fieldcfg, L, PER, n_modes=512)
+    yield float(min(abs(ev) for ev in spec.expanded()))
+
+
+def _check_psi_plus_quadrature():
+    for alpha in (0.5, 1.0, 2.0, 5.0):
+        oracle = _rates._psi_plus_quadrature(alpha, math.pi / 2.0, 1e-3)
+        yield abs(_rates.psi_plus(alpha) / oracle - 1.0)
+
+
+def _check_psi_minus_quadrature():
+    for alpha in (0.5, 1.0, 2.0, 5.0):
+        oracle = _rates._psi_minus_quadrature(alpha, 4.0, 1e-2)
+        yield abs(_rates.psi_minus(alpha) / oracle - 1.0)
+
+
+def _check_psi_tilde_quadrature():
+    for alpha in (0.5, 1.0, 2.0, 5.0):
+        oracle = _rates._psi_tilde_quadrature(alpha, 3.0, 1e-3)
+        yield abs(_rates.psi_plus_tilde(alpha) / oracle - 1.0)
+
+
+CHECKS = (
+    ("elliptic legendre relation", 5e-14, True, _check_legendre_relation),
+    ("jacobi sn quarter period", 1e-12, True, _check_sn_quarter_period),
+    ("bessel K from I connection", 1e-12, True, _check_bessel_connection),
+    ("erf complement", 1e-14, True, _check_erf_complement),
+    ("modulus solver roundtrip", 1e-10, True, _check_modulus_roundtrip),
+    ("activation energy quadrature", 1e-8, True, _check_activation_energy_quadrature),
+    ("determinant prefactor convergence", 1e-6, True, _check_determinant_prefactor),
+    ("psi_plus asymptote", 1e-6, True, _check_psi_plus_asymptote),
+    ("psi_minus asymptote", 1e-6, True, _check_psi_minus_asymptote),
+    ("psi_tilde asymptote", 1e-6, True, _check_psi_tilde_asymptote),
+    ("phi switch distribution", 1e-14, True, _check_phi_switch),
+    ("continuity at critical length", 5e-2, True, _check_continuity_at_critical_length),
+    ("anomalous neumann limit", 1e-3, True, _check_anomalous_neumann_limit),
+    ("anomalous periodic limit", 1e-3, True, _check_anomalous_periodic_limit),
+    ("instanton lowest eigenvalue", 1e-6, True, _check_instanton_lowest_eigenvalue),
+    ("periodic zero mode", 1e-6, True, _check_periodic_zero_mode),
+    ("psi_plus quadrature", 1e-5, False, _check_psi_plus_quadrature),
+    ("psi_minus quadrature", 1e-5, False, _check_psi_minus_quadrature),
+    ("psi_tilde quadrature", 1e-5, False, _check_psi_tilde_quadrature),
+)

@@ -7,7 +7,7 @@ sweep     prefactor curves over an L grid and several eps values, CSV
 profile   instanton transition-state samples, CSV
 spectrum  linearization eigenvalue table at the transition state, CSV
 mfpt      Monte Carlo mean first-passage time ensemble, JSON + CSV
-verify    deterministic self-checks with a per-check tolerance table
+verify    the self-checks of ``kramers_gl.checks``, one tolerance table row each
 
 Results are written deterministically: the same invocation with the same
 seed produces byte-identical CSV/JSON files. A run that writes to disk
@@ -23,8 +23,8 @@ a flag overrides the file's value, which overrides the default, and the
 same converter checks both, so a JSON ``true`` is no number and an
 integer option takes only whole numbers.
 
-``rate`` and ``sweep`` load no numpy: this module imports ``spectrum``
-and ``simulator`` only in the commands and checks that use them, so
+``rate`` and ``sweep`` load no numpy: this module imports ``spectrum``,
+``simulator`` and ``checks`` only in the commands that use them, so
 ``profile``, ``spectrum``, ``mfpt`` and ``verify`` import numpy when
 they run.
 """
@@ -41,7 +41,6 @@ from datetime import datetime, timezone
 from . import __version__
 from . import instanton as _instanton
 from . import rates as _rates
-from . import specfun as _specfun
 from .instanton import BoundaryCondition, NoInstantonRegime, SystemParams
 
 # one rate row: sweep CSV columns and rate JSON keys, in this order
@@ -172,10 +171,14 @@ def _integer(minimum, maximum=math.inf):
     return convert
 
 
-# The manifest records the whole grid and the CSV text is built in memory,
-# so a grid is refused before anything is allocated beyond this many points
-# (each point is one CSV row, about 150 bytes, per eps value).
+# Sizes refused before anything is allocated. The manifest records the whole
+# L grid and its CSV text is built in memory, one row of about 150 bytes per
+# point and eps value. A profile holds its samples and their CSV text: 230 MB
+# peak RSS at 10^6 samples. Each trajectory has its own generator (about
+# 650 B) and state rows: 415 MB peak RSS at 10^5 trajectories with K = 16.
 _MAX_L_POINTS = 100_000
+_MAX_PROFILE_SAMPLES = 1_000_000
+_MAX_TRAJECTORIES = 100_000
 
 
 def _l_range(value) -> list:
@@ -220,7 +223,7 @@ OPTIONS = {
     "profile": {
         **_BC,
         **_L,
-        "modes": (_integer(16), 512, "number of profile samples"),
+        "modes": (_integer(16, _MAX_PROFILE_SAMPLES), 512, "number of profile samples"),
         **_OUT,
     },
     "spectrum": {
@@ -237,7 +240,7 @@ OPTIONS = {
         "modes": (_integer(8), None, "spectral modes K"),
         "dt": (_positive_float, None, "time step"),
         "tmax": (_positive_float, None, "censoring time"),
-        "ntraj": (_integer(1), None, "number of trajectories"),
+        "ntraj": (_integer(1, _MAX_TRAJECTORIES), None, "number of trajectories"),
         "seed": (_integer(0, 2**64 - 1), None, "ensemble seed"),
         **_OUT,
     },
@@ -425,235 +428,36 @@ def cmd_mfpt(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify: deterministic oracle checks with a per-check tolerance table
+# verify: the checks table of kramers_gl.checks, printed with its tolerances
 # ---------------------------------------------------------------------------
 
 
-def _check_legendre_relation():
-    dev = 0.0
-    for m in (0.3, 0.7):
-        lhs = (
-            _specfun.elliptic_E(m) * _specfun.elliptic_K(1.0 - m)
-            + _specfun.elliptic_E(1.0 - m) * _specfun.elliptic_K(m)
-            - _specfun.elliptic_K(m) * _specfun.elliptic_K(1.0 - m)
-        )
-        dev = max(dev, abs(lhs / (math.pi / 2.0) - 1.0))
-    return dev, 5e-14
-
-
-def _check_sn_quarter_period():
-    dev = 0.0
-    for m in (0.25, 0.6):
-        quarter = _specfun.elliptic_K(m)
-        dev = max(dev, abs(_specfun.jacobi_sn(quarter, m) - 1.0))
-        half = _specfun.jacobi_sn(0.5 * quarter, m)
-        exact = 1.0 / math.sqrt(1.0 + math.sqrt(1.0 - m))
-        dev = max(dev, abs(half - exact))
-    return dev, 1e-12
-
-
-def _check_bessel_connection():
-    # K_nu from the two modified Bessel functions of the first kind;
-    # small z only: the I difference cancels ~e^{2z} digits at large z
-    dev = 0.0
-    for z in (0.2, 0.8, 2.0):
-        lhs = _specfun.bessel_K14(z)
-        rhs = (
-            math.pi
-            / (2.0 * math.sin(math.pi * 0.25))
-            * (_specfun.bessel_I14(-0.25, z) - _specfun.bessel_I14(0.25, z))
-        )
-        dev = max(dev, abs(lhs / rhs - 1.0))
-    return dev, 1e-12
-
-
-def _check_erf_complement():
-    dev = 0.0
-    for x in (0.3, 2.0, 6.0):
-        dev = max(dev, abs(_specfun.erf(x) + _specfun.erfc(x) - 1.0))
-    return dev, 1e-14
-
-
-def _check_modulus_roundtrip():
-    dev = 0.0
-    for L, bc in ((4.0, BoundaryCondition.NEUMANN), (7.0, BoundaryCondition.PERIODIC)):
-        m = _instanton.solve_m_from_L(L, bc)
-        c = 2.0 if bc is BoundaryCondition.NEUMANN else 4.0
-        back = c * math.sqrt(m + 1.0) * _specfun.elliptic_K(m)
-        dev = max(dev, abs(back / L - 1.0))
-    return dev, 1e-10
-
-
-def _check_activation_energy_quadrature():
-    dev = 0.0
-    for L, bc in ((4.0, BoundaryCondition.NEUMANN), (8.0, BoundaryCondition.PERIODIC)):
-        closed = _instanton.activation_energy(L, bc)
-        fieldcfg = _instanton.instanton_profile(L, bc, n_x=4096)
-        quadrature = _instanton.energy_functional(fieldcfg, L) + L / 4.0
-        dev = max(dev, abs(quadrature / closed - 1.0))
-    return dev, 1e-8
-
-
-def _check_determinant_prefactor():
-    L = math.pi / 2.0
-    closed = _rates.prefactor_classical(L, BoundaryCondition.NEUMANN)
-    truncated = _rates.prefactor_from_determinants(
-        L, BoundaryCondition.NEUMANN, 10_000
-    )
-    return abs(truncated / closed - 1.0), 1e-6
-
-
-def _check_psi_plus_asymptote():
-    # anchors of the soft-mode scaling function: the alpha -> 0 value
-    # (evaluated at alpha = 1e-8 so it goes through the Bessel route,
-    # independently of the stored limit constant) and the limit at infinity
-    dev = abs(_rates.psi_plus(1e-8) / _rates.PSI_LIMIT_AT_ZERO - 1.0)
-    dev = max(dev, abs(_rates.psi_plus(1e8) - 1.0))
-    return dev, 1e-6
-
-
-def _check_psi_minus_asymptote():
-    dev = abs(_rates.psi_minus(1e-8) / _rates.PSI_LIMIT_AT_ZERO - 1.0)
-    dev = max(dev, abs(_rates.psi_minus(1e8) / 2.0 - 1.0))
-    return dev, 1e-6
-
-
-def _check_psi_tilde_asymptote():
-    dev = abs(_rates.psi_plus_tilde(1e-8) / _rates.PSI_TILDE_LIMIT_AT_ZERO - 1.0)
-    dev = max(dev, abs(_rates.psi_plus_tilde(1e8) - 1.0))
-    return dev, 1e-6
-
-
-def _check_phi_switch():
-    dev = abs(_rates.phi_switch(0.0) - 0.5)
-    dev = max(dev, abs(_rates.phi_switch(1.3) + _rates.phi_switch(-1.3) - 1.0))
-    return dev, 1e-14
-
-
-def _check_continuity_at_critical_length():
-    eps = 1e-6
-    L_c = math.pi
-    left = _rates.prefactor_corrected(L_c * (1.0 - 1e-6), eps, BoundaryCondition.NEUMANN)
-    right = _rates.prefactor_corrected(L_c * (1.0 + 1e-6), eps, BoundaryCondition.NEUMANN)
-    return abs(left.gamma0_corrected / right.gamma0_corrected - 1.0), 5e-2
-
-
-def _check_anomalous_neumann_limit():
-    eps = 1e-8
-    target = (
-        math.gamma(0.25)
-        / (2.0 * (3.0 * math.pi**7) ** 0.25)
-        * math.sqrt(math.sinh(math.sqrt(2.0) * math.pi))
-    )
-    value = _rates.prefactor_corrected(
-        math.pi, eps, BoundaryCondition.NEUMANN
-    ).gamma0_corrected * eps**0.25
-    return abs(value / target - 1.0), 1e-3
-
-
-def _check_anomalous_periodic_limit():
-    eps = 1e-8
-    target = math.sinh(math.sqrt(2.0) * math.pi) / (math.sqrt(3.0) * math.pi)
-    value = _rates.prefactor_corrected(
-        2.0 * math.pi, eps, BoundaryCondition.PERIODIC
-    ).gamma0_corrected * math.sqrt(eps)
-    return abs(value / target - 1.0), 1e-3
-
-
-def _check_instanton_lowest_eigenvalue():
-    from .spectrum import hessian_spectrum, mu0
-
-    L = 4.0
-    bc = BoundaryCondition.NEUMANN
-    m = _instanton.solve_m_from_L(L, bc)
-    fieldcfg = _instanton.instanton_profile(L, bc, n_x=1024)
-    spec = hessian_spectrum(fieldcfg, L, bc, n_modes=512)
-    return abs(float(spec.eigenvalues[0]) / mu0(m) - 1.0), 1e-6
-
-
-def _check_periodic_zero_mode():
-    from .spectrum import hessian_spectrum
-
-    L = 9.0
-    bc = BoundaryCondition.PERIODIC
-    fieldcfg = _instanton.instanton_profile(L, bc, n_x=1024)
-    spec = hessian_spectrum(fieldcfg, L, bc, n_modes=512)
-    return float(min(abs(ev) for ev in spec.expanded())), 1e-6
-
-
-def _check_psi_plus_quadrature():
-    dev = 0.0
-    for alpha in (0.5, 1.0, 2.0, 5.0):
-        oracle = _rates._psi_plus_quadrature(alpha, math.pi / 2.0, 1e-3)
-        dev = max(dev, abs(_rates.psi_plus(alpha) / oracle - 1.0))
-    return dev, 1e-5
-
-
-def _check_psi_minus_quadrature():
-    dev = 0.0
-    for alpha in (0.5, 1.0, 2.0, 5.0):
-        oracle = _rates._psi_minus_quadrature(alpha, 4.0, 1e-2)
-        dev = max(dev, abs(_rates.psi_minus(alpha) / oracle - 1.0))
-    return dev, 1e-5
-
-
-def _check_psi_tilde_quadrature():
-    dev = 0.0
-    for alpha in (0.5, 1.0, 2.0, 5.0):
-        oracle = _rates._psi_tilde_quadrature(alpha, 3.0, 1e-3)
-        dev = max(dev, abs(_rates.psi_plus_tilde(alpha) / oracle - 1.0))
-    return dev, 1e-5
-
-
-# (name, callable, included with --quick)
-VERIFY_CHECKS = (
-    ("elliptic legendre relation", _check_legendre_relation, True),
-    ("jacobi sn quarter period", _check_sn_quarter_period, True),
-    ("bessel K from I connection", _check_bessel_connection, True),
-    ("erf complement", _check_erf_complement, True),
-    ("modulus solver roundtrip", _check_modulus_roundtrip, True),
-    ("activation energy quadrature", _check_activation_energy_quadrature, True),
-    ("determinant prefactor convergence", _check_determinant_prefactor, True),
-    ("psi_plus asymptote", _check_psi_plus_asymptote, True),
-    ("psi_minus asymptote", _check_psi_minus_asymptote, True),
-    ("psi_tilde asymptote", _check_psi_tilde_asymptote, True),
-    ("phi switch distribution", _check_phi_switch, True),
-    ("continuity at critical length", _check_continuity_at_critical_length, True),
-    ("anomalous neumann limit", _check_anomalous_neumann_limit, True),
-    ("anomalous periodic limit", _check_anomalous_periodic_limit, True),
-    ("instanton lowest eigenvalue", _check_instanton_lowest_eigenvalue, True),
-    ("periodic zero mode", _check_periodic_zero_mode, True),
-    ("psi_plus quadrature", _check_psi_plus_quadrature, False),
-    ("psi_minus quadrature", _check_psi_minus_quadrature, False),
-    ("psi_tilde quadrature", _check_psi_tilde_quadrature, False),
-)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .checks import CHECKS, worst
+
     quick = bool(getattr(args, "quick", False))
-    checks = [c for c in VERIFY_CHECKS if c[2] or not quick]
-    name_width = max(len(name) for name, _, _ in checks)
+    checks = [row for row in CHECKS if row[2] or not quick]
+    name_width = max(len(row[0]) for row in checks)
     header = f"{'check':<{name_width}}  {'measured':>12}  {'tolerance':>12}  status"
     print(header)
     print("-" * len(header))
     failures = []
-    for name, fn, _ in checks:
+    for name, tol, _, check in checks:
         try:
-            measured, tol = fn()
-            ok = measured <= tol
+            measured = worst(check())
+            ok = measured <= tol  # False for NaN
             measured_text = f"{measured:.3e}"
         except Exception as exc:  # a crashed check is a failed check
-            measured_text, tol, ok = f"error: {exc}", float("nan"), False
+            measured_text, ok = f"error: {exc}", False
         if not ok:
             failures.append(name)
         print(
             f"{name:<{name_width}}  {measured_text:>12}  {tol:>12.1e}  "
             f"{'pass' if ok else 'FAIL'}"
         )
-    mode = "quick" if quick else "full"
     print(
         f"{len(checks)} checks: {len(checks) - len(failures)} passed, "
-        f"{len(failures)} failed (mode: {mode})"
+        f"{len(failures)} failed (mode: {'quick' if quick else 'full'})"
     )
     if failures:
         print("verify failed: " + "; ".join(failures), file=sys.stderr)
@@ -690,9 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         if command == "verify":
-            p.add_argument(
-                "--quick", action="store_true", help="skip the quadrature oracles"
-            )
+            p.add_argument("--quick", action="store_true", help="skip the quadrature oracles")
             continue
         # flags stay text here: _resolve converts them like config values
         for name, (_, _, option_help) in OPTIONS[command].items():

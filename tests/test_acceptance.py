@@ -23,6 +23,7 @@ import time
 import numpy as np
 import pytest
 
+from kramers_gl.checks import NEUMANN_CRITICAL_CONST, PERIODIC_CRITICAL_CONST
 from kramers_gl.cli import CSV_COLUMNS, main as cli_main
 from kramers_gl.instanton import (
     BoundaryCondition,
@@ -51,17 +52,6 @@ from kramers_gl.specfun import elliptic_K
 
 NEU = BoundaryCondition.NEUMANN
 PER = BoundaryCondition.PERIODIC
-
-SQRT2 = math.sqrt(2.0)
-
-# closed-form values of the eps-compensated corrected prefactor exactly
-# at the critical lengths
-NEUMANN_CRITICAL_CONST = (
-    math.gamma(0.25)
-    / (2.0 * (3.0 * math.pi**7) ** 0.25)
-    * math.sqrt(math.sinh(SQRT2 * math.pi))
-)
-PERIODIC_CRITICAL_CONST = math.sinh(SQRT2 * math.pi) / (math.sqrt(3.0) * math.pi)
 
 
 def length_of_modulus(m: float, bc: BoundaryCondition) -> float:

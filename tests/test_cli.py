@@ -21,7 +21,15 @@ import numpy as np
 import pytest
 
 import kramers_gl
-from kramers_gl.cli import _MAX_L_POINTS, CSV_COLUMNS, _l_range, main
+from kramers_gl.checks import worst
+from kramers_gl.cli import (
+    _MAX_L_POINTS,
+    _MAX_PROFILE_SAMPLES,
+    _MAX_TRAJECTORIES,
+    CSV_COLUMNS,
+    _l_range,
+    main,
+)
 from kramers_gl.instanton import BoundaryCondition, SystemParams, instanton_profile
 from kramers_gl.simulator import SimConfig, estimate_mfpt
 
@@ -327,11 +335,32 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_sweep_oversized_grid_is_refused_before_allocating(tmp_path):
-    # 10^12 points: a grid built before it is counted ends, under the child's
-    # 1 GB address-space limit, in a MemoryError (exit 1) instead of exit 2
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # 10^12 L points
+        (
+            ["sweep", "--bc", "neumann", "--L-range", "1:1e9:1e-3", "--eps", "1e-3"],
+            f"invalid value for L_range: '1:1e9:1e-3' (more than {_MAX_L_POINTS} points)",
+        ),
+        # 10^9 profile samples: 7.45 GiB for one array of them
+        (
+            ["profile", "--bc", "neumann", "--L", "4", "--modes", "1000000000"],
+            f"invalid value for modes: '1000000000' (must be <= {_MAX_PROFILE_SAMPLES})",
+        ),
+        # 10^8 trajectories: about 65 GB for their generators alone
+        (
+            ["mfpt", "--bc", "neumann", "--L", "2", "--eps", "0.25",
+             "--ntraj", "100000000", "--tmax", "0.01"],
+            f"invalid value for ntraj: '100000000' (must be <= {_MAX_TRAJECTORIES})",
+        ),
+    ],
+    ids=["sweep", "profile", "mfpt"],
+)
+def test_sweep_oversized_grid_is_refused_before_allocating(tmp_path, argv, message):
+    # a size used before it is checked ends, under the child's 1 GB
+    # address-space limit, in a MemoryError (exit 1) instead of exit 2
     src = os.path.dirname(os.path.dirname(kramers_gl.__file__))
-    argv = ["sweep", "--bc", "neumann", "--L-range", "1:1e9:1e-3", "--eps", "1e-3"]
     proc = subprocess.run(
         [sys.executable, "-m", "kramers_gl.cli", *argv],
         cwd=tmp_path,
@@ -342,8 +371,7 @@ def test_sweep_oversized_grid_is_refused_before_allocating(tmp_path):
         preexec_fn=_limit_address_space,
     )
     assert proc.returncode == 2, proc.stderr
-    reason = f"(more than {_MAX_L_POINTS} points)"
-    assert f"invalid value for L_range: '1:1e9:1e-3' {reason}" in proc.stderr
+    assert message in proc.stderr
     assert proc.stdout == ""
 
 
@@ -674,6 +702,46 @@ def test_verify_fails_when_psi_plus_anchor_is_tampered(monkeypatch, capsys):
     )
     assert "FAIL" in table_line
     assert "psi_plus asymptote" in captured.err
+
+
+def _verify_row(out, name):
+    return next(line for line in out.split("\n") if line.startswith(name))
+
+
+def test_verify_fails_when_a_layer_returns_nan(monkeypatch, capsys):
+    # a NaN deviation must fail its check, not drop out of the maximum
+    import kramers_gl.specfun as specfun_module
+
+    monkeypatch.setattr(specfun_module, "erf", lambda x: math.nan)
+    code = run_cli(["verify", "--quick"])
+    captured = capsys.readouterr()
+    assert code == 1
+    row = _verify_row(captured.out, "erf complement")
+    assert row.split()[-3:] == ["nan", "1.0e-14", "FAIL"]
+    assert "erf complement" in captured.err
+
+
+def test_verify_reports_a_raising_check_with_its_tolerance(monkeypatch, capsys):
+    import kramers_gl.specfun as specfun_module
+
+    def broken(nu, z):
+        raise RuntimeError("bessel I failed")
+
+    monkeypatch.setattr(specfun_module, "bessel_I14", broken)
+    code = run_cli(["verify", "--quick"])
+    captured = capsys.readouterr()
+    assert code == 1
+    row = _verify_row(captured.out, "bessel K from I connection")
+    assert "error: bessel I failed" in row
+    assert row.split()[-2:] == ["1.0e-12", "FAIL"]
+    assert "bessel K from I connection" in captured.err
+
+
+def test_worst_deviation_is_nan_when_any_is_nan():
+    assert math.isnan(worst([1e-20, math.nan]))
+    assert math.isnan(worst([math.nan, 1e-20]))
+    assert worst([1e-20, 3e-16, 0.0]) == 3e-16
+    assert worst([]) == 0.0
 
 
 def test_verify_counts_match_mode(capsys):

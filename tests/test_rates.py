@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kramers_gl import instanton, rates
+from kramers_gl.checks import NEUMANN_CRITICAL_CONST, PERIODIC_CRITICAL_CONST
 from kramers_gl.instanton import (
     BoundaryCondition,
     SystemParams,
@@ -270,6 +271,13 @@ def test_anomalous_periodic_limit(eps):
     assert rb.gamma0_corrected * math.sqrt(eps) == pytest.approx(
         LIMIT_CONST_PER, rel=1e-3
     )
+
+
+def test_critical_constants_match_frozen_values():
+    # verify and the acceptance tests read these constants from the package;
+    # the frozen high-precision values pin the formulas independently
+    assert NEUMANN_CRITICAL_CONST == pytest.approx(LIMIT_CONST_NEU, rel=1e-15)
+    assert PERIODIC_CRITICAL_CONST == pytest.approx(LIMIT_CONST_PER, rel=1e-15)
 
 
 @pytest.mark.parametrize(
