@@ -150,7 +150,9 @@ def test_psi_plus_matches_quadrature(alpha):
         )
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])
+# alpha = 12, 40, 100 put z = alpha^2/64 at 2.25, 25 and 156, on both
+# sides of the Bessel regime boundary at z = 80
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0, 12.0, 40.0, 100.0])
 def test_psi_minus_matches_quadrature(alpha):
     for eps in (1e-2,):
         assert psi_minus(alpha) == pytest.approx(
