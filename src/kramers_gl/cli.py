@@ -176,9 +176,15 @@ def _integer(minimum, maximum=math.inf):
 # point and eps value. A profile holds its samples and their CSV text: 230 MB
 # peak RSS at 10^6 samples. Each trajectory has its own generator (about
 # 650 B) and state rows: 415 MB peak RSS at 10^5 trajectories with K = 16.
+# With K = 64: 1.26 GB peak RSS at 10^5 trajectories (Neumann, t_max = 10 dt);
+# periodic rows are twice as wide and 16 or more steps fill whole noise blocks,
+# so about 4.2 GB at both caps (extrapolated from 10^4). Beyond L_c, spectrum
+# diagonalises 2 modes per listed eigenvalue, and hessian_spectrum takes 1024.
 _MAX_L_POINTS = 100_000
 _MAX_PROFILE_SAMPLES = 1_000_000
 _MAX_TRAJECTORIES = 100_000
+_MAX_SIM_MODES = 64
+_MAX_SPECTRUM_MODES = 512
 
 
 def _l_range(value) -> list:
@@ -229,7 +235,7 @@ OPTIONS = {
     "spectrum": {
         **_BC,
         **_L,
-        "modes": (_integer(1), 32, "number of eigenvalues to list"),
+        "modes": (_integer(1, _MAX_SPECTRUM_MODES), 32, "number of eigenvalues to list"),
         **_OUT,
     },
     "mfpt": {
@@ -237,7 +243,7 @@ OPTIONS = {
         **_L,
         "eps": _ONE_EPS,
         # unset, these take SimConfig's defaults (see _SIM_FIELDS)
-        "modes": (_integer(8), None, "spectral modes K"),
+        "modes": (_integer(8, _MAX_SIM_MODES), None, "spectral modes K"),
         "dt": (_positive_float, None, "time step"),
         "tmax": (_positive_float, None, "censoring time"),
         "ntraj": (_integer(1, _MAX_TRAJECTORIES), None, "number of trajectories"),

@@ -312,20 +312,18 @@ def prefactor_corrected(
         alpha = lam1 / a
         ratio = _mode_ratio(L, bc, lam1)
         if bc is BoundaryCondition.NEUMANN:
-            correction = math.sqrt(lam1 / (lam1 + a)) * psi_plus(alpha)
+            psi = psi_plus(alpha)
+            correction = math.sqrt(lam1 / (lam1 + a)) * psi
             corrected = (
                 (2.0**-0.75 / math.pi)
                 * math.sqrt(math.sinh(_SQRT2 * L) * ratio / (lam1 + a))
-                * psi_plus(alpha)
+                * psi
             )
         else:
-            correction = lam1 / (lam1 + a) * psi_plus_tilde(alpha)
+            psi = psi_plus_tilde(alpha)
+            correction = lam1 / (lam1 + a) * psi
             corrected = (
-                psi_plus_tilde(alpha)
-                * ratio
-                / (lam1 + a)
-                * math.sinh(L / _SQRT2)
-                / (2.0 * math.pi)
+                psi * ratio / (lam1 + a) * math.sinh(L / _SQRT2) / (2.0 * math.pi)
             )
         try:
             classical = prefactor_classical(L, bc, eps)

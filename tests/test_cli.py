@@ -25,6 +25,8 @@ from kramers_gl.checks import worst
 from kramers_gl.cli import (
     _MAX_L_POINTS,
     _MAX_PROFILE_SAMPLES,
+    _MAX_SIM_MODES,
+    _MAX_SPECTRUM_MODES,
     _MAX_TRAJECTORIES,
     CSV_COLUMNS,
     _l_range,
@@ -354,8 +356,24 @@ def _limit_address_space():
              "--ntraj", "100000000", "--tmax", "0.01"],
             f"invalid value for ntraj: '100000000' (must be <= {_MAX_TRAJECTORIES})",
         ),
+        # K = 10^5 modes: a 298 GiB synthesis matrix
+        (
+            ["mfpt", "--bc", "neumann", "--L", "2", "--eps", "0.25",
+             "--modes", "100000", "--ntraj", "2", "--tmax", "0.01"],
+            f"invalid value for modes: '100000' (must be <= {_MAX_SIM_MODES})",
+        ),
+        # 10^8 eigenvalues of the uniform saddle: 763 MiB for one array
+        (
+            ["spectrum", "--bc", "neumann", "--L", "2", "--modes", "100000000"],
+            f"invalid value for modes: '100000000' (must be <= {_MAX_SPECTRUM_MODES})",
+        ),
+        # beyond L_c, 2 * 10^5 modes exceed hessian_spectrum's limit
+        (
+            ["spectrum", "--bc", "neumann", "--L", "4", "--modes", "100000"],
+            f"invalid value for modes: '100000' (must be <= {_MAX_SPECTRUM_MODES})",
+        ),
     ],
-    ids=["sweep", "profile", "mfpt"],
+    ids=["sweep", "profile", "mfpt", "mfpt-modes", "spectrum-uniform", "spectrum-instanton"],
 )
 def test_sweep_oversized_grid_is_refused_before_allocating(tmp_path, argv, message):
     # a size used before it is checked ends, under the child's 1 GB
