@@ -131,6 +131,52 @@ class TestJacobiSn:
             sf.jacobi_sn(math.nan, 0.5)
 
 
+# The elliptic layer and what is built from it, pinned bit for bit: the
+# SHA-256 of repr() of each list below. Any change to the AGM, the sn
+# descent or their callers that moves one ulp shows here.
+PIN_M = [0.0, 5e-324, 1e-300, 1e-20, 1e-16, 1e-9, 0.5, 1.0 - 1e-12]
+PIN_U = [0.0, 1e-101, -1e-101, 0.3, -2.0, 7.5, 1e3, 1e6]
+ELLIPTIC_DIGESTS = {
+    "K": "ee68c8a2d8c513d6dd003a3d5918c918324c97c5e3ab6ec076f25f7c68bf14d7",
+    "E": "16e36dc125154b4037103247906597aa2aa94ad44b477df57fd6ceae1ea8246c",
+    "sn": "ce741747032e3f034faabb68e66ce61150f3f84e9b088055c7412bb845ab4a13",
+    "profiles": "27f82ec5abeed7030781088015737684ed45dd508c79ba45981c73ede4ff317e",
+    "rates": "c7981539074005253a0ec3b2c9dca36bebca946ff624b7098fca72a2cfe37b42",
+}
+
+
+def _pinned_values(name):
+    from kramers_gl.instanton import instanton_profile
+    from kramers_gl.rates import prefactor_corrected
+
+    if name == "K":
+        return [sf.elliptic_K(m) for m in PIN_M]
+    if name == "E":
+        return [sf.elliptic_E(m) for m in PIN_M + [1.0]]
+    if name == "sn":
+        return [
+            sf.jacobi_sn(u, m)
+            for m in PIN_M + [1.0]
+            for u in PIN_U
+            if not (m == 1.0 and abs(u) > 710.0)
+        ]
+    if name == "profiles":
+        return [
+            instanton_profile(4.0, "neumann", n_x=257).values.tolist(),
+            instanton_profile(9.0, "periodic", n_x=256).values.tolist(),
+        ]
+    points = [(2.0, "neumann"), (4.0, "neumann"), (5.0, "periodic"), (9.0, "periodic")]
+    return [prefactor_corrected(L, 0.05, bc) for L, bc in points]
+
+
+@pytest.mark.parametrize("name", sorted(ELLIPTIC_DIGESTS))
+def test_elliptic_layer_is_pinned(name):
+    import hashlib
+
+    digest = hashlib.sha256(repr(_pinned_values(name)).encode()).hexdigest()
+    assert digest == ELLIPTIC_DIGESTS[name]
+
+
 class TestBesselK14:
     def test_small_argument_limit(self):
         # z^(1/4) K14(z) -> (Gamma(1/4)/2) 2^(1/4); correction is O(sqrt(z))
