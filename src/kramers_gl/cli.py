@@ -174,16 +174,19 @@ def _integer(minimum, maximum=math.inf):
 # Sizes refused before anything is allocated. The manifest records the whole
 # L grid and its CSV text is built in memory, one row of about 150 bytes per
 # point and eps value. A profile holds its samples and their CSV text: 230 MB
-# peak RSS at 10^6 samples. Each trajectory has its own generator (about
-# 650 B) and state rows: 415 MB peak RSS at 10^5 trajectories with K = 16.
-# With K = 64: 1.26 GB peak RSS at 10^5 trajectories (Neumann, t_max = 10 dt);
-# periodic rows are twice as wide and 16 or more steps fill whole noise blocks,
-# so about 4.2 GB at both caps (extrapolated from 10^4). Beyond L_c, spectrum
-# diagonalises 2 modes per listed eigenvalue, and hessian_spectrum takes 1024.
+# peak RSS at 10^6 samples. An ensemble holds, per trajectory, a generator
+# (about 650 B), a state row and two noise blocks of 16 to 128 steps, each row
+# as wide as the noise (K+1 Neumann, 2K+1 periodic). So ntraj x width is capped
+# at 10^5 x 17, the largest ensemble at the default K = 16 (Neumann). At that
+# budget, with whole 16-step blocks (t_max = 20 dt), peak RSS was 0.71 GB for
+# Neumann K = 16, 0.67 GB for Neumann K = 64 and 0.59-0.65 GB for periodic
+# K = 8 and 64. Beyond L_c, spectrum diagonalises 2 modes per listed
+# eigenvalue, and hessian_spectrum takes 1024.
 _MAX_L_POINTS = 100_000
 _MAX_PROFILE_SAMPLES = 1_000_000
 _MAX_TRAJECTORIES = 100_000
 _MAX_SIM_MODES = 64
+_MAX_ENSEMBLE_DRAWS = 100_000 * 17  # ntraj x noise width
 _MAX_SPECTRUM_MODES = 512
 
 
@@ -385,7 +388,7 @@ _SIM_FIELDS = {"modes": "K", "dt": "dt", "tmax": "t_max", "ntraj": "n_traj", "se
 
 
 def cmd_mfpt(args: argparse.Namespace) -> int:
-    from .simulator import SimConfig, estimate_mfpt
+    from .simulator import SimConfig, _noise_width, estimate_mfpt
 
     opts = _resolve(args)
     out = opts.pop("out")
@@ -394,6 +397,12 @@ def cmd_mfpt(args: argparse.Namespace) -> int:
         params=SystemParams(L=opts["L"], eps=opts["eps"], bc=opts["bc"]),
         **{field: opts[name] for name, field in _SIM_FIELDS.items() if opts[name] is not None},
     )
+    width = _noise_width(config.params.bc, config.K)
+    if config.n_traj * width > _MAX_ENSEMBLE_DRAWS:
+        raise UsageError(
+            f"ntraj and modes ask for {config.n_traj} trajectories of {width} draws a "
+            f"step, more than {_MAX_ENSEMBLE_DRAWS} in all; lower ntraj or modes"
+        )
     # the resolved options open the result document, in table order
     run = dict(opts, bc=opts["bc"].value)
     run.update((name, getattr(config, field)) for name, field in _SIM_FIELDS.items())

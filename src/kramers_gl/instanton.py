@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .specfun import _sncndn, elliptic_E, elliptic_K
+from .specfun import _elliptic_KE, _sn, _sn_levels, elliptic_K
 
 # numpy is imported inside the functions that build arrays, so the
 # closed-form rate path (modulus, activation energy) loads none of it
@@ -140,8 +140,8 @@ class InstantonDescription:
     def sample(self, L: float, n_x: int = 512) -> FieldConfiguration:
         """Sample the profile on the standard grid for this bc.
 
-        Each sample is jacobi_sn(scale * x + phase, m), bit for bit; the
-        period 4K(m) it reduces the argument by is computed once here.
+        Each sample is jacobi_sn(scale * x + phase, m), bit for bit; one AGM
+        run per profile gives the period 4K(m) and the Landen descent levels.
         """
         import numpy as np
 
@@ -152,8 +152,8 @@ class InstantonDescription:
             x = np.arange(n_x) * (L / n_x)
         else:
             x = np.linspace(0.0, L, n_x)
-        period, mc = 4.0 * elliptic_K(self.m), 1.0 - float(self.m)
-        sn = [_sncndn(math.remainder(scale * xi + self.phase, period), mc)[0] for xi in x]
+        period, levels = _sn_levels(self.m)
+        sn = [_sn(math.remainder(scale * xi + self.phase, period), levels) for xi in x]
         vals = self.amplitude * np.array(sn)
         return FieldConfiguration(values=self.sign * vals, bc=self.bc)
 
@@ -193,7 +193,7 @@ def solve_m_from_L(L: float, bc: BoundaryCondition) -> float:
     # Newton polish; d/dm [sqrt(1+m) K(m)] via dK/dm = (E - (1-m)K)/(2m(1-m))
     c = 4.0 if bc is BoundaryCondition.PERIODIC else 2.0
     for _ in range(3):
-        K, E = elliptic_K(m), elliptic_E(m)
+        K, E = _elliptic_KE(m)
         f = c * math.sqrt(m + 1.0) * K - L
         dKdm = (E - (1.0 - m) * K) / (2.0 * m * (1.0 - m))
         df = c * (K / (2.0 * math.sqrt(m + 1.0)) + math.sqrt(m + 1.0) * dKdm)
@@ -281,7 +281,7 @@ def activation_energy(L: float, bc: BoundaryCondition) -> float:
 
 def _instanton_energy(m: float, bc: BoundaryCondition) -> float:
     """Activation energy of the instanton saddle with modulus m."""
-    K, E = elliptic_K(m), elliptic_E(m)
+    K, E = _elliptic_KE(m)
     dw = (8.0 * E - (1.0 - m) * (3.0 * m + 5.0) / (1.0 + m) * K) / (
         3.0 * math.sqrt(1.0 + m)
     )

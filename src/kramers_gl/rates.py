@@ -20,14 +20,7 @@ from .instanton import (
     activation_energy,
     solve_m_from_L,
 )
-from .specfun import (
-    bessel_I14,
-    bessel_K14,
-    elliptic_E,
-    elliptic_K,
-    erf,
-    erfcx,
-)
+from .specfun import _elliptic_KE, bessel_I14, bessel_K14, elliptic_K, erf, erfcx
 from .spectrum import mu0, mu1_approx
 
 # numpy, the numeric spectra and scipy are imported inside the oracles
@@ -172,14 +165,16 @@ def _neumann_det_combo(m: float) -> float:
     """|(1-m)K(m) - (1+m)E(m)| = (3 pi/4) m [1 - m/8 - m^2/64 + O(m^3)]."""
     if m < 1e-4:
         return 0.75 * math.pi * m * (1.0 - m / 8.0 - m * m / 64.0)
-    return abs((1.0 - m) * elliptic_K(m) - (1.0 + m) * elliptic_E(m))
+    K, E = _elliptic_KE(m)
+    return abs((1.0 - m) * K - (1.0 + m) * E)
 
 
 def _periodic_det_combo(m: float) -> float:
     """|K(m) - ((1+m)/(1-m)) E(m)| = (3 pi/4) m [1 + 7m/8 + O(m^2)]."""
     if m < 1e-6:
         return 0.75 * math.pi * m * (1.0 + 7.0 * m / 8.0)
-    return abs(elliptic_K(m) - (1.0 + m) / (1.0 - m) * elliptic_E(m))
+    K, E = _elliptic_KE(m)
+    return abs(K - (1.0 + m) / (1.0 - m) * E)
 
 
 def _periodic_m_over_det(m: float) -> float:

@@ -102,6 +102,8 @@ class SimConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
             raise ValueError(f"t_max must be at least dt, got {self.t_max}")
+        if not math.isfinite(self.t_max / self.dt):  # the step count
+            raise ValueError(f"t_max / dt overflows: t_max={self.t_max}, dt={self.dt}")
         if not (isinstance(self.n_traj, int) and self.n_traj >= 1):
             raise ValueError(f"n_traj must be a positive integer, got {self.n_traj}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):

@@ -1,10 +1,11 @@
 """Self-contained double-precision special functions.
 
-Complete elliptic integrals K(m), E(m) by the arithmetic-geometric mean,
-Jacobi sn by the descending Landen (AGM) recursion, modified Bessel
-functions of orders +-1/4 (K by Temme's series for small argument and
-Steed's continued fraction CF2 for large; I by its power series up to
-z = 80 and its asymptotic series beyond), and error-function helpers.
+Complete elliptic integrals K(m), E(m) and Jacobi sn from one AGM
+(arithmetic-geometric mean) sequence, which sn descends by Landen
+transformations; modified Bessel functions of orders +-1/4 (K by Temme's
+series for small argument and Steed's continued fraction CF2 for large; I by
+its power series up to z = 80 and its asymptotic series beyond), and
+error-function helpers.
 
 All functions are pure and reentrant. NaN inputs are rejected with
 ValueError rather than propagated.
@@ -26,19 +27,32 @@ def _check_finite(name: str, x: float) -> float:
     return x
 
 
-def _agm_sequence(m: float):
-    """AGM iteration for parameter m. Returns (a_final, sum 2^(n-1) c_n^2)."""
+def _agm(m: float, means: list | None = None):
+    """The AGM of a_0 = 1 and b_0 = sqrt(1 - m): the one loop K, E and sn read.
+
+    Returns a_N and sum 2^(n-1) c_n^2 (c_0 = sqrt(m), c_n = (a_n-1 - b_n-1)/2),
+    and appends every (a_n, b_n) to means if given. At most 9 steps for m < 1.
+    """
     a, b = 1.0, math.sqrt(1.0 - m)
     c = math.sqrt(m)
     csum = 0.5 * c * c
     pow2 = 0.5
-    for _ in range(64):
-        if abs(c) <= _EPS * a:
-            break
+    while abs(c) > _EPS * a:
+        if means is not None:
+            means.append((a, b))
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         pow2 *= 2.0
         csum += pow2 * c * c
+    if means is not None:
+        means.append((a, b))
     return a, csum
+
+
+def _elliptic_KE(m: float):
+    """(K(m), E(m)) from one AGM, for 0 < m < 1 already checked."""
+    a, csum = _agm(m)
+    k = math.pi / (2.0 * a)
+    return k, k * (1.0 - csum)
 
 
 def elliptic_K(m: float) -> float:
@@ -49,8 +63,7 @@ def elliptic_K(m: float) -> float:
     m = _check_finite("m", m)
     if not 0.0 <= m < 1.0:
         raise ValueError(f"elliptic_K requires 0 <= m < 1, got m={m}")
-    a, _ = _agm_sequence(m)
-    return math.pi / (2.0 * a)
+    return math.pi / (2.0 * _agm(m)[0])
 
 
 def elliptic_E(m: float) -> float:
@@ -63,56 +76,45 @@ def elliptic_E(m: float) -> float:
         raise ValueError(f"elliptic_E requires 0 <= m <= 1, got m={m}")
     if m == 1.0:
         return 1.0
-    a, csum = _agm_sequence(m)
-    k = math.pi / (2.0 * a)
-    return k * (1.0 - csum)
+    return _elliptic_KE(m)[1]
 
 
-def _sncndn(u: float, mc: float):
-    """Jacobi sn, cn, dn via the Gauss/Landen AGM recursion.
+def _sn_levels(m: float):
+    """The period 4K(m) and the AGM levels sn descends over, for 0 < m < 1.
 
-    mc is the complementary parameter 1-m. Accuracy of the stopping
-    threshold enters squared, so 1e-8 yields full double precision.
+    The levels are the pairs (a_n, b_n) up to the first with
+    |a_n - b_n| <= 1e-8 a_n, last first. The stopping error enters sn
+    squared, so 1e-8 yields full double precision.
     """
-    CA = 1.0e-8
+    means = []
+    a, _ = _agm(m, means)
+    for n, (a_n, b_n) in enumerate(means):
+        if abs(a_n - b_n) <= 1e-8 * a_n:
+            break
+    return 4.0 * (math.pi / (2.0 * a)), means[n::-1]
+
+
+def _sn(u: float, levels) -> float:
+    """sn(u, m) by descending Landen transformations over _sn_levels(m)[1]."""
     if abs(u) < 1e-100:
         # sn = u + O(u^3): the cubic term is below double precision here,
-        # and the general path would overflow in the cn/sn ratio
-        return u, 1.0, 1.0
-    if mc == 0.0:
-        sn = math.tanh(u)
-        cn = dn = 1.0 / math.cosh(u)
-        return sn, cn, dn
-    a, dn = 1.0, 1.0
-    em = []
-    en = []
-    n_used = 0
-    c = a
-    for i in range(13):
-        n_used = i
-        em.append(a)
-        mc = math.sqrt(mc)
-        en.append(mc)
-        c = 0.5 * (a + mc)
-        if abs(a - mc) <= CA * a:
-            break
-        mc = a * mc
-        a = c
+        # and the descent would overflow in the cn/sn ratio
+        return u
+    a, b = levels[0]
+    c = 0.5 * (a + b)
     u = c * u
-    sn, cn = math.sin(u), math.cos(u)
-    if sn != 0.0:
-        a = cn / sn
-        c = a * c
-        for i in range(n_used, -1, -1):
-            b = em[i]
-            a = c * a
-            c = dn * c
-            dn = (en[i] + a) / (b + a)
-            a = c / b
-        a = 1.0 / math.sqrt(c * c + 1.0)
-        sn = math.copysign(a, sn)
-        cn = c * sn
-    return sn, cn, dn
+    sn = math.sin(u)
+    if sn == 0.0:
+        return sn
+    a = math.cos(u) / sn
+    c = a * c
+    dn = 1.0
+    for a_n, b_n in levels:
+        a = c * a
+        c = dn * c
+        dn = (b_n + a) / (a_n + a)
+        a = c / a_n
+    return math.copysign(1.0 / math.sqrt(c * c + 1.0), sn)
 
 
 def jacobi_sn(u: float, m: float) -> float:
@@ -123,11 +125,11 @@ def jacobi_sn(u: float, m: float) -> float:
         raise ValueError(f"jacobi_sn requires 0 <= m <= 1, got m={m}")
     if m == 0.0:
         return math.sin(u)
-    if m < 1.0:
-        # reduce modulo the period 4K so sn(u + 4K) == sn(u) holds exactly
-        period = 4.0 * elliptic_K(m)
-        u = math.remainder(u, period)
-    return _sncndn(u, 1.0 - m)[0]
+    if m == 1.0:
+        return math.tanh(u)
+    # reduce modulo the period 4K so sn(u + 4K) == sn(u) holds exactly
+    period, levels = _sn_levels(m)
+    return _sn(math.remainder(u, period), levels)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import pytest
 import kramers_gl
 from kramers_gl.checks import worst
 from kramers_gl.cli import (
+    _MAX_ENSEMBLE_DRAWS,
     _MAX_L_POINTS,
     _MAX_PROFILE_SAMPLES,
     _MAX_SIM_MODES,
@@ -362,6 +363,13 @@ def _limit_address_space():
              "--modes", "100000", "--ntraj", "2", "--tmax", "0.01"],
             f"invalid value for modes: '100000' (must be <= {_MAX_SIM_MODES})",
         ),
+        # 10^5 periodic trajectories at K = 64: a 1.54 GiB noise buffer
+        (
+            ["mfpt", "--bc", "periodic", "--L", "2", "--eps", "0.25",
+             "--modes", "64", "--ntraj", "100000", "--tmax", "0.02"],
+            "ntraj and modes ask for 100000 trajectories of 129 draws a step, "
+            f"more than {_MAX_ENSEMBLE_DRAWS} in all",
+        ),
         # 10^8 eigenvalues of the uniform saddle: 763 MiB for one array
         (
             ["spectrum", "--bc", "neumann", "--L", "2", "--modes", "100000000"],
@@ -373,7 +381,15 @@ def _limit_address_space():
             f"invalid value for modes: '100000' (must be <= {_MAX_SPECTRUM_MODES})",
         ),
     ],
-    ids=["sweep", "profile", "mfpt", "mfpt-modes", "spectrum-uniform", "spectrum-instanton"],
+    ids=[
+        "sweep",
+        "profile",
+        "mfpt",
+        "mfpt-modes",
+        "mfpt-ntraj-x-modes",
+        "spectrum-uniform",
+        "spectrum-instanton",
+    ],
 )
 def test_sweep_oversized_grid_is_refused_before_allocating(tmp_path, argv, message):
     # a size used before it is checked ends, under the child's 1 GB
@@ -644,6 +660,16 @@ def test_mfpt_summary_matches_library(tmp_path, capsys):
     assert manifest["command"] == "mfpt"
     assert manifest["seed"] == 7
     assert len(manifest["outputs"]) == 2
+
+
+def test_mfpt_overflowing_step_count_is_one_error_line(capsys):
+    argv = ["mfpt", "--bc", "neumann", "--L", "2", "--eps", "0.25", "--tmax", "1e308"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "kramers-gl: error: t_max / dt overflows: t_max=1e+308, dt=0.001\n"
+    )
 
 
 def test_mfpt_reruns_are_byte_identical(tmp_path, capsys):

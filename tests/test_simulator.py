@@ -95,6 +95,9 @@ def test_config_validation():
         SimConfig(params=p, crossing_threshold=1.5)
     with pytest.raises(ValueError, match="t_max"):
         SimConfig(params=p, dt=1e-2, t_max=1e-3)
+    # the step count t_max / dt is no float, let alone an integer
+    with pytest.raises(ValueError, match="t_max / dt overflows"):
+        SimConfig(params=p, t_max=1e308, dt=1e-3)
     with pytest.raises(TypeError):
         SimConfig(params=(2.0, 0.1, "neumann"))
 

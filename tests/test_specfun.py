@@ -88,6 +88,9 @@ class TestJacobiSn:
             assert sf.jacobi_sn(u, 0.0) == pytest.approx(math.sin(u), abs=1e-14)
         for u in [-2.0, 0.4, 1.3]:
             assert sf.jacobi_sn(u, 1.0) == pytest.approx(math.tanh(u), abs=1e-14)
+        # sn(u, 1) = tanh(u) saturates; cosh(u) overflows from |u| ~ 710 on
+        for u in [711.0, -711.0, 1e6, -1e6]:
+            assert sf.jacobi_sn(u, 1.0) == math.copysign(1.0, u)
 
     def test_against_pendulum_ode(self):
         # sn(u, m) = sin(phi(u)) where phi' = sqrt(1 - m sin^2 phi), phi(0)=0
@@ -175,6 +178,36 @@ def test_elliptic_layer_is_pinned(name):
 
     digest = hashlib.sha256(repr(_pinned_values(name)).encode()).hexdigest()
     assert digest == ELLIPTIC_DIGESTS[name]
+
+
+def test_each_modulus_runs_one_agm(monkeypatch):
+    from kramers_gl.instanton import instanton_profile, solve_m_from_L
+    from kramers_gl.rates import prefactor_corrected
+
+    runs = []
+    agm = sf._agm
+
+    def counted(*args):
+        runs.append(args[0])
+        return agm(*args)
+
+    def count(call):
+        runs.clear()
+        call()
+        return len(runs)
+
+    monkeypatch.setattr(sf, "_agm", counted)
+    assert count(lambda: sf.jacobi_sn(0.3, 0.5)) == 1
+    for L, bc in [(4.0, "neumann"), (9.0, "periodic")]:
+        # the modulus solve, then one (K, E) pair each for deltaW and the
+        # determinant combination
+        solve = count(lambda: solve_m_from_L(L, bc))
+        row = count(lambda: prefactor_corrected(L, 0.05, bc))
+        assert row == solve + 2
+        assert row <= 61
+        # one AGM per profile, not one per sample
+        short = count(lambda: instanton_profile(L, bc, n_x=16))
+        assert count(lambda: instanton_profile(L, bc, n_x=512)) == short
 
 
 class TestBesselK14:
