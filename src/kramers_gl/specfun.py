@@ -30,8 +30,9 @@ def _check_finite(name: str, x: float) -> float:
 def _agm(m: float, means: list | None = None):
     """The AGM of a_0 = 1 and b_0 = sqrt(1 - m): the one loop K, E and sn read.
 
-    Returns a_N and sum 2^(n-1) c_n^2 (c_0 = sqrt(m), c_n = (a_n-1 - b_n-1)/2),
-    and appends every (a_n, b_n) to means if given. At most 9 steps for m < 1.
+    Returns a_N and sum 2^(n-1) c_n^2, where c_0 = sqrt(m) and c_(n+1) =
+    (a_n - b_n)/2, and appends every (a_n, b_n) to means if given. It stops
+    once c_n <= 2.2e-16 a_n: at most 9 steps for any double m < 1.
     """
     a, b = 1.0, math.sqrt(1.0 - m)
     c = math.sqrt(m)
@@ -100,8 +101,8 @@ def _sn(u: float, levels) -> float:
         # sn = u + O(u^3): the cubic term is below double precision here,
         # and the descent would overflow in the cn/sn ratio
         return u
-    a, b = levels[0]
-    c = 0.5 * (a + b)
+    a_n, b_n = levels[0]
+    c = 0.5 * (a_n + b_n)
     u = c * u
     sn = math.sin(u)
     if sn == 0.0:
