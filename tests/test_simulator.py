@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import kramers_gl
+import kramers_gl.simulator as simulator
 from kramers_gl.instanton import BoundaryCondition, SystemParams
 from kramers_gl.simulator import (
     EstimateUnavailable,
@@ -615,6 +616,64 @@ def test_noise_failure_reaches_caller_and_leaves_no_thread():
         run_to_transition(cfg, rng)
     assert rng.calls == 3
     assert threading.active_count() == baseline
+
+
+class NanRng:
+    """Generator proxy that writes NaN into mode 0 of the draws of one step."""
+
+    def __init__(self, rng, step_index):
+        self._rng = rng
+        self._step_index = step_index
+        self._steps_drawn = 0
+
+    def standard_normal(self, *, out):
+        self._rng.standard_normal(out=out)  # out holds one block, (steps, width)
+        j = self._step_index - self._steps_drawn
+        if 0 <= j < len(out):
+            out[j, 0] = math.nan
+        self._steps_drawn += len(out)
+        return out
+
+
+def poison_trajectories(monkeypatch, poisoned):
+    """Make estimate_mfpt draw NaN for trajectory i at step poisoned[i]."""
+    real = simulator.trajectory_rng
+
+    def rng_for(seed, index):
+        rng = real(seed, index)
+        return NanRng(rng, poisoned[index]) if index in poisoned else rng
+
+    monkeypatch.setattr(simulator, "trajectory_rng", rng_for)
+
+
+def test_blowup_reports_its_step():
+    cfg = SimConfig(params=quick_params(eps=1e-4), K=8, dt=1e-3, t_max=2.0, seed=1)
+    with pytest.raises(SimulationBlowUp) as info:
+        run_to_transition(cfg, NanRng(trajectory_rng(1, 0), 300))
+    assert (info.value.seed, info.value.trajectory_index) == (1, 0)
+    assert info.value.step_index == 300
+
+
+def test_blown_up_trajectory_is_dropped_from_the_ensemble(monkeypatch):
+    cfg = SimConfig(params=quick_params(), K=8, n_traj=6, seed=5)
+    clean = estimate_mfpt(cfg)
+    assert clean.n_blowup == 0 and clean.per_trajectory[2] > 2300 * cfg.dt
+    poison_trajectories(monkeypatch, {2: 2300})
+    est = estimate_mfpt(cfg)
+    assert est.n_blowup == 1
+    assert est.blowup_records == ((2, 2300),)
+    assert est.per_trajectory[2] is None
+    assert est.n_completed + est.n_censored == 5
+    for i, t in enumerate(est.per_trajectory):
+        if i != 2:
+            assert t == clean.per_trajectory[i]
+
+
+def test_ensemble_of_blown_up_trajectories_is_unavailable(monkeypatch):
+    cfg = SimConfig(params=quick_params(), K=8, n_traj=6, seed=5)
+    poison_trajectories(monkeypatch, dict.fromkeys(range(6), 100))
+    with pytest.raises(EstimateUnavailable, match="6 blown up"):
+        estimate_mfpt(cfg)
 
 
 # ---------------------------------------------------------------------------
