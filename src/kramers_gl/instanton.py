@@ -52,6 +52,14 @@ class BoundaryCondition(enum.Enum):
             ) from None
 
 
+def _length_and_bc(L: float, bc) -> tuple[float, BoundaryCondition]:
+    """Parse bc and refuse an L that is no positive finite length (or a bool)."""
+    bc = BoundaryCondition.parse(bc)
+    if isinstance(L, bool) or not (math.isfinite(L) and L > 0):
+        raise ValueError(f"L must be positive and finite, got {L}")
+    return L, bc
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Full physical input: interval length L, noise intensity eps, bc."""
@@ -61,10 +69,8 @@ class SystemParams:
     bc: BoundaryCondition
 
     def __post_init__(self):
-        object.__setattr__(self, "bc", BoundaryCondition.parse(self.bc))
-        if not (math.isfinite(self.L) and self.L > 0):
-            raise ValueError(f"L must be positive and finite, got {self.L}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
+        object.__setattr__(self, "bc", _length_and_bc(self.L, self.bc)[1])
+        if isinstance(self.eps, bool) or not (math.isfinite(self.eps) and self.eps > 0):
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
@@ -170,9 +176,7 @@ def solve_m_from_L(L: float, bc: BoundaryCondition) -> float:
     increasing in m, so the root is unique; bisection brackets it and a
     few Newton steps polish to |residual| < 1e-12.
     """
-    bc = BoundaryCondition.parse(bc)
-    if not (math.isfinite(L) and L > 0):
-        raise ValueError(f"L must be positive and finite, got {L}")
+    L, bc = _length_and_bc(L, bc)
     if L <= bc.critical_length:
         raise NoInstantonRegime(
             f"no instanton for L={L} <= critical length {bc.critical_length} "
@@ -249,8 +253,7 @@ def energy_functional(fieldcfg: FieldConfiguration, L: float) -> float:
     """
     import numpy as np
 
-    if not (math.isfinite(L) and L > 0):
-        raise ValueError(f"L must be positive and finite, got {L}")
+    _length_and_bc(L, fieldcfg.bc)
     vals = fieldcfg.values
     if not np.all(np.isfinite(vals)):
         raise ValueError("field values must be finite")
@@ -271,9 +274,7 @@ def activation_energy(L: float, bc: BoundaryCondition) -> float:
     of K(m) and E(m) at the instanton modulus; Neumann instantons carry
     half the periodic value. Continuous across the critical length.
     """
-    bc = BoundaryCondition.parse(bc)
-    if not (math.isfinite(L) and L > 0):
-        raise ValueError(f"L must be positive and finite, got {L}")
+    L, bc = _length_and_bc(L, bc)
     if L <= bc.critical_length:
         return L / 4.0
     return _instanton_energy(solve_m_from_L(L, bc), bc)

@@ -17,7 +17,7 @@ from .instanton import (
     InstantonDescription,
     SystemParams,
     _instanton_energy,
-    activation_energy,
+    _length_and_bc,
     solve_m_from_L,
 )
 from .specfun import _elliptic_KE, bessel_I14, bessel_K14, elliptic_K, erf, erfcx
@@ -156,8 +156,9 @@ def phi_switch(x: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Elliptic-integral combinations entering the instanton-branch
-# prefactors. Both vanish linearly in m and are evaluated by series
-# below a small-m switch to avoid the K - E cancellation.
+# prefactors. Both vanish linearly in m; the Neumann combination and the
+# periodic ratio m / combination are evaluated by series below a small-m
+# switch to avoid the K - E cancellation.
 # ---------------------------------------------------------------------------
 
 
@@ -171,8 +172,6 @@ def _neumann_det_combo(m: float) -> float:
 
 def _periodic_det_combo(m: float) -> float:
     """|K(m) - ((1+m)/(1-m)) E(m)| = (3 pi/4) m [1 + 7m/8 + O(m^2)]."""
-    if m < 1e-6:
-        return 0.75 * math.pi * m * (1.0 + 7.0 * m / 8.0)
     K, E = _elliptic_KE(m)
     return abs(K - (1.0 + m) / (1.0 - m) * E)
 
@@ -221,20 +220,14 @@ def prefactor_classical(
     an explicit eps^{-1/2} (nucleation anywhere in space) and therefore
     requires eps.
     """
-    bc = BoundaryCondition.parse(bc)
-    if not (math.isfinite(L) and L > 0):
-        raise ValueError(f"L must be positive and finite, got {L}")
+    L, bc = _length_and_bc(L, bc)
     L_c = bc.critical_length
     if L == L_c:
         raise DivergentClassicalPrefactor(
             f"classical prefactor diverges at the critical length L = {L_c}"
         )
     if L < L_c:
-        if bc is BoundaryCondition.NEUMANN:
-            return (2.0**-0.75 / math.pi) * math.sqrt(
-                math.sinh(_SQRT2 * L) / math.sin(L)
-            )
-        return math.sinh(L / _SQRT2) / math.sin(0.5 * L) / (2.0 * math.pi)
+        return _uniform_classical(L, bc)
     if bc is BoundaryCondition.PERIODIC:
         if eps is None:
             raise ValueError(
@@ -243,6 +236,13 @@ def prefactor_classical(
         if not (math.isfinite(eps) and eps > 0):
             raise ValueError(f"eps must be positive and finite, got {eps}")
     return _classical_instanton(L, bc, solve_m_from_L(L, bc), eps)
+
+
+def _uniform_classical(L: float, bc: BoundaryCondition) -> float:
+    """Classical prefactor below L_c: the closed-form determinant ratio."""
+    if bc is BoundaryCondition.NEUMANN:
+        return (2.0**-0.75 / math.pi) * math.sqrt(math.sinh(_SQRT2 * L) / math.sin(L))
+    return math.sinh(L / _SQRT2) / math.sin(0.5 * L) / (2.0 * math.pi)
 
 
 def _classical_instanton(
@@ -291,9 +291,7 @@ def prefactor_corrected(
     The soft-mode combination lambda_1/sin(...) is evaluated as a single
     ratio so the formulas stay finite and smooth through L_c.
     """
-    bc = BoundaryCondition.parse(bc)
-    if not (math.isfinite(L) and L > 0):
-        raise ValueError(f"L must be positive and finite, got {L}")
+    L, bc = _length_and_bc(L, bc)
     if not (math.isfinite(eps) and 0.0 < eps <= 0.5):
         raise ValueError(f"eps must lie in (0, 0.5], got {eps}")
     L_c = bc.critical_length
@@ -320,11 +318,8 @@ def prefactor_corrected(
             corrected = (
                 psi * ratio / (lam1 + a) * math.sinh(L / _SQRT2) / (2.0 * math.pi)
             )
-        try:
-            classical = prefactor_classical(L, bc, eps)
-        except DivergentClassicalPrefactor:
-            classical = math.inf
-        deltaW = activation_energy(L, bc)
+        classical = _uniform_classical(L, bc) if L < L_c else math.inf
+        deltaW = L / 4.0
     else:
         regime = "instanton_saddle"
         m = solve_m_from_L(L, bc)
@@ -377,9 +372,7 @@ def prefactor_from_determinants(L: float, bc: BoundaryCondition, K_max: int) -> 
 
     from .spectrum import uniform_spectrum
 
-    bc = BoundaryCondition.parse(bc)
-    if not (math.isfinite(L) and L > 0):
-        raise ValueError(f"L must be positive and finite, got {L}")
+    L, bc = _length_and_bc(L, bc)
     if L >= bc.critical_length:
         raise ValueError(
             "determinant product is only defined below the critical length "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .instanton import BoundaryCondition, FieldConfiguration
+from .instanton import BoundaryCondition, FieldConfiguration, _length_and_bc
 
 # numpy is imported inside the functions that build arrays: mu0 and
 # mu1_approx serve the closed-form rate path, which loads none of it
@@ -56,9 +56,7 @@ def uniform_spectrum(
     """
     import numpy as np
 
-    bc = BoundaryCondition.parse(bc)
-    if not (math.isfinite(L) and L > 0):
-        raise ValueError(f"L must be positive and finite, got {L}")
+    L, bc = _length_and_bc(L, bc)
     if K_max < 1:
         raise ValueError(f"K_max must be >= 1, got {K_max}")
     if state not in ("stable", "transition"):
@@ -137,11 +135,9 @@ def hessian_spectrum(
     """
     import numpy as np
 
-    bc = BoundaryCondition.parse(bc)
+    L, bc = _length_and_bc(L, bc)
     if fieldcfg.bc is not bc:
         raise ValueError("field boundary condition does not match bc argument")
-    if not (math.isfinite(L) and L > 0):
-        raise ValueError(f"L must be positive and finite, got {L}")
     if not 64 <= n_modes <= _MAX_DENSE_MODES:
         raise ValueError(f"n_modes must be in [64, {_MAX_DENSE_MODES}], got {n_modes}")
     vals = fieldcfg.values

@@ -432,6 +432,37 @@ def test_corrected_validation():
         prefactor_corrected(2.0, 0.7, NEU)  # eps beyond the small-noise regime
 
 
+def _boolean_length_calls():
+    from kramers_gl import spectrum
+
+    field = instanton.FieldConfiguration(np.zeros(64), NEU)
+    return {
+        "prefactor_corrected": lambda: prefactor_corrected(True, 0.1, "neumann"),
+        "prefactor_classical": lambda: prefactor_classical(True, "neumann"),
+        "activation_energy": lambda: activation_energy(True, "neumann"),
+        "solve_m_from_L": lambda: solve_m_from_L(True, "periodic"),
+        "prefactor_from_determinants": lambda: prefactor_from_determinants(
+            True, "neumann", 16
+        ),
+        "SystemParams": lambda: SystemParams(L=True, eps=0.1, bc="neumann"),
+        "energy_functional": lambda: instanton.energy_functional(field, True),
+        "uniform_spectrum": lambda: spectrum.uniform_spectrum(True, NEU, "stable", 8),
+        "hessian_spectrum": lambda: spectrum.hessian_spectrum(field, True, NEU, 64),
+    }
+
+
+@pytest.mark.parametrize("name", list(_boolean_length_calls()))
+def test_boolean_length_is_refused(name):
+    # bool is an int, but True is no length: it used to run as L = 1
+    with pytest.raises(ValueError, match="L must be positive and finite, got True"):
+        _boolean_length_calls()[name]()
+
+
+def test_boolean_noise_intensity_is_refused():
+    with pytest.raises(ValueError, match="eps must be positive and finite, got True"):
+        SystemParams(L=2.0, eps=True, bc="neumann")
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     L=st.floats(0.5, 12.0),
