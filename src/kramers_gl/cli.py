@@ -41,7 +41,7 @@ from datetime import datetime, timezone
 from . import __version__
 from . import instanton as _instanton
 from . import rates as _rates
-from .instanton import BoundaryCondition, NoInstantonRegime, SystemParams
+from .instanton import BoundaryCondition, SystemParams
 
 # one rate row: sweep CSV columns and rate JSON keys, in this order
 _ROW_FIELDS = (
@@ -530,7 +530,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command][0](args)
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    except (ValueError, NoInstantonRegime, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:  # NoInstantonRegime is a ValueError
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
 

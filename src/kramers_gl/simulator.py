@@ -98,6 +98,10 @@ class SimConfig:
             raise TypeError("params must be a SystemParams")
         if not (isinstance(self.K, int) and self.K >= 8):
             raise ValueError(f"K must be an integer >= 8, got {self.K}")
+        for name in ("dt", "t_max"):  # a bool is a number too, but True is no time
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
@@ -578,12 +582,10 @@ def estimate_mfpt(config: SimConfig, *, _mirror: bool = False) -> MfptEstimate:
     """
     rngs = [trajectory_rng(config.seed, i) for i in range(config.n_traj)]
     outcomes, blowups = _evolve_ensemble(config, rngs, mirror=_mirror)
-    blown = {traj for traj, _ in blowups}
-    times = np.array(
-        [t for i, t in enumerate(outcomes) if t is not None and i not in blown]
-    )
+    # a trajectory has a passage time (crossed) or a blow-up record, not both
+    times = np.array([t for t in outcomes if t is not None])
     n_completed = times.size
-    n_blowup = len(blown)
+    n_blowup = len(blowups)
     n_censored = config.n_traj - n_completed - n_blowup
     if n_completed == 0:
         raise EstimateUnavailable(

@@ -104,9 +104,7 @@ def _sn(u: float, levels) -> float:
     a_n, b_n = levels[0]
     c = 0.5 * (a_n + b_n)
     u = c * u
-    sn = math.sin(u)
-    if sn == 0.0:
-        return sn
+    sn = math.sin(u)  # nonzero: 0 < |u| here and u is no multiple of pi
     a = math.cos(u) / sn
     c = a * c
     dn = 1.0
@@ -304,11 +302,8 @@ def erfcx(x: float) -> float:
     inv2x2 = 1.0 / (2.0 * x * x)
     term = 1.0
     total = 1.0
-    for n in range(1, 40):
-        prev_mag = abs(term)
+    for n in range(1, 40):  # terms shrink by (2n-1)/(2x^2) < 1/15 here
         term = -term * (2 * n - 1) * inv2x2
-        if abs(term) >= prev_mag:
-            break  # asymptotic series started diverging
         total += term
         if abs(term) < 1e-17 * total:
             break

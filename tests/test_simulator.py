@@ -115,11 +115,13 @@ def test_config_accepts_numpy_integers_and_stores_int():
         SimConfig(params=p, K=8.0)
 
 
-@pytest.mark.parametrize("name", ["K", "n_traj", "seed"])
+@pytest.mark.parametrize("name", ["K", "n_traj", "seed", "dt", "t_max"])
 def test_config_rejects_booleans(name):
-    # bool is an Integral, but True is no mode count, ensemble size or seed
+    # bool is an Integral, but True is no mode count, ensemble size, seed,
+    # time step or horizon (it ran as dt = 1)
     p = SystemParams(L=2.0, eps=0.1, bc=NEU)
-    with pytest.raises(ValueError, match=f"{name} must be an integer, got True"):
+    kind = "a number" if name in ("dt", "t_max") else "an integer"
+    with pytest.raises(ValueError, match=f"{name} must be {kind}, got True"):
         SimConfig(params=p, **{name: True})
 
 
