@@ -233,7 +233,7 @@ def prefactor_classical(
             raise ValueError(
                 "eps is required on the periodic branch beyond the critical length"
             )
-        if not (math.isfinite(eps) and eps > 0):
+        if isinstance(eps, bool) or not (math.isfinite(eps) and eps > 0):
             raise ValueError(f"eps must be positive and finite, got {eps}")
     return _classical_instanton(L, bc, solve_m_from_L(L, bc), eps)
 

@@ -461,6 +461,10 @@ def test_boolean_length_is_refused(name):
 def test_boolean_noise_intensity_is_refused():
     with pytest.raises(ValueError, match="eps must be positive and finite, got True"):
         SystemParams(L=2.0, eps=True, bc="neumann")
+    with pytest.raises(ValueError, match="eps must be positive and finite, got True"):
+        prefactor_classical(7.0, "periodic", True)  # ran with eps = 1
+    with pytest.raises(ValueError, match="eps must lie in"):
+        prefactor_corrected(2.0, True, "neumann")
 
 
 @settings(max_examples=60, deadline=None)
