@@ -25,7 +25,6 @@ from .instanton import (
 )
 from .rates import (
     DivergentClassicalPrefactor,
-    QuarticNormalForm,
     RateBreakdown,
     kramers_rate,
     phi_switch,
@@ -35,7 +34,6 @@ from .rates import (
     psi_minus,
     psi_plus,
     psi_plus_tilde,
-    quartic_integral,
 )
 from .specfun import (
     bessel_I14,
@@ -64,12 +62,9 @@ _SIMULATOR_NAMES = (
     "MfptEstimate",
     "SimConfig",
     "SimulationBlowUp",
-    "SpectralState",
     "estimate_mfpt",
     "mode_eigenvalues",
-    "nonlinear_term",
     "run_to_transition",
-    "step",
     "trajectory_rng",
 )
 
@@ -94,11 +89,9 @@ __all__ = [
     "LinearizationSpectrum",
     "MfptEstimate",
     "NoInstantonRegime",
-    "QuarticNormalForm",
     "RateBreakdown",
     "SimConfig",
     "SimulationBlowUp",
-    "SpectralState",
     "SystemParams",
     "activation_energy",
     "bessel_I14",
@@ -117,7 +110,6 @@ __all__ = [
     "mode_eigenvalues",
     "mu0",
     "mu1_approx",
-    "nonlinear_term",
     "phi_switch",
     "prefactor_classical",
     "prefactor_corrected",
@@ -125,10 +117,8 @@ __all__ = [
     "psi_minus",
     "psi_plus",
     "psi_plus_tilde",
-    "quartic_integral",
     "run_to_transition",
     "solve_m_from_L",
-    "step",
     "trajectory_rng",
     "uniform_spectrum",
 ]

@@ -4,8 +4,9 @@ A row of ``CHECKS`` is (name, tolerance, quick, check). A check yields its
 deviations from an independent oracle; ``worst`` reduces them to the
 largest, or to NaN if any is NaN, so a layer that returns NaN fails its row.
 Checks reach the layers through their modules (``_rates.psi_plus``), so a
-patched function or constant is what they check. numpy, scipy and
-``spectrum`` are imported only inside the checks that use them.
+patched function or constant is what they check. The quadrature oracles
+for the scaling functions live here, their only library caller. numpy,
+scipy and ``spectrum`` are imported only inside the checks that use them.
 """
 
 from __future__ import annotations
@@ -157,21 +158,111 @@ def _check_periodic_zero_mode():
     yield float(min(abs(ev) for ev in spec.expanded()))
 
 
+# Quadrature oracles for the scaling functions: the partition integral of
+# the soft-mode normal form V(phi) = L (lambda1 phi^2/2 + 3 phi^4/8), where
+# 3/8 comes from the cubic nonlinearity of the field equation.
+
+
+def _quartic_integral(lambda1: float, L: float, eps: float) -> float:
+    """Adaptive quadrature of int_-oo^oo exp(-V(phi)/eps) dphi.
+
+    The integrand maximum is factored out first so double wells
+    (lambda1 < 0) integrate at full relative precision; the quadrature
+    window covers every point within 200 eps of the maximum.
+    """
+    from scipy.integrate import quad
+
+    if not (math.isfinite(lambda1) and 0 < L < math.inf and 0 < eps < math.inf):
+        raise ValueError(
+            f"need finite lambda1, L > 0, eps > 0; got {lambda1}, {L}, {eps}"
+        )
+
+    def potential(phi: float) -> float:
+        p2 = phi * phi
+        return L * (0.5 * lambda1 * p2 + 0.375 * p2 * p2)
+
+    if lambda1 < 0:
+        phi_star = math.sqrt(-lambda1 / 1.5)  # the wells: V'(phi) = 0, 1.5 = 4 * 3/8
+        v_min = potential(phi_star)
+    else:
+        phi_star = 0.0
+        v_min = 0.0
+
+    def integrand(phi: float) -> float:
+        return math.exp(-(potential(phi) - v_min) / eps)
+
+    width = (eps / (L * 0.375)) ** 0.25
+    if lambda1 > 0:
+        width = min(width, math.sqrt(eps / (L * lambda1)))
+    upper = phi_star + width
+    for _ in range(200):
+        if (potential(upper) - v_min) / eps > 200.0:
+            break
+        upper *= 2.0
+    points = [phi_star] if 0.0 < phi_star < upper else None
+    half, _err = quad(
+        integrand, 0.0, upper, points=points, limit=300, epsabs=0.0, epsrel=1e-12
+    )
+    ln_value = math.log(2.0 * half) - v_min / eps
+    if ln_value > 709.0:
+        return math.inf
+    return math.exp(ln_value)
+
+
+def _psi_plus_quadrature(alpha: float, L: float, eps: float) -> float:
+    """psi_plus from the single-mode partition integral."""
+    a = math.sqrt(3.0 * eps / (4.0 * L))
+    lam1 = alpha * a
+    gaussian = math.sqrt(2.0 * math.pi * eps / (L * lam1))
+    ratio = _quartic_integral(lam1, L, eps) / gaussian
+    return ratio * math.sqrt((lam1 + a) / lam1)
+
+
+def _psi_minus_quadrature(alpha: float, L: float, eps: float) -> float:
+    """psi_minus from the double-well partition integral.
+
+    The normal form with quadratic coefficient -mu1/2 has its two wells
+    at curvature exactly L*mu1; the well-depth Boltzmann factor
+    exp(L mu1^2/(24 eps)) is removed before normalizing.
+    """
+    a = math.sqrt(3.0 * eps / (4.0 * L))
+    mu1 = alpha * a
+    well_depth = math.exp(-L * mu1 * mu1 / (24.0 * eps))
+    shifted = _quartic_integral(-0.5 * mu1, L, eps) * well_depth
+    ratio = shifted / math.sqrt(2.0 * math.pi * eps / (L * mu1))
+    return ratio * math.sqrt((mu1 + a) / mu1)
+
+
+def _psi_tilde_quadrature(alpha: float, L: float, eps: float) -> float:
+    """psi_plus_tilde from the radial form of the two-mode integral."""
+    from scipy.integrate import quad
+
+    a = math.sqrt(3.0 * eps / (4.0 * L))
+    lam1 = alpha * a
+
+    def integrand(rho):
+        return rho * math.exp(-L * (0.5 * lam1 * rho**2 + 0.375 * rho**4) / eps)
+
+    upper = 10.0 * max((eps / L) ** 0.25, math.sqrt(eps / (L * lam1)))
+    val, _ = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=200)
+    return (L * lam1 / eps) * val * (lam1 + a) / lam1
+
+
 def _check_psi_plus_quadrature():
     for alpha in (0.5, 1.0, 2.0, 5.0):
-        oracle = _rates._psi_plus_quadrature(alpha, math.pi / 2.0, 1e-3)
+        oracle = _psi_plus_quadrature(alpha, math.pi / 2.0, 1e-3)
         yield abs(_rates.psi_plus(alpha) / oracle - 1.0)
 
 
 def _check_psi_minus_quadrature():
     for alpha in (0.5, 1.0, 2.0, 5.0):
-        oracle = _rates._psi_minus_quadrature(alpha, 4.0, 1e-2)
+        oracle = _psi_minus_quadrature(alpha, 4.0, 1e-2)
         yield abs(_rates.psi_minus(alpha) / oracle - 1.0)
 
 
 def _check_psi_tilde_quadrature():
     for alpha in (0.5, 1.0, 2.0, 5.0):
-        oracle = _rates._psi_tilde_quadrature(alpha, 3.0, 1e-3)
+        oracle = _psi_tilde_quadrature(alpha, 3.0, 1e-3)
         yield abs(_rates.psi_plus_tilde(alpha) / oracle - 1.0)
 
 

@@ -3,8 +3,8 @@
 Classical Kramers prefactors (which diverge at the critical interval
 length where the transition state bifurcates), bifurcation-corrected
 prefactors built from universal scaling functions of Bessel and error
-function type, determinant-product and quadrature oracles, and the full
-rate Gamma = Gamma_0 exp(-deltaW/eps).
+function type, a determinant-product oracle, and the full rate
+Gamma = Gamma_0 exp(-deltaW/eps).
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from .instanton import (
 from .specfun import _elliptic_KE, bessel_I14, bessel_K14, elliptic_K, erf, erfcx
 from .spectrum import mu0, mu1_approx
 
-# numpy, the numeric spectra and scipy are imported inside the oracles
-# and the mu1="numeric" path, so a closed-form rate loads none of them
+# numpy and the numeric spectra are imported inside the determinant oracle
+# and the mu1="numeric" path, so a closed-form rate loads neither
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
@@ -69,29 +69,6 @@ class RateBreakdown:
             raise ValueError("corrected prefactor must be finite and positive")
         if not (math.isfinite(self.deltaW) and self.deltaW > 0):
             raise ValueError("activation energy must be finite and positive")
-
-
-@dataclass(frozen=True)
-class QuarticNormalForm:
-    """Reduced potential L*(lambda1 phi^2 / 2 + quartic_coeff phi^4)
-    along a normalized soft mode; quartic_coeff is 3/8 for the cubic
-    nonlinearity of the field equation."""
-
-    lambda1: float
-    quartic_coeff: float = 0.375
-    L: float = 1.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.lambda1):
-            raise ValueError(f"lambda1 must be finite, got {self.lambda1}")
-        if not (math.isfinite(self.quartic_coeff) and self.quartic_coeff > 0):
-            raise ValueError(f"quartic_coeff must be positive, got {self.quartic_coeff}")
-        if not (math.isfinite(self.L) and self.L > 0):
-            raise ValueError(f"L must be positive, got {self.L}")
-
-    def potential(self, phi: float) -> float:
-        p2 = phi * phi
-        return self.L * (0.5 * self.lambda1 * p2 + self.quartic_coeff * p2 * p2)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +166,16 @@ def _log_sinh(x: float) -> float:
 
 
 def _lambda1(L: float, L_c: float) -> float:
-    """First transverse eigenvalue -1 + (L_c/L)^2, cancellation-free."""
-    return (L_c - L) * (L_c + L) / (L * L)
+    """lambda_1 = -1 + (L_c/L)^2, cancellation-free; inf once L^2 underflows."""
+    L2 = L * L
+    return (L_c - L) * (L_c + L) / L2 if L2 else math.inf
+
+
+def _too_short(L: float, lam1: float, alpha: float) -> ValueError:
+    return ValueError(
+        f"L = {L!r} is too short: lambda_1 = (L_c/L)^2 - 1 = {lam1:.3g} and alpha = "
+        f"lambda_1/a = {alpha:.3g} put the corrected prefactor beyond double range"
+    )
 
 
 def _mode_ratio(L: float, bc: BoundaryCondition, lam1: float) -> float:
@@ -282,7 +267,7 @@ def _mu1_value(L: float, m: float, mu1: str) -> float:
 def prefactor_corrected(
     L: float, eps: float, bc: BoundaryCondition, mu1: str = "approx"
 ) -> RateBreakdown:
-    """Bifurcation-corrected prefactor, finite for every L > 0.
+    """Bifurcation-corrected prefactor, finite for L > 0 down to about 1e-102.
 
     Uniform branches attach the scaling functions psi_plus (Neumann) or
     psi_plus_tilde (periodic, two bifurcating modes) to the soft mode;
@@ -303,6 +288,8 @@ def prefactor_corrected(
         regime = "uniform_saddle"
         lam1 = max(0.0, _lambda1(L, L_c))
         alpha = lam1 / a
+        if not alpha < math.inf:  # NaN once a overflows too
+            raise _too_short(L, lam1, alpha)
         ratio = _mode_ratio(L, bc, lam1)
         if bc is BoundaryCondition.NEUMANN:
             psi = psi_plus(alpha)
@@ -318,6 +305,8 @@ def prefactor_corrected(
             corrected = (
                 psi * ratio / (lam1 + a) * math.sinh(L / _SQRT2) / (2.0 * math.pi)
             )
+        if not math.isfinite(corrected):
+            raise _too_short(L, lam1, alpha)
         classical = _uniform_classical(L, bc) if L < L_c else math.inf
         deltaW = L / 4.0
     else:
@@ -354,8 +343,7 @@ def kramers_rate(params: SystemParams) -> RateBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# Independent oracles: truncated determinant products and direct
-# quadrature of the soft-mode partition integral.
+# Independent oracle: truncated determinant products.
 # ---------------------------------------------------------------------------
 
 
@@ -390,86 +378,3 @@ def prefactor_from_determinants(L: float, bc: BoundaryCondition, K_max: int) -> 
     ln_prod = 2.0 * log_product(K_max) - log_product(K_max // 2)
     abs_lambda0 = 1.0
     return abs_lambda0 * math.exp(0.5 * ln_prod) / (2.0 * math.pi)
-
-
-def quartic_integral(nf: QuarticNormalForm, eps: float) -> float:
-    """Adaptive quadrature of int_-oo^oo exp(-V(phi)/eps) dphi.
-
-    V is the quartic normal form nf.potential. The integrand maximum is
-    factored out first so double wells (lambda1 < 0) integrate at full
-    relative precision; the quadrature window covers every point within
-    200 eps of the maximum.
-    """
-    from scipy.integrate import quad
-
-    if not isinstance(nf, QuarticNormalForm):
-        raise TypeError("nf must be a QuarticNormalForm")
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
-    lam, c4, L = nf.lambda1, nf.quartic_coeff, nf.L
-
-    if lam < 0:
-        phi_star = math.sqrt(-lam / (4.0 * c4))
-        v_min = nf.potential(phi_star)
-    else:
-        phi_star = 0.0
-        v_min = 0.0
-
-    def integrand(phi: float) -> float:
-        return math.exp(-(nf.potential(phi) - v_min) / eps)
-
-    width = (eps / (L * c4)) ** 0.25
-    if lam > 0:
-        width = min(width, math.sqrt(eps / (L * lam)))
-    upper = phi_star + width
-    for _ in range(200):
-        if (nf.potential(upper) - v_min) / eps > 200.0:
-            break
-        upper *= 2.0
-    points = [phi_star] if 0.0 < phi_star < upper else None
-    half, _err = quad(
-        integrand, 0.0, upper, points=points, limit=300, epsabs=0.0, epsrel=1e-12
-    )
-    ln_value = math.log(2.0 * half) - v_min / eps
-    if ln_value > 709.0:
-        return math.inf
-    return math.exp(ln_value)
-
-
-def _psi_plus_quadrature(alpha: float, L: float, eps: float) -> float:
-    """psi_plus from the single-mode partition integral."""
-    a = math.sqrt(3.0 * eps / (4.0 * L))
-    lam1 = alpha * a
-    nf = QuarticNormalForm(lambda1=lam1, L=L)
-    ratio = quartic_integral(nf, eps) / math.sqrt(2.0 * math.pi * eps / (L * lam1))
-    return ratio * math.sqrt((lam1 + a) / lam1)
-
-
-def _psi_minus_quadrature(alpha: float, L: float, eps: float) -> float:
-    """psi_minus from the double-well partition integral.
-
-    The normal form with quadratic coefficient -mu1/2 has its two wells
-    at curvature exactly L*mu1; the well-depth Boltzmann factor
-    exp(L mu1^2/(24 eps)) is removed before normalizing.
-    """
-    a = math.sqrt(3.0 * eps / (4.0 * L))
-    mu1 = alpha * a
-    nf = QuarticNormalForm(lambda1=-0.5 * mu1, L=L)
-    shifted = quartic_integral(nf, eps) * math.exp(-L * mu1 * mu1 / (24.0 * eps))
-    ratio = shifted / math.sqrt(2.0 * math.pi * eps / (L * mu1))
-    return ratio * math.sqrt((mu1 + a) / mu1)
-
-
-def _psi_tilde_quadrature(alpha: float, L: float, eps: float) -> float:
-    """psi_plus_tilde from the radial form of the two-mode integral."""
-    from scipy.integrate import quad
-
-    a = math.sqrt(3.0 * eps / (4.0 * L))
-    lam1 = alpha * a
-
-    def integrand(rho):
-        return rho * math.exp(-L * (0.5 * lam1 * rho**2 + 0.375 * rho**4) / eps)
-
-    upper = 10.0 * max((eps / L) ** 0.25, math.sqrt(eps / (L * lam1)))
-    val, _ = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=200)
-    return (L * lam1 / eps) * val * (lam1 + a) / lam1

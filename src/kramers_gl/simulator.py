@@ -4,8 +4,9 @@ The field is truncated onto the lowest Fourier modes of the linearization
 around φ = 0:
 
 * periodic: orthonormal complex exponentials e_k = exp(2πikx/L)/√L,
-  k = -K..K, stored as the half spectrum φ_0..φ_K (reality of the field,
-  i.e. φ_{-k} = conj(φ_k), is built into the storage);
+  k = -K..K, stored as the real layout [φ_0, Re φ_1..K, Im φ_1..K]
+  (reality of the field, i.e. φ_{-k} = conj(φ_k), is built into the
+  storage);
 * Neumann: orthonormal cosines c_0 = 1/√L, c_k = √(2/L) cos(πkx/L),
   k = 0..K, with real coefficients.
 
@@ -21,9 +22,8 @@ M = 4(K+1) points, wide enough that the cube's full band |k| ≤ 3K never
 folds back onto the retained band (exact dealiasing for a cubic term).
 At these small transform sizes cached cosine/sine matrix products (BLAS)
 outperform FFTs, so synthesis and analysis are plain matmuls against
-precomputed matrices; internally the engine keeps an all-real mode layout
-[mode 0, Re 1..K, Im 1..K] (periodic) so one code path serves both
-boundary conditions.
+precomputed matrices, and the all-real layout lets one code path serve
+both boundary conditions.
 
 Trajectories draw their noise from counter-based per-trajectory
 substreams keyed by (seed, trajectory index), so ensemble results are
@@ -116,68 +116,6 @@ class SimConfig:
             raise ValueError(
                 f"crossing_threshold must lie in (0, 1), got {self.crossing_threshold}"
             )
-
-
-@dataclass(frozen=True)
-class SpectralState:
-    """Mode coefficients of the field at one instant.
-
-    ``coeffs`` has length K+1: complex half spectrum for periodic
-    (φ_{-k} = conj(φ_k) implied), real cosine coefficients for Neumann.
-    """
-
-    coeffs: np.ndarray
-    t: float
-    params: SystemParams
-    K: int
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs)
-        if self.params.bc is BoundaryCondition.PERIODIC:
-            c = np.ascontiguousarray(c, dtype=np.complex128)
-        else:
-            c = np.ascontiguousarray(c, dtype=np.float64)
-        if c.shape != (self.K + 1,):
-            raise ValueError(f"coeffs must have shape ({self.K + 1},), got {c.shape}")
-        if not np.all(np.isfinite(c.view(np.float64))):
-            raise ValueError("coeffs must be finite")
-        if self.params.bc is BoundaryCondition.PERIODIC and c[0].imag != 0.0:
-            raise ValueError("mode 0 of a real periodic field must be real")
-        if not math.isfinite(self.t):
-            raise ValueError(f"t must be finite, got {self.t}")
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def uniform(cls, params: SystemParams, K: int, value: float) -> "SpectralState":
-        """State of the spatially uniform field φ ≡ value at t = 0."""
-        if params.bc is BoundaryCondition.PERIODIC:
-            c = np.zeros(K + 1, dtype=np.complex128)
-        else:
-            c = np.zeros(K + 1, dtype=np.float64)
-        c[0] = value * math.sqrt(params.L)
-        return cls(coeffs=c, t=0.0, params=params, K=K)
-
-    def spatial_mean(self) -> float:
-        """Mean of the field over the interval, (1/L)∫φ dx = φ_0/√L."""
-        return float(np.real(self.coeffs[0])) / math.sqrt(self.params.L)
-
-    def field_values(self, n_points: int = 257) -> tuple[np.ndarray, np.ndarray]:
-        """Real-space samples (x, φ(x)) reconstructed from the modes."""
-        L = self.params.L
-        k = np.arange(1, self.K + 1)
-        if self.params.bc is BoundaryCondition.PERIODIC:
-            x = np.linspace(0.0, L, n_points, endpoint=False)
-            phases = np.exp(2j * math.pi * np.outer(x, k) / L)
-            vals = (
-                np.real(self.coeffs[0]) + 2.0 * (phases @ self.coeffs[1:]).real
-            ) / math.sqrt(L)
-        else:
-            x = np.linspace(0.0, L, n_points)
-            cosines = np.cos(math.pi * np.outer(x, k) / L)
-            vals = (
-                self.coeffs[0] + math.sqrt(2.0) * (cosines @ self.coeffs[1:])
-            ) / math.sqrt(L)
-        return x, np.asarray(vals, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -289,88 +227,10 @@ def _stepping_constants(L: float, bc_value: str, K: int, dt: float, eps: float):
     return decay, w, s
 
 
-def _to_real_layout(coeffs: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
-    if bc is BoundaryCondition.PERIODIC:
-        return np.concatenate([coeffs.real, coeffs[1:].imag])
-    return np.asarray(coeffs, dtype=np.float64)
-
-
-def _from_real_layout(row: np.ndarray, bc: BoundaryCondition, K: int) -> np.ndarray:
-    if bc is BoundaryCondition.PERIODIC:
-        out = row[: K + 1].astype(np.complex128)
-        out[1:] += 1j * row[K + 1 :]
-        return out
-    return row.copy()
-
-
 def _cubic_real(rows: np.ndarray, synth: np.ndarray, anal: np.ndarray) -> np.ndarray:
     """Mode coefficients of φ³ (real layout) for a batch of real-layout rows."""
     g = rows @ synth
     return (g * g * g) @ anal
-
-
-def nonlinear_term(state: SpectralState) -> np.ndarray:
-    """Galerkin projection of -φ³ onto the retained modes.
-
-    Evaluated pseudospectrally on the padded collocation grid; equals the
-    direct triple-sum convolution exactly up to rounding.
-    """
-    bc = state.params.bc
-    synth, anal = _transform_plan(state.params.L, bc.value, state.K)
-    row = _to_real_layout(state.coeffs, bc)
-    cubic = _cubic_real(row[np.newaxis, :], synth, anal)[0]
-    return -_from_real_layout(cubic, bc, state.K)
-
-
-# ---------------------------------------------------------------------------
-# time stepping
-# ---------------------------------------------------------------------------
-
-
-def step(
-    state: SpectralState,
-    dt: float,
-    noise: np.ndarray,
-    *,
-    include_cubic: bool = True,
-) -> SpectralState:
-    """One exponential-time-differencing Euler-Maruyama step.
-
-    ``noise`` is a flat array of independent standard normal draws, one
-    per real degree of freedom: [mode 0, Re modes 1..K, Im modes 1..K]
-    for periodic (2K+1 draws), [a_0..a_K] for Neumann (K+1 draws).
-    Passing zeros integrates the deterministic flow exactly (the ε = 0
-    dynamics), since the noise enters only through these draws.
-    ``include_cubic=False`` drops the nonlinear term (pure OU dynamics).
-    """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    params = state.params
-    bc = params.bc
-    width = _noise_width(bc, state.K)
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != (width,):
-        raise ValueError(f"noise must have shape ({width},), got {noise.shape}")
-    if not np.all(np.isfinite(noise)):
-        raise ValueError("noise draws must be finite")
-
-    decay, w, s = _stepping_constants(params.L, bc.value, state.K, dt, params.eps)
-    row = _to_real_layout(state.coeffs, bc)
-    # overflow along a diverging trajectory becomes SimulationBlowUp below,
-    # not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        new = decay * row + s * noise
-        if include_cubic:
-            synth, anal = _transform_plan(params.L, bc.value, state.K)
-            new = new - w * _cubic_real(row[np.newaxis, :], synth, anal)[0]
-    if not np.all(np.isfinite(new)):
-        raise SimulationBlowUp(seed=-1, trajectory_index=-1, step_index=-1)
-    return SpectralState(
-        coeffs=_from_real_layout(new, bc, state.K),
-        t=state.t + dt,
-        params=params,
-        K=state.K,
-    )
 
 
 # ---------------------------------------------------------------------------

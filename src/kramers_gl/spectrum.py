@@ -64,7 +64,10 @@ def uniform_spectrum(
     k = np.arange(K_max + 1)
     factor = 2.0 * math.pi if bc is BoundaryCondition.PERIODIC else math.pi
     base = -1.0 if state == "transition" else 2.0
-    eigenvalues = base + (factor * k / L) ** 2
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        eigenvalues = base + (factor * k / L) ** 2
+    if not math.isfinite(eigenvalues[-1]):
+        raise ValueError(f"L = {L!r} is too short: mode {K_max} leaves double range")
     if bc is BoundaryCondition.PERIODIC:
         multiplicities = np.where(k == 0, 1, 2)
     else:
@@ -124,7 +127,6 @@ def hessian_spectrum(
     L: float,
     bc: BoundaryCondition,
     n_modes: int = 512,
-    state: str = "transition",
 ) -> LinearizationSpectrum:
     """Eigenvalues of -d^2/dx^2 + (3 phi(x)^2 - 1), dense Galerkin.
 
@@ -175,7 +177,7 @@ def hessian_spectrum(
         eigenvalues=eigenvalues,
         multiplicities=np.ones(eigenvalues.size, dtype=int),
         bc=bc,
-        state=state,
+        state="transition",
     )
 
 

@@ -23,7 +23,13 @@ import time
 import numpy as np
 import pytest
 
-from kramers_gl.checks import NEUMANN_CRITICAL_CONST, PERIODIC_CRITICAL_CONST
+from kramers_gl.checks import (
+    NEUMANN_CRITICAL_CONST,
+    PERIODIC_CRITICAL_CONST,
+    _psi_minus_quadrature,
+    _psi_plus_quadrature,
+    _psi_tilde_quadrature,
+)
 from kramers_gl.cli import CSV_COLUMNS, main as cli_main
 from kramers_gl.instanton import (
     BoundaryCondition,
@@ -34,9 +40,6 @@ from kramers_gl.instanton import (
     solve_m_from_L,
 )
 from kramers_gl.rates import (
-    _psi_minus_quadrature,
-    _psi_plus_quadrature,
-    _psi_tilde_quadrature,
     kramers_rate,
     phi_switch,
     prefactor_classical,

@@ -156,6 +156,15 @@ def test_rate_rejects_multiple_eps(capsys):
     assert "eps" in capsys.readouterr().err
 
 
+def test_rate_refuses_a_length_beyond_double_range(capsys):
+    # ended in a ZeroDivisionError traceback
+    argv = ["rate", "--bc", "neumann", "--L", "1e-200", "--eps", "0.1"]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "L = 1e-200 is too short" in err[0]
+
+
 # ---------------------------------------------------------------------------
 # usage errors name the offending key
 # ---------------------------------------------------------------------------

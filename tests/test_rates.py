@@ -14,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kramers_gl import instanton, rates
-from kramers_gl.checks import NEUMANN_CRITICAL_CONST, PERIODIC_CRITICAL_CONST
+from kramers_gl.checks import (
+    NEUMANN_CRITICAL_CONST,
+    PERIODIC_CRITICAL_CONST,
+    _psi_minus_quadrature,
+    _psi_plus_quadrature,
+    _psi_tilde_quadrature,
+    _quartic_integral,
+)
 from kramers_gl.instanton import (
     BoundaryCondition,
     SystemParams,
@@ -24,11 +31,7 @@ from kramers_gl.instanton import (
 from kramers_gl.rates import (
     PSI_LIMIT_AT_ZERO,
     DivergentClassicalPrefactor,
-    QuarticNormalForm,
     RateBreakdown,
-    _psi_minus_quadrature,
-    _psi_plus_quadrature,
-    _psi_tilde_quadrature,
     kramers_rate,
     phi_switch,
     prefactor_classical,
@@ -37,7 +40,6 @@ from kramers_gl.rates import (
     psi_minus,
     psi_plus,
     psi_plus_tilde,
-    quartic_integral,
 )
 
 PER = BoundaryCondition.PERIODIC
@@ -432,6 +434,15 @@ def test_corrected_validation():
         prefactor_corrected(2.0, 0.7, NEU)  # eps beyond the small-noise regime
 
 
+# L = 1e-150 overflowed the prefactor, 1e-160 alpha and 1e-170 the division
+# by L^2; each failed with an error that did not name L
+@pytest.mark.parametrize("L", [1e-150, 1e-160, 1e-170, 1e-200])
+@pytest.mark.parametrize("bc", [NEU, PER])
+def test_corrected_refuses_a_length_beyond_double_range(L, bc):
+    with pytest.raises(ValueError, match=f"L = {L!r} is too short: lambda_1"):
+        prefactor_corrected(L, 0.1, bc)
+
+
 def _boolean_length_calls():
     from kramers_gl import spectrum
 
@@ -546,15 +557,20 @@ def test_determinants_validation():
         prefactor_from_determinants(2.0, NEU, 5)
 
 
+def test_determinants_refuse_a_length_beyond_double_range():
+    # the eigenvalues overflowed, and the product came out NaN after warnings
+    with pytest.raises(ValueError, match="L = 1e-200 is too short"):
+        prefactor_from_determinants(1e-200, NEU, 64)
+
+
 # ---------------------------------------------------------------------------
 # quartic quadrature oracle
 # ---------------------------------------------------------------------------
 
 
 def test_quartic_gaussian_limit():
-    nf = QuarticNormalForm(lambda1=50.0, L=1.0)
     eps = 1e-3
-    assert quartic_integral(nf, eps) == pytest.approx(
+    assert _quartic_integral(50.0, 1.0, eps) == pytest.approx(
         math.sqrt(2 * math.pi * eps / 50.0), rel=1e-4
     )
 
@@ -562,15 +578,14 @@ def test_quartic_gaussian_limit():
 def test_quartic_pure_quartic_point():
     # closed form Gamma(1/4)/2 * (8 eps/(3 L))^{1/4} at lambda1 = 0
     L, eps = 2.0, 1e-3
-    nf = QuarticNormalForm(lambda1=0.0, L=L)
     expect = math.gamma(0.25) / 2.0 * (8.0 * eps / (3.0 * L)) ** 0.25
-    assert quartic_integral(nf, eps) == pytest.approx(expect, rel=1e-8)
+    assert _quartic_integral(0.0, L, eps) == pytest.approx(expect, rel=1e-8)
 
 
 def test_quartic_double_well_dominates_single_well():
     eps = 0.05
-    lo = quartic_integral(QuarticNormalForm(lambda1=1.0, L=2.0), eps)
-    hi = quartic_integral(QuarticNormalForm(lambda1=-1.0, L=2.0), eps)
+    lo = _quartic_integral(1.0, 2.0, eps)
+    hi = _quartic_integral(-1.0, 2.0, eps)
     assert hi > lo
 
 
@@ -578,18 +593,16 @@ def test_quartic_double_well_dominates_single_well():
 def test_quartic_deep_double_well_overflows_to_inf():
     # the sharply peaked integrand triggers a roundoff warning from quad;
     # only the (intentional) overflow of the Boltzmann weight matters here
-    assert math.isinf(quartic_integral(QuarticNormalForm(lambda1=-60.0, L=4.0), 1e-3))
+    assert math.isinf(_quartic_integral(-60.0, 4.0, 1e-3))
 
 
 def test_quartic_validation():
-    with pytest.raises(ValueError):
-        QuarticNormalForm(lambda1=1.0, quartic_coeff=-0.5)
-    with pytest.raises(ValueError):
-        QuarticNormalForm(lambda1=1.0, L=0.0)
-    with pytest.raises(ValueError):
-        quartic_integral(QuarticNormalForm(lambda1=1.0), 0.0)
-    with pytest.raises(TypeError):
-        quartic_integral((1.0, 0.375, 1.0), 1e-3)
+    with pytest.raises(ValueError, match="lambda1"):
+        _quartic_integral(math.nan, 1.0, 1e-3)
+    with pytest.raises(ValueError, match="L > 0"):
+        _quartic_integral(1.0, 0.0, 1e-3)
+    with pytest.raises(ValueError, match="eps > 0"):
+        _quartic_integral(1.0, 1.0, 0.0)
 
 
 def test_breakdown_dataclass_validation():

@@ -31,12 +31,9 @@ from kramers_gl.simulator import (
     MfptEstimate,
     SimConfig,
     SimulationBlowUp,
-    SpectralState,
     estimate_mfpt,
     mode_eigenvalues,
-    nonlinear_term,
     run_to_transition,
-    step,
     trajectory_rng,
 )
 
@@ -53,35 +50,69 @@ def zero_noise(bc, K):
 
 
 # ---------------------------------------------------------------------------
-# state construction and validation
+# reference stepper: the engine's kernel, one (1, width) row at a time
 # ---------------------------------------------------------------------------
 
 
+def uniform_row(params, K, value):
+    """Real-layout row of the uniform field φ ≡ value (mode 0 = value·√L)."""
+    row = np.zeros((1, noise_width(params.bc, K)))
+    row[0, 0] = value * math.sqrt(params.L)
+    return row
+
+
+def to_row(half, bc):
+    """Half spectrum φ_0..φ_K as a real-layout row [φ_0, Re φ_1..K, Im φ_1..K]."""
+    if bc is PER:
+        return np.concatenate([half.real, half[1:].imag])[np.newaxis, :]
+    return np.asarray(half, dtype=np.float64)[np.newaxis, :]
+
+
+def to_half(row, bc):
+    """Inverse of to_row."""
+    if bc is PER:
+        K = row.shape[1] // 2
+        return row[0, : K + 1] + 1j * np.concatenate([[0.0], row[0, K + 1 :]])
+    return row[0]
+
+
+def nonlinear_term(half, params, K):
+    """Galerkin projection of -φ³ through the engine's transform plan."""
+    synth, anal = simulator._transform_plan(params.L, params.bc.value, K)
+    cubic = simulator._cubic_real(to_row(half, params.bc), synth, anal)
+    return -to_half(cubic, params.bc)
+
+
+def step(row, params, K, dt, noise, *, include_cubic=True):
+    """One exponential Euler-Maruyama step; zero noise gives the ε = 0 flow."""
+    L, bc = params.L, params.bc.value
+    decay, w, s = simulator._stepping_constants(L, bc, K, dt, params.eps)
+    new = decay * row + s * noise
+    if include_cubic:
+        synth, anal = simulator._transform_plan(L, bc, K)
+        new = new - w * simulator._cubic_real(row, synth, anal)
+    return new
+
+
+def field_values(row, params, K):
+    """The field on the engine's collocation grid."""
+    return (row @ simulator._transform_plan(params.L, params.bc.value, K)[0])[0]
+
+
+# the engine starts every trajectory from uniform_row(params, K, -1.0) and
+# reads the spatial mean as mode 0 / √L
 @given(c=st.floats(-2.0, 2.0), L=st.floats(0.5, 20.0))
 def test_uniform_state_mean(c, L):
     for bc in (PER, NEU):
-        state = SpectralState.uniform(SystemParams(L=L, eps=0.1, bc=bc), 8, c)
-        assert state.spatial_mean() == pytest.approx(c, abs=1e-12)
+        params = SystemParams(L=L, eps=0.1, bc=bc)
+        mean = field_values(uniform_row(params, 8, c), params, 8).mean()
+        assert mean == pytest.approx(c, abs=1e-12)
 
 
 def test_uniform_state_field_values():
-    state = SpectralState.uniform(SystemParams(L=3.0, eps=0.1, bc=PER), 8, -0.75)
-    _, vals = state.field_values(64)
+    params = SystemParams(L=3.0, eps=0.1, bc=PER)
+    vals = field_values(uniform_row(params, 8, -0.75), params, 8)
     np.testing.assert_allclose(vals, -0.75, atol=1e-14)
-
-
-def test_state_validation():
-    p = SystemParams(L=2.0, eps=0.1, bc=PER)
-    with pytest.raises(ValueError, match="shape"):
-        SpectralState(np.zeros(5, complex), 0.0, p, 8)
-    bad = np.zeros(9, complex)
-    bad[3] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        SpectralState(bad, 0.0, p, 8)
-    imag0 = np.zeros(9, complex)
-    imag0[0] = 1.0j
-    with pytest.raises(ValueError, match="mode 0"):
-        SpectralState(imag0, 0.0, p, 8)
 
 
 def test_config_validation():
@@ -174,9 +205,9 @@ def test_cubic_matches_direct_convolution_periodic(K):
     rng = np.random.default_rng(7 + K)
     half = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
     half[0] = half[0].real
-    state = SpectralState(half, 0.0, SystemParams(L=3.0, eps=0.1, bc=PER), K)
+    params = SystemParams(L=3.0, eps=0.1, bc=PER)
     np.testing.assert_allclose(
-        nonlinear_term(state), direct_cubic_periodic(half, 3.0, K), atol=1e-10
+        nonlinear_term(half, params, K), direct_cubic_periodic(half, 3.0, K), atol=1e-10
     )
 
 
@@ -184,17 +215,17 @@ def test_cubic_matches_direct_convolution_periodic(K):
 def test_cubic_matches_direct_convolution_neumann(K):
     rng = np.random.default_rng(11 + K)
     a = rng.normal(size=K + 1)
-    state = SpectralState(a, 0.0, SystemParams(L=1.7, eps=0.1, bc=NEU), K)
+    params = SystemParams(L=1.7, eps=0.1, bc=NEU)
     np.testing.assert_allclose(
-        nonlinear_term(state), direct_cubic_neumann(a, 1.7, K), atol=1e-10
+        nonlinear_term(a, params, K), direct_cubic_neumann(a, 1.7, K), atol=1e-10
     )
 
 
 def test_cubic_uniform_field():
     # phi ≡ c: the only nonzero output is mode 0 with -c^3 sqrt(L)
     for bc in (PER, NEU):
-        state = SpectralState.uniform(SystemParams(L=2.0, eps=0.1, bc=bc), 8, 0.7)
-        N = nonlinear_term(state)
+        params = SystemParams(L=2.0, eps=0.1, bc=bc)
+        N = nonlinear_term(to_half(uniform_row(params, 8, 0.7), bc), params, 8)
         assert np.real(N[0]) == pytest.approx(-(0.7**3) * math.sqrt(2.0), rel=1e-13)
         assert np.max(np.abs(N[1:])) < 1e-13
 
@@ -205,8 +236,7 @@ def test_cubic_single_mode_harmonics():
     p = 0.3 - 0.4j
     half = np.zeros(K + 1, complex)
     half[1] = p
-    state = SpectralState(half, 0.0, SystemParams(L=L, eps=0.1, bc=PER), K)
-    N = nonlinear_term(state)
+    N = nonlinear_term(half, SystemParams(L=L, eps=0.1, bc=PER), K)
     assert N[1] == pytest.approx(-3.0 * abs(p) ** 2 * p / L, rel=1e-12)
     assert N[3] == pytest.approx(-(p**3) / L, rel=1e-12)
     others = [k for k in range(K + 1) if k not in (1, 3)]
@@ -214,8 +244,8 @@ def test_cubic_single_mode_harmonics():
 
 
 def test_cubic_zero_state():
-    state = SpectralState.uniform(SystemParams(L=2.0, eps=0.1, bc=NEU), 8, 0.0)
-    assert np.max(np.abs(nonlinear_term(state))) == 0.0
+    params = SystemParams(L=2.0, eps=0.1, bc=NEU)
+    assert np.max(np.abs(nonlinear_term(np.zeros(9), params, 8))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -228,35 +258,37 @@ def test_exact_linear_propagation_single_mode():
     params = SystemParams(L=2.0, eps=0.1, bc=PER)
     c0 = np.zeros(9, complex)
     c0[3] = 0.4 - 0.2j
-    state = SpectralState(c0, 0.0, params, 8)
+    row = to_row(c0, PER)
     z = zero_noise(PER, 8)
     for _ in range(1000):
-        state = step(state, 1e-3, z, include_cubic=False)
+        row = step(row, params, 8, 1e-3, z, include_cubic=False)
+    coeffs = to_half(row, PER)
     lam3 = mode_eigenvalues(2.0, PER, 8)[3]
     expect = (0.4 - 0.2j) * math.exp(-lam3 * 1.0)
-    assert abs(state.coeffs[3] - expect) < 1e-12 * abs(expect)
-    assert np.max(np.abs(np.delete(state.coeffs, 3))) == 0.0
+    assert abs(coeffs[3] - expect) < 1e-12 * abs(expect)
+    assert np.max(np.abs(np.delete(coeffs, 3))) == 0.0
 
 
 def test_unstable_mode_grows_without_cubic():
     # lambda_0 = -1: the uniform mode grows as e^{t} under the linear flow
     params = SystemParams(L=2.0, eps=0.1, bc=NEU)
-    state = SpectralState.uniform(params, 8, 0.01)
+    row = uniform_row(params, 8, 0.01)
     z = zero_noise(NEU, 8)
     for _ in range(200):
-        state = step(state, 1e-2, z, include_cubic=False)
-    assert state.spatial_mean() == pytest.approx(0.01 * math.exp(2.0), rel=1e-12)
+        row = step(row, params, 8, 1e-2, z, include_cubic=False)
+    mean = row[0, 0] / math.sqrt(params.L)
+    assert mean == pytest.approx(0.01 * math.exp(2.0), rel=1e-12)
 
 
 def test_fixed_point_phi_minus_one():
     # full dynamics, zero noise draws: phi ≡ -1 is stationary
     for bc in (PER, NEU):
         params = SystemParams(L=2.0, eps=0.1, bc=bc)
-        state = SpectralState.uniform(params, 8, -1.0)
+        row = uniform_row(params, 8, -1.0)
         z = zero_noise(bc, 8)
         for _ in range(2000):
-            state = step(state, 1e-2, z)
-        _, vals = state.field_values(65)
+            row = step(row, params, 8, 1e-2, z)
+        vals = field_values(row, params, 8)
         assert np.max(np.abs(vals + 1.0)) < 1e-12
 
 
@@ -268,39 +300,18 @@ def test_ou_stationary_variance():
     lam = mode_eigenvalues(2.0, NEU, K)
     rng = np.random.default_rng(42)
     n_traj, burn, keep = 64, 80, 720
-    states = [SpectralState.uniform(params, K, 0.0) for _ in range(n_traj)]
+    rows = [uniform_row(params, K, 0.0) for _ in range(n_traj)]
     samples = []
     for i in range(burn + keep):
-        states = [
-            step(s, dt, rng.standard_normal(K + 1), include_cubic=False)
-            for s in states
+        rows = [
+            step(r, params, K, dt, rng.standard_normal(K + 1), include_cubic=False)
+            for r in rows
         ]
         if i >= burn:
-            samples.append(np.stack([s.coeffs for s in states]))
+            samples.append(np.concatenate(rows))
     var = np.concatenate(samples).var(axis=0)
     for k in (1, 2, 3, 4):
         assert var[k] == pytest.approx(params.eps / lam[k], rel=0.05)
-
-
-def test_step_noise_validation():
-    params = SystemParams(L=2.0, eps=0.1, bc=NEU)
-    state = SpectralState.uniform(params, 8, -1.0)
-    with pytest.raises(ValueError, match="shape"):
-        step(state, 1e-3, np.zeros(5))
-    with pytest.raises(ValueError, match="finite"):
-        step(state, 1e-3, np.full(9, np.nan))
-    with pytest.raises(ValueError, match="dt"):
-        step(state, -1e-3, np.zeros(9))
-
-
-def test_step_blowup_raises():
-    # explicit cubic with a huge amplitude and large dt overflows fast
-    params = SystemParams(L=2.0, eps=0.1, bc=NEU)
-    state = SpectralState.uniform(params, 8, 50.0)
-    z = zero_noise(NEU, 8)
-    with pytest.raises(SimulationBlowUp):
-        for _ in range(50):
-            state = step(state, 0.5, z)
 
 
 def test_mirror_symmetry_of_one_step():
@@ -309,26 +320,11 @@ def test_mirror_symmetry_of_one_step():
     rng = np.random.default_rng(3)
     c = rng.normal(size=9) + 1j * rng.normal(size=9)
     c[0] = c[0].real
-    state = SpectralState(c, 0.0, params, 8)
-    mirrored = SpectralState(-c, 0.0, params, 8)
+    row = to_row(c, PER)
     noise = rng.standard_normal(noise_width(PER, 8))
-    out = step(state, 1e-2, noise)
-    out_m = step(mirrored, 1e-2, -noise)
-    np.testing.assert_array_equal(out.coeffs, -out_m.coeffs)
-
-
-def test_reality_of_reconstructed_field():
-    # periodic: rebuild the full spectrum from the half storage and check
-    # the inverse transform is real at every step of a noisy run
-    params = SystemParams(L=4.0, eps=0.2, bc=PER)
-    K = 8
-    state = SpectralState.uniform(params, K, -1.0)
-    rng = trajectory_rng(77, 0)
-    for _ in range(50):
-        state = step(state, 5e-3, rng.standard_normal(noise_width(PER, K)))
-        full = np.concatenate([state.coeffs, np.conj(state.coeffs[K:0:-1])])
-        grid = np.fft.ifft(full) * (full.size / math.sqrt(params.L))
-        assert np.max(np.abs(grid.imag)) < 1e-12
+    out = step(row, params, 8, 1e-2, noise)
+    out_m = step(-row, params, 8, 1e-2, -noise)
+    np.testing.assert_array_equal(out, -out_m)
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +336,22 @@ def quick_params(eps=0.25):
     return SystemParams(L=2.0, eps=eps, bc=NEU)
 
 
-def test_run_to_transition_matches_manual_stepping():
-    # the batched engine and the public step() must tell the same story
-    cfg = SimConfig(params=quick_params(), K=8, dt=2e-3, t_max=500.0, seed=4242)
+@pytest.mark.parametrize("bc", [NEU, PER])
+def test_run_to_transition_matches_manual_stepping(bc):
+    # the batched engine and the reference stepper must tell the same story
+    params = SystemParams(L=2.0, eps=0.25, bc=bc)
+    cfg = SimConfig(params=params, K=8, dt=2e-3, t_max=500.0, seed=4242)
     engine_time = run_to_transition(cfg, trajectory_rng(cfg.seed, 0))
 
     rng = trajectory_rng(cfg.seed, 0)
-    state = SpectralState.uniform(cfg.params, cfg.K, -1.0)
-    width = noise_width(NEU, cfg.K)
+    row = uniform_row(params, cfg.K, -1.0)
+    width = noise_width(bc, cfg.K)
     manual_time = None
     # the engine draws noise in (block, width) chunks; the stream yields
     # the same values drawn one step at a time
     for n in range(int(cfg.t_max / cfg.dt)):
-        state = step(state, cfg.dt, rng.standard_normal(width))
-        if state.spatial_mean() >= cfg.crossing_threshold:
+        row = step(row, params, cfg.K, cfg.dt, rng.standard_normal(width))
+        if row[0, 0] / math.sqrt(params.L) >= cfg.crossing_threshold:
             manual_time = (n + 1) * cfg.dt
             break
     assert manual_time is not None

@@ -100,6 +100,15 @@ def test_uniform_spectrum_validation():
         uniform_spectrum(2.0, PER, "metastable", 4)
 
 
+@pytest.mark.parametrize("L", [1e-200, 1e-320])
+@pytest.mark.parametrize("bc", [NEU, PER])
+def test_uniform_spectrum_refuses_eigenvalues_beyond_double_range(L, bc):
+    # (k pi/L)^2 overflowed to inf, with an overflow warning
+    for state in ("transition", "stable"):
+        with pytest.raises(ValueError, match=f"L = {L!r} is too short"):
+            uniform_spectrum(L, bc, state, 64)
+
+
 def test_spectrum_dataclass_rejects_descending():
     with pytest.raises(ValueError):
         LinearizationSpectrum(
