@@ -15,7 +15,6 @@ mean first-passage times.
 from .instanton import (
     BoundaryCondition,
     FieldConfiguration,
-    InstantonDescription,
     NoInstantonRegime,
     SystemParams,
     activation_energy,
@@ -85,7 +84,6 @@ __all__ = [
     "DivergentClassicalPrefactor",
     "EstimateUnavailable",
     "FieldConfiguration",
-    "InstantonDescription",
     "LinearizationSpectrum",
     "MfptEstimate",
     "NoInstantonRegime",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .specfun import _elliptic_KE, _sn, _sn_levels, elliptic_K
 
@@ -99,69 +99,15 @@ class FieldConfiguration:
         return self.values.size
 
     def grid(self, L: float) -> np.ndarray:
-        import numpy as np
-
-        if self.bc is BoundaryCondition.PERIODIC:
-            return np.arange(self.n_x) * (L / self.n_x)
-        return np.linspace(0.0, L, self.n_x)
+        return _grid(L, self.n_x, self.bc)
 
 
-@dataclass(frozen=True)
-class InstantonDescription:
-    """Parameters of one instanton transition state.
+def _grid(L: float, n_x: int, bc: BoundaryCondition) -> np.ndarray:
+    import numpy as np
 
-    amplitude = sqrt(2m/(m+1)); the profile is
-    amplitude * sn(x / sqrt(m+1) + phase, m), with phase free for periodic
-    bc and pinned to K(m) (up to the overall sign) for Neumann bc.
-    """
-
-    m: float
-    phase: float
-    sign: int
-    bc: BoundaryCondition
-    amplitude: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "bc", BoundaryCondition.parse(self.bc))
-        if not 0.0 < self.m < 1.0:
-            raise ValueError(f"modulus m must lie in (0,1), got {self.m}")
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        object.__setattr__(self, "amplitude", math.sqrt(2.0 * self.m / (self.m + 1.0)))
-
-    @classmethod
-    def from_length(
-        cls,
-        L: float,
-        bc: BoundaryCondition,
-        phase: float = 0.0,
-        sign: int = 1,
-    ) -> "InstantonDescription":
-        bc = BoundaryCondition.parse(bc)
-        m = solve_m_from_L(L, bc)
-        if bc is BoundaryCondition.NEUMANN:
-            phase = elliptic_K(m)
-        return cls(m=m, phase=phase, sign=sign, bc=bc)
-
-    def sample(self, L: float, n_x: int = 512) -> FieldConfiguration:
-        """Sample the profile on the standard grid for this bc.
-
-        Each sample is jacobi_sn(scale * x + phase, m), bit for bit; one AGM
-        run per profile gives the period 4K(m) and the Landen descent levels.
-        """
-        import numpy as np
-
-        if not (math.isfinite(L) and math.isfinite(self.phase)):
-            raise ValueError(f"L and phase must be finite, got {L} and {self.phase}")
-        scale = 1.0 / math.sqrt(self.m + 1.0)
-        if self.bc is BoundaryCondition.PERIODIC:
-            x = np.arange(n_x) * (L / n_x)
-        else:
-            x = np.linspace(0.0, L, n_x)
-        period, levels = _sn_levels(self.m)
-        sn = [_sn(math.remainder(scale * xi + self.phase, period), levels) for xi in x]
-        vals = self.amplitude * np.array(sn)
-        return FieldConfiguration(values=self.sign * vals, bc=self.bc)
+    if bc is BoundaryCondition.PERIODIC:
+        return np.arange(n_x) * (L / n_x)
+    return np.linspace(0.0, L, n_x)
 
 
 def _length_of_modulus(m: float, bc: BoundaryCondition) -> float:
@@ -217,12 +163,30 @@ def instanton_profile(
 ) -> FieldConfiguration:
     """Instanton transition-state profile sampled on the grid.
 
-    phase shifts the profile along the interval (periodic bc only; the
-    family is translation degenerate). sign selects one of the two
-    mirror-image Neumann instantons.
+    The profile is sign * sqrt(2m/(m+1)) * sn(x / sqrt(m+1) + phase, m) at
+    the modulus m of L. phase shifts it along the interval (periodic bc
+    only; the family is translation degenerate); Neumann bc pin it to
+    K(m). sign selects one of the two mirror-image Neumann instantons.
+    Each sn value is jacobi_sn(scale * x + phase, m), scale = 1/sqrt(m+1),
+    bit for bit; one AGM run after the modulus solve gives the period 4K(m)
+    and the Landen descent levels.
     """
-    desc = InstantonDescription.from_length(L, bc, phase=phase, sign=sign)
-    return desc.sample(L, n_x=n_x)
+    import numpy as np
+
+    if sign not in (-1, 1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    bc = BoundaryCondition.parse(bc)
+    m = solve_m_from_L(L, bc)
+    period, levels = _sn_levels(m)
+    if bc is BoundaryCondition.NEUMANN:
+        phase = 0.25 * period  # K(m): the same AGM limit, scaled exactly
+    elif not math.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase}")
+    scale = 1.0 / math.sqrt(m + 1.0)
+    amplitude = math.sqrt(2.0 * m / (m + 1.0))
+    x = _grid(L, n_x, bc)
+    sn = [_sn(math.remainder(scale * xi + phase, period), levels) for xi in x]
+    return FieldConfiguration(values=sign * (amplitude * np.array(sn)), bc=bc)
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,16 @@ from dataclasses import dataclass
 
 from .instanton import (
     BoundaryCondition,
-    InstantonDescription,
     SystemParams,
     _instanton_energy,
     _length_and_bc,
     solve_m_from_L,
 )
-from .specfun import _elliptic_KE, bessel_I14, bessel_K14, elliptic_K, erf, erfcx
+from .specfun import _elliptic_KE, bessel_I14, bessel_K14, erf, erfcx
 from .spectrum import mu0, mu1_approx
 
-# numpy and the numeric spectra are imported inside the determinant oracle
-# and the mu1="numeric" path, so a closed-form rate loads neither
+# numpy is imported inside the determinant oracle, so a closed-form rate
+# loads none of it
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
@@ -95,9 +94,11 @@ def psi_plus(alpha: float) -> float:
     if alpha < 1e-100:
         return PSI_LIMIT_AT_ZERO
     z = alpha * alpha / 16.0
-    return math.sqrt(alpha * (1.0 + alpha) / (8.0 * math.pi)) * bessel_K14(
+    value = math.sqrt(alpha * (1.0 + alpha) / (8.0 * math.pi)) * bessel_K14(
         z, scaled=True
     )
+    # from alpha ~ 1.3e154 on the product overflows; the limit 1 is exact there
+    return value if math.isfinite(value) else 1.0
 
 
 def psi_minus(alpha: float) -> float:
@@ -110,7 +111,9 @@ def psi_minus(alpha: float) -> float:
         return PSI_LIMIT_AT_ZERO
     z = alpha * alpha / 64.0
     pair = bessel_I14(-0.25, z, scaled=True) + bessel_I14(0.25, z, scaled=True)
-    return math.sqrt(math.pi * alpha * (1.0 + alpha) / 32.0) * pair
+    value = math.sqrt(math.pi * alpha * (1.0 + alpha) / 32.0) * pair
+    # from alpha ~ 7.6e153 on the product overflows; the limit 2 is exact there
+    return value if math.isfinite(value) else 2.0
 
 
 def psi_plus_tilde(alpha: float) -> float:
@@ -250,23 +253,7 @@ def _classical_instanton(
     return math.exp(ln_val)
 
 
-def _mu1_value(L: float, m: float, mu1: str) -> float:
-    """Second transition-state eigenvalue: 3m substitution or diagonalized."""
-    if mu1 == "approx":
-        return mu1_approx(m)
-    if mu1 == "numeric":
-        from .spectrum import hessian_spectrum
-
-        bc = BoundaryCondition.NEUMANN
-        prof = InstantonDescription(m=m, phase=elliptic_K(m), sign=1, bc=bc).sample(L)
-        spec = hessian_spectrum(prof, L, bc, n_modes=256)
-        return float(spec.eigenvalues[1])
-    raise ValueError(f"mu1 must be 'approx' or 'numeric', got {mu1!r}")
-
-
-def prefactor_corrected(
-    L: float, eps: float, bc: BoundaryCondition, mu1: str = "approx"
-) -> RateBreakdown:
+def prefactor_corrected(L: float, eps: float, bc: BoundaryCondition) -> RateBreakdown:
     """Bifurcation-corrected prefactor, finite for L > 0 down to about 1e-102.
 
     Uniform branches attach the scaling functions psi_plus (Neumann) or
@@ -281,6 +268,10 @@ def prefactor_corrected(
         raise ValueError(f"eps must lie in (0, 0.5], got {eps}")
     L_c = bc.critical_length
     a = math.sqrt(3.0 * eps / (4.0 * L))
+    if a == 0.0:
+        raise ValueError(
+            f"eps = {eps!r} is too small: a = sqrt(3 eps/(4L)) underflows to 0"
+        )
     eps_exponent = 0.0
     m = None
 
@@ -313,10 +304,8 @@ def prefactor_corrected(
         regime = "instanton_saddle"
         m = solve_m_from_L(L, bc)
         if bc is BoundaryCondition.NEUMANN:
-            mu1_val = _mu1_value(L, m, mu1)
-            correction = 0.5 * math.sqrt(mu1_val / (mu1_val + a)) * psi_minus(
-                mu1_val / a
-            )
+            mu1 = mu1_approx(m)
+            correction = 0.5 * math.sqrt(mu1 / (mu1 + a)) * psi_minus(mu1 / a)
         else:
             correction = phi_switch(3.0 * m / (2.0 * math.sqrt(3.0 * eps / L)))
             eps_exponent = -0.5

@@ -25,8 +25,6 @@ class LinearizationSpectrum:
 
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
-    bc: BoundaryCondition
-    state: str
 
     def __post_init__(self):
         import numpy as np
@@ -72,9 +70,7 @@ def uniform_spectrum(
         multiplicities = np.where(k == 0, 1, 2)
     else:
         multiplicities = np.ones_like(k)
-    return LinearizationSpectrum(
-        eigenvalues=eigenvalues, multiplicities=multiplicities, bc=bc, state=state
-    )
+    return LinearizationSpectrum(eigenvalues=eigenvalues, multiplicities=multiplicities)
 
 
 def _fourier_resample(values: np.ndarray, n_new: int) -> np.ndarray:
@@ -174,10 +170,7 @@ def hessian_spectrum(
         eigenvalues = np.linalg.eigvalsh(A)
 
     return LinearizationSpectrum(
-        eigenvalues=eigenvalues,
-        multiplicities=np.ones(eigenvalues.size, dtype=int),
-        bc=bc,
-        state="transition",
+        eigenvalues=eigenvalues, multiplicities=np.ones(eigenvalues.size, dtype=int)
     )
 
 

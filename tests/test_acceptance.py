@@ -145,7 +145,9 @@ def test_periodic_instanton_limit_carries_factor_two():
 # ---------------------------------------------------------------------------
 
 
-def test_neumann_corrected_prefactor_continuous_at_critical_length():
+def test_neumann_corrected_prefactor_continuous_at_critical_length(
+    corrected_with_numeric_mu1,
+):
     # The second transition-state eigenvalue enters the instanton branch
     # through a small-modulus substitution whose relative error is
     # O(eps^{1/4}); the match therefore tightens as eps decreases, and
@@ -157,7 +159,7 @@ def test_neumann_corrected_prefactor_continuous_at_critical_length():
         right = prefactor_corrected(L_hi, eps, NEU).gamma0_corrected
         assert left == pytest.approx(right, rel=tol)
     left = prefactor_corrected(L_lo, 1e-6, NEU).gamma0_corrected
-    right = prefactor_corrected(L_hi, 1e-6, NEU, mu1="numeric").gamma0_corrected
+    right = corrected_with_numeric_mu1(L_hi, 1e-6)
     assert left == pytest.approx(right, rel=0.01)
 
 

@@ -165,6 +165,15 @@ def test_rate_refuses_a_length_beyond_double_range(capsys):
     assert "L = 1e-200 is too short" in err[0]
 
 
+def test_rate_refuses_an_eps_whose_a_underflows(capsys):
+    # ended in a ZeroDivisionError traceback
+    argv = ["rate", "--bc", "neumann", "--L", "4", "--eps", "5e-324"]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "eps = 5e-324 is too small" in err[0]
+
+
 # ---------------------------------------------------------------------------
 # usage errors name the offending key
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from kramers_gl.instanton import (
     BoundaryCondition,
     FieldConfiguration,
-    InstantonDescription,
     NoInstantonRegime,
     SystemParams,
     activation_energy,
@@ -105,23 +104,34 @@ class TestProfile:
 
     @pytest.mark.parametrize(
         "bc, L, phase, sign",
-        [(PERIODIC, 9.0, 0.7, 1), (PERIODIC, 7.0, -50.0, -1), (NEUMANN, 4.5, 0.0, -1)],
+        [
+            (PERIODIC, 9.0, 0.7, 1),
+            (PERIODIC, 7.0, -50.0, -1),
+            (NEUMANN, 4.5, 0.0, -1),
+            (NEUMANN, 4.0, 0.0, 1),
+        ],
     )
     def test_sample_is_jacobi_sn_point_by_point(self, bc, L, phase, sign):
-        desc = InstantonDescription.from_length(L, bc, phase=phase, sign=sign)
-        fieldcfg = desc.sample(L, n_x=257)
-        scale = 1.0 / math.sqrt(desc.m + 1.0)
+        fieldcfg = instanton_profile(L, bc, phase=phase, sign=sign, n_x=257)
+        m = solve_m_from_L(L, bc)
+        if bc is NEUMANN:
+            phase = elliptic_K(m)
+        amplitude = math.sqrt(2.0 * m / (m + 1.0))
+        scale = 1.0 / math.sqrt(m + 1.0)
         expect = [
-            sign * (desc.amplitude * jacobi_sn(scale * x + desc.phase, desc.m))
+            sign * (amplitude * jacobi_sn(scale * x + phase, m))
             for x in fieldcfg.grid(L)
         ]
         assert all(v == e for v, e in zip(fieldcfg.values, expect, strict=True))
 
     @pytest.mark.parametrize("L, phase", [(math.nan, 0.0), (8.0, math.nan), (8.0, math.inf)])
     def test_sample_rejects_nonfinite_arguments(self, L, phase):
-        desc = InstantonDescription(m=0.5, phase=phase, sign=1, bc=PERIODIC)
         with pytest.raises(ValueError):
-            desc.sample(L)
+            instanton_profile(L, PERIODIC, phase=phase)
+
+    def test_rejects_a_sign_other_than_plus_or_minus_one(self):
+        with pytest.raises(ValueError, match="sign"):
+            instanton_profile(8.0, PERIODIC, sign=0)
 
 
 class TestEnergyFunctional:
@@ -223,10 +233,8 @@ class TestParams:
             SystemParams(L=1.0, eps=0.1, bc="dirichlet")
 
     def test_description_invariants(self):
-        desc = InstantonDescription.from_length(8.0, PERIODIC)
-        assert 0 < desc.amplitude < 1
-        assert desc.amplitude == pytest.approx(
-            math.sqrt(2 * desc.m / (desc.m + 1)), rel=1e-15
-        )
-        with pytest.raises(ValueError):
-            InstantonDescription(m=1.5, phase=0.0, sign=1, bc=PERIODIC)
+        L = 8.0
+        m = solve_m_from_L(L, PERIODIC)
+        amplitude = math.sqrt(2 * m / (m + 1))
+        peak = np.max(np.abs(instanton_profile(L, PERIODIC).values))
+        assert 0 < peak <= amplitude < 1

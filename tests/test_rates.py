@@ -7,6 +7,7 @@ determinant products, and analytic limits at the critical lengths.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +121,18 @@ def test_psi_domain_errors():
             f(-0.5)
         with pytest.raises(ValueError):
             f(float("nan"))
+
+
+def test_psi_returns_its_limit_once_the_product_overflows():
+    # sqrt(alpha(1+alpha)...) overflowed before the Bessel factor settled:
+    # psi_minus was inf at 1.3e154 and both were nan from 1.4e154 on
+    assert psi_minus(1.3e154) == 2.0
+    for alpha in (1.4e154, sys.float_info.max):
+        assert psi_plus(alpha) == 1.0
+        assert psi_minus(alpha) == 2.0
+    # alpha = 3m/a ~ 2e155 here; the rate failed as not finite
+    rb = prefactor_corrected(4.0, 1e-310, NEU)
+    assert math.isfinite(rb.gamma0_corrected) and math.isfinite(rb.rate)
 
 
 def test_phi_switch_values():
@@ -323,24 +336,19 @@ def test_continuity_across_neumann_bifurcation(eps, tol):
     assert hi / lo == pytest.approx(1.0, rel=tol)
 
 
-def test_continuity_with_numeric_mu1_is_tighter():
+def test_continuity_with_numeric_mu1_is_tighter(corrected_with_numeric_mu1):
     eps = 1e-4
     lo = prefactor_corrected(math.pi * (1 - 1e-6), eps, NEU).gamma0_corrected
-    hi = prefactor_corrected(
-        math.pi * (1 + 1e-6), eps, NEU, mu1="numeric"
-    ).gamma0_corrected
+    hi = corrected_with_numeric_mu1(math.pi * (1 + 1e-6), eps)
     assert hi / lo == pytest.approx(1.0, rel=1e-2)
 
 
-def test_numeric_mu1_agrees_with_substitution_away_from_critical():
+def test_numeric_mu1_agrees_with_substitution_away_from_critical(
+    corrected_with_numeric_mu1,
+):
     approx = prefactor_corrected(3.5, 1e-5, NEU).gamma0_corrected
-    numeric = prefactor_corrected(3.5, 1e-5, NEU, mu1="numeric").gamma0_corrected
+    numeric = corrected_with_numeric_mu1(3.5, 1e-5)
     assert numeric == pytest.approx(approx, rel=1e-2)
-
-
-def test_mu1_option_validation():
-    with pytest.raises(ValueError, match="mu1"):
-        prefactor_corrected(3.5, 1e-4, NEU, mu1="exact")
 
 
 def test_continuity_across_periodic_bifurcation():
@@ -393,17 +401,10 @@ def test_modulus_is_solved_once_and_reported(monkeypatch):
 
     monkeypatch.setattr(rates, "solve_m_from_L", counting_solve)
     monkeypatch.setattr(instanton, "solve_m_from_L", counting_solve)
-    cases = (
-        (NEU, 2.0, "approx"),
-        (NEU, math.pi, "approx"),
-        (NEU, 4.0, "approx"),
-        (NEU, 4.0, "numeric"),
-        (PER, 5.0, "approx"),
-        (PER, 8.0, "approx"),
-    )
-    for bc, L, mu1 in cases:
+    cases = ((NEU, 2.0), (NEU, math.pi), (NEU, 4.0), (PER, 5.0), (PER, 8.0))
+    for bc, L in cases:
         calls.clear()
-        rb = prefactor_corrected(L, 0.05, bc, mu1=mu1)
+        rb = prefactor_corrected(L, 0.05, bc)
         if L > bc.critical_length:
             assert calls == [L]
             assert rb.m == solve_m_from_L(L, bc)
@@ -441,6 +442,14 @@ def test_corrected_validation():
 def test_corrected_refuses_a_length_beyond_double_range(L, bc):
     with pytest.raises(ValueError, match=f"L = {L!r} is too short: lambda_1"):
         prefactor_corrected(L, 0.1, bc)
+
+
+# a = sqrt(3 eps/(4L)) underflowed to 0 and the division by it ended in a
+# ZeroDivisionError, on both branches of both bcs
+@pytest.mark.parametrize("bc, L", [(NEU, 3.0), (NEU, 4.0), (PER, 3.0), (PER, 7.0)])
+def test_corrected_refuses_an_eps_whose_a_underflows(bc, L):
+    with pytest.raises(ValueError, match=r"eps = 5e-324 is too small: a = sqrt"):
+        prefactor_corrected(L, 5e-324, bc)
 
 
 def _boolean_length_calls():

@@ -205,8 +205,9 @@ def test_each_modulus_runs_one_agm(monkeypatch):
         row = count(lambda: prefactor_corrected(L, 0.05, bc))
         assert row == solve + 2
         assert row <= 61
-        # one AGM per profile, not one per sample
+        # one AGM per profile after the solve, not one per sample
         short = count(lambda: instanton_profile(L, bc, n_x=16))
+        assert short == solve + 1
         assert count(lambda: instanton_profile(L, bc, n_x=512)) == short
 
 

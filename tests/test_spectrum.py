@@ -114,8 +114,6 @@ def test_spectrum_dataclass_rejects_descending():
         LinearizationSpectrum(
             eigenvalues=np.array([1.0, 0.0]),
             multiplicities=np.array([1, 1]),
-            bc=PER,
-            state="stable",
         )
 
 
