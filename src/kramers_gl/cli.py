@@ -23,20 +23,19 @@ a flag overrides the file's value, which overrides the default, and the
 same converter checks both, so a JSON ``true`` is no number and an
 integer option takes only whole numbers.
 
-``rate`` and ``sweep`` load no numpy: this module imports ``spectrum``,
-``simulator`` and ``checks`` only in the commands that use them, so
-``profile``, ``spectrum``, ``mfpt`` and ``verify`` import numpy when
-they run.
+``rate``, ``sweep`` and ``profile`` load no numpy: this module imports
+``spectrum``, ``simulator`` and ``checks`` only in the commands that use
+them, so ``spectrum``, ``mfpt`` and ``verify`` import numpy when they
+run. Only a run with ``--out`` loads ``hashlib`` (and with it OpenSSL).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
-from datetime import datetime, timezone
+import time
 
 from . import __version__
 from . import instanton as _instanton
@@ -76,10 +75,12 @@ def _jsonable(value):
 
 
 def _utc_now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def _write_result(path: str, text: str) -> dict:
+    import hashlib
+
     data = text.encode("utf-8")
     try:
         with open(path, "wb") as fh:
@@ -238,7 +239,7 @@ OPTIONS = {
     "spectrum": {
         **_BC,
         **_L,
-        "modes": (_integer(1, _MAX_SPECTRUM_MODES), 32, "number of eigenvalues to list"),
+        "modes": (_integer(1, _MAX_SPECTRUM_MODES), 32, "list eigenvalues 0..n (n + 1 rows)"),
         **_OUT,
     },
     "mfpt": {
@@ -347,10 +348,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
     opts = _resolve(args)
     bc, L, n_x = opts["bc"], opts["L"], opts["modes"]
     started = _utc_now()
-    fieldcfg = _instanton.instanton_profile(L, bc, n_x=n_x)
-    xs = fieldcfg.grid(L)
+    xs, values = _instanton._profile_samples(L, bc, n_x=n_x)
     lines = ["x,phi"]
-    lines += [f"{_fmt(float(x))},{_fmt(float(v))}" for x, v in zip(xs, fieldcfg.values)]
+    lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, values)]
     params = {"bc": bc.value, "L": L, "samples": n_x}
     text = "\n".join(lines) + "\n"
     return _emit(opts["out"], "profile", params, None, started, text, f" ({n_x} samples)")

@@ -99,15 +99,16 @@ class FieldConfiguration:
         return self.values.size
 
     def grid(self, L: float) -> np.ndarray:
-        return _grid(L, self.n_x, self.bc)
+        import numpy as np
+
+        return np.array(_grid(L, self.n_x, self.bc))
 
 
-def _grid(L: float, n_x: int, bc: BoundaryCondition) -> np.ndarray:
-    import numpy as np
-
+def _grid(L: float, n_x: int, bc: BoundaryCondition) -> list:
+    """The n_x grid points, bit for bit as np.arange / np.linspace build them."""
     if bc is BoundaryCondition.PERIODIC:
-        return np.arange(n_x) * (L / n_x)
-    return np.linspace(0.0, L, n_x)
+        return [i * (L / n_x) for i in range(n_x)]
+    return [i * (L / (n_x - 1)) for i in range(n_x - 1)] + [float(L)]
 
 
 def _length_of_modulus(m: float, bc: BoundaryCondition) -> float:
@@ -171,10 +172,15 @@ def instanton_profile(
     bit for bit; one AGM run after the modulus solve gives the period 4K(m)
     and the Landen descent levels.
     """
-    import numpy as np
+    return FieldConfiguration(values=_profile_samples(L, bc, phase, sign, n_x)[1], bc=bc)
 
+
+def _profile_samples(L, bc, phase=0.0, sign=1, n_x=512) -> tuple[list, list]:
+    """Grid points and values of ``instanton_profile``, as lists of floats."""
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if n_x < 16:
+        raise ValueError("field needs at least 16 grid values")
     bc = BoundaryCondition.parse(bc)
     m = solve_m_from_L(L, bc)
     period, levels = _sn_levels(m)
@@ -185,8 +191,10 @@ def instanton_profile(
     scale = 1.0 / math.sqrt(m + 1.0)
     amplitude = math.sqrt(2.0 * m / (m + 1.0))
     x = _grid(L, n_x, bc)
-    sn = [_sn(math.remainder(scale * xi + phase, period), levels) for xi in x]
-    return FieldConfiguration(values=sign * (amplitude * np.array(sn)), bc=bc)
+    return x, [
+        sign * (amplitude * _sn(math.remainder(scale * xi + phase, period), levels))
+        for xi in x
+    ]
 
 
 # ---------------------------------------------------------------------------

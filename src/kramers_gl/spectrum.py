@@ -143,16 +143,25 @@ def hessian_spectrum(
         raise ValueError("field values must be finite")
 
     if bc is BoundaryCondition.PERIODIC:
-        # modes p = -K..K, dimension 2K+1 ~ n_modes
+        # real basis {1, sqrt2 cos(2 pi p x/L), sqrt2 sin(2 pi p x/L)}, p = 1..K,
+        # dimension 2K+1 ~ n_modes; w_d multiplies exp(2 pi i d x/L) in the
+        # potential, so cos-cos, sin-sin and cos-sin entries read w_(p-q) and w_(p+q)
         K = n_modes // 2
         n_fine = 4 * max(K + 1, vals.size)
         phi = _fourier_resample(vals, n_fine)
-        w_full = np.fft.fft(3.0 * phi * phi - 1.0) / n_fine
-        p = np.arange(-K, K + 1)
+        w = np.fft.fft(3.0 * phi * phi - 1.0) / n_fine
+        p = np.arange(1, K + 1)
+        diff, total = w[(p[:, None] - p[None, :]) % n_fine], w[p[:, None] + p[None, :]]
+        c, s = slice(1, K + 1), slice(K + 1, None)
+        A = np.empty((2 * K + 1, 2 * K + 1))
+        A[0, 0] = w[0].real
+        A[0, c] = A[c, 0] = math.sqrt(2.0) * w[p].real
+        A[0, s] = A[s, 0] = -math.sqrt(2.0) * w[p].imag
+        A[c, c], A[s, s] = diff.real + total.real, diff.real - total.real
+        A[c, s] = diff.imag - total.imag
+        A[s, c] = A[c, s].T
         kin = (2.0 * math.pi * p / L) ** 2
-        idx = (p[:, None] - p[None, :]) % n_fine
-        A = w_full[idx]
-        A[np.diag_indices_from(A)] += kin
+        A[np.diag_indices_from(A)] += np.concatenate(([0.0], kin, kin))
         eigenvalues = np.linalg.eigvalsh(A)
     else:
         n_fine = 2 * max(n_modes, vals.size - 1)

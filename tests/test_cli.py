@@ -8,10 +8,12 @@ table fails loudly (naming the check) when an anchor constant is
 tampered with.
 """
 
+import ast
 import hashlib
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -131,6 +133,58 @@ def test_import_and_rate_leave_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def modules_added_by(calls):
+    """Modules a fresh interpreter adds while importing the CLI and running
+    ``main`` on each argv of ``calls``; a site that preloads a module does
+    not count it."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from kramers_gl.cli import main\n"
+        f"for argv in {calls!r}:\n"
+        "    assert main(argv) == 0\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    src = os.path.dirname(os.path.dirname(kramers_gl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_profile_leaves_numpy_unloaded(tmp_path):
+    # profile samples and formats its grid in pure math, also with --out
+    out = str(tmp_path / "profile.csv")
+    added = modules_added_by(
+        [
+            ["profile", "--bc", "periodic", "--L", "9.0"],
+            ["profile", "--bc", "neumann", "--L", "4.0", "--modes", "16"],
+            ["profile", "--bc", "periodic", "--L", "7.0", "--out", out],
+            ["profile", "--bc", "neumann", "--L", "4.0", "--out", out],
+        ]
+    )
+    assert os.path.exists(out + ".manifest.json")
+    assert [name for name in added if name.split(".")[0] == "numpy"] == []
+
+
+def test_stdout_runs_leave_openssl_unloaded():
+    # hashlib, and the OpenSSL it loads, digests written files only
+    added = modules_added_by(
+        [
+            ["rate", "--bc", "periodic", "--L", "9.0", "--eps", "0.01"],
+            ["rate", "--bc", "neumann", "--L", "2.0", "--eps", "0.01"],
+            ["sweep", "--bc", "neumann", "--L-range", "2.5:4.5:0.5", "--eps", "0.01"],
+        ]
+    )
+    assert "_hashlib" not in added
+    assert "hashlib" not in added
 
 
 def test_package_exports_resolve_to_their_defining_modules():
@@ -575,6 +629,9 @@ def test_manifest_records_each_writing_command(
     ]
     assert manifest["version"] == kramers_gl.__version__
     assert manifest["command"] == command
+    for key in ("started", "finished"):
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", manifest[key])
+    assert manifest["started"] <= manifest["finished"]
     assert manifest["seed"] == seed
     assert manifest["params"]["bc"] == argv[2]
     assert [entry["path"] for entry in manifest["outputs"]] == written
@@ -589,19 +646,26 @@ def test_manifest_records_each_writing_command(
 # ---------------------------------------------------------------------------
 
 
-def test_profile_matches_library_samples(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "bc, L, n_x",
+    [("neumann", 4.0, 32), ("neumann", 3.5, 16), ("periodic", 9.0, 32), ("periodic", 7.3, 16)],
+)
+def test_profile_matches_library_samples(tmp_path, capsys, bc, L, n_x):
     out = tmp_path / "prof.csv"
     assert run_cli(
-        ["profile", "--bc", "neumann", "--L", "4.0", "--modes", "32", "--out", str(out)]
+        ["profile", "--bc", bc, "--L", str(L), "--modes", str(n_x), "--out", str(out)]
     ) == 0
     capsys.readouterr()
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "x,phi"
     xs, phis = zip(*((float(a), float(b)) for a, b in (l.split(",") for l in lines[1:])))
-    expected = instanton_profile(4.0, NEU, n_x=32)
-    assert xs[0] == 0.0 and xs[-1] == 4.0
+    expected = instanton_profile(L, bc, n_x=n_x)
     # 17 significant digits round-trip doubles exactly
     assert np.array_equal(np.array(phis), expected.values)
+    # the pure-math grid is numpy's, bit for bit
+    numpy_grid = np.linspace(0.0, L, n_x) if bc == "neumann" else np.arange(n_x) * (L / n_x)
+    assert np.array_equal(np.array(xs), numpy_grid)
+    assert np.array_equal(expected.grid(L), numpy_grid)
 
 
 def test_profile_below_critical_length_fails_cleanly(capsys):

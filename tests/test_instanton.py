@@ -133,6 +133,11 @@ class TestProfile:
         with pytest.raises(ValueError, match="sign"):
             instanton_profile(8.0, PERIODIC, sign=0)
 
+    @pytest.mark.parametrize("bc, n_x", [(PERIODIC, 0), (NEUMANN, 1), (NEUMANN, 15)])
+    def test_rejects_fewer_than_16_samples(self, bc, n_x):
+        with pytest.raises(ValueError, match="at least 16"):
+            instanton_profile(8.0, bc, n_x=n_x)
+
 
 class TestEnergyFunctional:
     @pytest.mark.parametrize("bc", [PERIODIC, NEUMANN])

@@ -22,6 +22,7 @@ from kramers_gl.instanton import (
 )
 from kramers_gl.spectrum import (
     LinearizationSpectrum,
+    _fourier_resample,
     hessian_spectrum,
     mu0,
     mu1_approx,
@@ -168,6 +169,42 @@ def test_periodic_instanton_has_translation_zero_mode():
     assert ev[0] == pytest.approx(mu0(m), abs=1e-8)
     assert abs(ev[1]) < 1e-6  # translation invariance of the profile family
     assert ev[2] > 1e-3
+
+
+def complex_periodic_eigenvalues(fieldcfg, L, n_modes):
+    """The exponential-basis Hermitian Galerkin matrix, diagonalised."""
+    K = n_modes // 2
+    n_fine = 4 * max(K + 1, fieldcfg.n_x)
+    phi = _fourier_resample(fieldcfg.values, n_fine)
+    w = np.fft.fft(3.0 * phi * phi - 1.0) / n_fine
+    p = np.arange(-K, K + 1)
+    A = w[(p[:, None] - p[None, :]) % n_fine]
+    A[np.diag_indices_from(A)] += (2.0 * math.pi * p / L) ** 2
+    return np.linalg.eigvalsh(A)
+
+
+def two_harmonic_field(L, n_x=512):
+    x = np.arange(n_x) * (L / n_x)
+    k = 2.0 * math.pi / L
+    return FieldConfiguration(0.4 * np.cos(k * x) + 0.3 * np.sin(2 * k * x + 0.2), PER)
+
+
+@pytest.mark.parametrize(
+    "L, field",
+    [
+        (9.0, lambda: instanton_profile(9.0, PER, phase=0.0, n_x=1024)),
+        (9.0, lambda: instanton_profile(9.0, PER, phase=0.3, n_x=1024)),
+        (13.0, lambda: instanton_profile(13.0, PER, phase=1.1, n_x=1024)),
+        (7.0, lambda: two_harmonic_field(7.0)),
+    ],
+)
+def test_periodic_real_basis_matches_complex_basis(L, field):
+    # {1, sqrt2 cos, sqrt2 sin} is a unitary change of the exponential basis
+    fieldcfg = field()
+    expect = complex_periodic_eigenvalues(fieldcfg, L, 512)
+    got = hessian_spectrum(fieldcfg, L, PER, n_modes=512).eigenvalues
+    assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 @pytest.mark.parametrize("m", [0.1, 0.5])
