@@ -62,7 +62,6 @@ _SIMULATOR_NAMES = (
     "SimConfig",
     "SimulationBlowUp",
     "estimate_mfpt",
-    "mode_eigenvalues",
     "run_to_transition",
     "trajectory_rng",
 )
@@ -105,7 +104,6 @@ __all__ = [
     "instanton_profile",
     "jacobi_sn",
     "kramers_rate",
-    "mode_eigenvalues",
     "mu0",
     "mu1_approx",
     "phi_switch",

@@ -111,6 +111,13 @@ def _grid(L: float, n_x: int, bc: BoundaryCondition) -> list:
     return [i * (L / (n_x - 1)) for i in range(n_x - 1)] + [float(L)]
 
 
+def _even_extension(values: np.ndarray, L: float) -> tuple[np.ndarray, float]:
+    """Neumann samples on [0, L]'s inclusive grid, evenly extended to period 2L."""
+    import numpy as np
+
+    return np.concatenate([values, values[-2:0:-1]]), 2.0 * L
+
+
 def _length_of_modulus(m: float, bc: BoundaryCondition) -> float:
     c = 4.0 if bc is BoundaryCondition.PERIODIC else 2.0
     return c * math.sqrt(m + 1.0) * elliptic_K(m)
@@ -231,8 +238,7 @@ def energy_functional(fieldcfg: FieldConfiguration, L: float) -> float:
         raise ValueError("field values must be finite")
     period = L
     if fieldcfg.bc is BoundaryCondition.NEUMANN:
-        # even extension of the inclusive grid on [0, L] to a 2L period
-        vals, period = np.concatenate([vals, vals[-2:0:-1]]), 2.0 * L
+        vals, period = _even_extension(vals, L)
     dvals = _spectral_derivative_periodic(vals, period)
     integrand = 0.5 * dvals**2 + 0.25 * vals**4 - 0.5 * vals**2
     return float(np.mean(integrand) * L)

@@ -12,7 +12,8 @@ around φ = 0:
 
 Each mode obeys  dφ_k = (-λ_k φ_k + N_k[φ]) dt + √(2ε) dW_k  with
 λ_k = -1 + (2πk/L)² (periodic) or -1 + (πk/L)² (Neumann), independent
-per-mode Wiener processes, and N_k the Galerkin projection of -φ³.
+per-mode Wiener processes, and N_k the Galerkin projection of -φ³. The
+λ_k come from ``spectrum.uniform_spectrum``, which refuses too short an L.
 
 Time stepping is exponential-time-differencing Euler-Maruyama: the stiff
 linear part and the noise are integrated exactly as an Ornstein-Uhlenbeck
@@ -47,6 +48,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .instanton import BoundaryCondition, SystemParams
+from .spectrum import uniform_spectrum
 
 _DEALIAS_FACTOR = 4  # grid points per retained mode bundle (exact for cubes)
 # Noise blocks: two (n, B, width) buffers, B from a budget of draws per buffer
@@ -150,13 +152,6 @@ class MfptEstimate:
 # ---------------------------------------------------------------------------
 
 
-def mode_eigenvalues(L: float, bc: BoundaryCondition, K: int) -> np.ndarray:
-    """λ_k = -1 + (2πk/L)² (periodic) or -1 + (πk/L)² (Neumann), k = 0..K."""
-    factor = (2.0 * math.pi / L) if bc is BoundaryCondition.PERIODIC else (math.pi / L)
-    k = np.arange(K + 1, dtype=np.float64)
-    return -1.0 + (factor * k) ** 2
-
-
 def _noise_width(bc: BoundaryCondition, K: int) -> int:
     """Standard normal draws consumed per step: one per real degree of freedom."""
     return 2 * K + 1 if bc is BoundaryCondition.PERIODIC else K + 1
@@ -211,7 +206,7 @@ def _stepping_constants(L: float, bc_value: str, K: int, dt: float, eps: float):
     E|ξ_k|² = 1 splits into real and imaginary parts of amplitude s_k/√2.
     """
     bc = BoundaryCondition.parse(bc_value)
-    lam = mode_eigenvalues(L, bc, K)
+    lam = uniform_spectrum(L, bc, "transition", K).eigenvalues
     decay = np.exp(-lam * dt)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = -np.expm1(-lam * dt) / lam

@@ -2,8 +2,9 @@
 
 Closed-form eigenvalues at the uniform states (lambda_k at the saddle,
 eta_k at the stable states) and dense Galerkin diagonalization of the
-Hessian -d^2/dx^2 + 3 phi(x)^2 - 1 at arbitrary field configurations,
-in the Fourier basis (periodic) or cosine basis (Neumann).
+Hessian -d^2/dx^2 + 3 phi(x)^2 - 1 at arbitrary field configurations in
+one real Fourier basis; a Neumann field on [0, L] is the even half of
+its 2L-periodic extension, and its Hessian the cosine block on [0, 2L].
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .instanton import BoundaryCondition, FieldConfiguration, _length_and_bc
+from .instanton import BoundaryCondition, FieldConfiguration
+from .instanton import _even_extension, _length_and_bc
 
 # numpy is imported inside the functions that build arrays: mu0 and
 # mu1_approx serve the closed-form rate path, which loads none of it
@@ -48,23 +50,23 @@ def uniform_spectrum(
 ) -> LinearizationSpectrum:
     """Closed-form spectrum at a uniform state, modes k = 0 .. K_max.
 
-    Transition state phi = 0: lambda_k = -1 + (pi k / L)^2 (Neumann) or
-    -1 + (2 pi k / L)^2 (periodic). Stable states phi = +-1: eta_k with
-    -1 replaced by +2. Periodic nonzero-k eigenvalues carry multiplicity 2.
+    Transition state phi = 0: lambda_k = -1 + ((pi/L) k)^2 (Neumann) or
+    -1 + ((2 pi/L) k)^2 (periodic), the simulator's mode rates. Stable states
+    phi = +-1: eta_k with -1 replaced by +2. Periodic k >= 1 have multiplicity 2.
     """
     import numpy as np
 
     L, bc = _length_and_bc(L, bc)
-    if K_max < 1:
-        raise ValueError(f"K_max must be >= 1, got {K_max}")
+    if not (np.issubdtype(type(K_max), np.integer) and K_max >= 1):  # no bool
+        raise ValueError(f"K_max must be an integer >= 1, got {K_max!r}")
     if state not in ("stable", "transition"):
         raise ValueError(f"state must be 'stable' or 'transition', got {state!r}")
     k = np.arange(K_max + 1)
-    factor = 2.0 * math.pi if bc is BoundaryCondition.PERIODIC else math.pi
+    factor = (2.0 * math.pi if bc is BoundaryCondition.PERIODIC else math.pi) / L
     base = -1.0 if state == "transition" else 2.0
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        eigenvalues = base + (factor * k / L) ** 2
-    if not math.isfinite(eigenvalues[-1]):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0: refused
+        eigenvalues = base + (factor * k) ** 2
+    if not np.isfinite(eigenvalues).all():
         raise ValueError(f"L = {L!r} is too short: mode {K_max} leaves double range")
     if bc is BoundaryCondition.PERIODIC:
         multiplicities = np.where(k == 0, 1, 2)
@@ -81,41 +83,7 @@ def _fourier_resample(values: np.ndarray, n_new: int) -> np.ndarray:
     vhat = np.fft.rfft(values)
     if n % 2 == 0 and n_new != n:
         vhat[-1] *= 0.5  # split the Nyquist coefficient symmetrically
-    out = np.fft.irfft(vhat, n=n_new) * (n_new / n)
-    return out
-
-
-def _cosine_coeffs(values_inclusive: np.ndarray) -> np.ndarray:
-    """Coefficients w_d of f(x) = sum_d w_d cos(pi d x / L), d = 0..M.
-
-    Input samples live on the endpoint-inclusive grid with M intervals;
-    computed through the even extension, which is exact for fields band
-    limited below the grid's alias limit.
-    """
-    import numpy as np
-
-    ext = np.concatenate([values_inclusive, values_inclusive[-2:0:-1]])
-    P = ext.size  # 2M
-    F = np.fft.rfft(ext).real / P
-    w = 2.0 * F
-    w[0] = F[0]
-    if P % 2 == 0:
-        w[-1] = F[-1]
-    return w
-
-
-def _cosine_resample(values_inclusive: np.ndarray, m_new: int) -> np.ndarray:
-    """Resample Neumann samples onto an inclusive grid with m_new intervals."""
-    import numpy as np
-
-    w = _cosine_coeffs(values_inclusive)
-    w_pad = np.zeros(m_new + 1)
-    w_pad[: w.size] = w
-    spec = 0.5 * w_pad * (2 * m_new)
-    spec[0] = w_pad[0] * (2 * m_new)
-    spec[-1] = w_pad[-1] * (2 * m_new)
-    ext = np.fft.irfft(spec, n=2 * m_new)
-    return ext[: m_new + 1]
+    return np.fft.irfft(vhat, n=n_new) * (n_new / n)
 
 
 def hessian_spectrum(
@@ -126,57 +94,55 @@ def hessian_spectrum(
 ) -> LinearizationSpectrum:
     """Eigenvalues of -d^2/dx^2 + (3 phi(x)^2 - 1), dense Galerkin.
 
-    The multiplicative potential is applied through its Fourier (periodic)
-    or cosine (Neumann) convolution coefficients, evaluated on a fine
-    collocation grid so no aliasing reaches the retained modes. Dense
-    symmetric diagonalization; returns all n_modes eigenvalues ascending.
+    One real basis {1, sqrt2 cos(2 pi p x/P), sqrt2 sin(2 pi p x/P)}, p = 1..K:
+    periodic P = L, K = n_modes // 2. A Neumann field is the even half of its
+    2L-periodic extension: P = 2L, K = n_modes - 1, and only the even block
+    {1, sqrt2 cos} enters. The potential's coefficients come from a fine
+    collocation grid, so no aliasing reaches the retained modes. Returns
+    every eigenvalue (2K + 1 periodic, n_modes Neumann), ascending.
     """
     import numpy as np
 
     L, bc = _length_and_bc(L, bc)
     if fieldcfg.bc is not bc:
         raise ValueError("field boundary condition does not match bc argument")
-    if not 64 <= n_modes <= _MAX_DENSE_MODES:
-        raise ValueError(f"n_modes must be in [64, {_MAX_DENSE_MODES}], got {n_modes}")
+    is_count = np.issubdtype(type(n_modes), np.integer)  # int or numpy int, no bool
+    if not (is_count and 64 <= n_modes <= _MAX_DENSE_MODES):
+        raise ValueError(
+            f"n_modes must be an integer in [64, {_MAX_DENSE_MODES}], got {n_modes!r}"
+        )
     vals = fieldcfg.values
     if not np.all(np.isfinite(vals)):
         raise ValueError("field values must be finite")
 
-    if bc is BoundaryCondition.PERIODIC:
-        # real basis {1, sqrt2 cos(2 pi p x/L), sqrt2 sin(2 pi p x/L)}, p = 1..K,
-        # dimension 2K+1 ~ n_modes; w_d multiplies exp(2 pi i d x/L) in the
-        # potential, so cos-cos, sin-sin and cos-sin entries read w_(p-q) and w_(p+q)
-        K = n_modes // 2
-        n_fine = 4 * max(K + 1, vals.size)
-        phi = _fourier_resample(vals, n_fine)
-        w = np.fft.fft(3.0 * phi * phi - 1.0) / n_fine
-        p = np.arange(1, K + 1)
-        diff, total = w[(p[:, None] - p[None, :]) % n_fine], w[p[:, None] + p[None, :]]
-        c, s = slice(1, K + 1), slice(K + 1, None)
-        A = np.empty((2 * K + 1, 2 * K + 1))
-        A[0, 0] = w[0].real
-        A[0, c] = A[c, 0] = math.sqrt(2.0) * w[p].real
-        A[0, s] = A[s, 0] = -math.sqrt(2.0) * w[p].imag
-        A[c, c], A[s, s] = diff.real + total.real, diff.real - total.real
-        A[c, s] = diff.imag - total.imag
+    periodic = bc is BoundaryCondition.PERIODIC
+    period, K = L, n_modes // 2
+    if not periodic:
+        (vals, period), K = _even_extension(vals, L), n_modes - 1
+    n_fine = 4 * max(K + 1, vals.size)
+    phi = _fourier_resample(vals, n_fine)
+    # w_d multiplies exp(2 pi i d x/P), so the cos and sin blocks read w_(p-q)
+    # (w[-d] is w_(n_fine-d)) and w_(p+q), filled in place one gather at a time
+    w = np.fft.fft(3.0 * phi * phi - 1.0) / n_fine
+    re, im = w.real, w.imag
+    p = np.arange(1, K + 1)
+    diff, total = p[:, None] - p, p[:, None] + p
+    c, s = slice(1, K + 1), slice(K + 1, None)
+    A = np.empty((2 * K + 1, 2 * K + 1) if periodic else (K + 1, K + 1))
+    A[0, 0] = re[0]
+    A[0, c] = A[c, 0] = math.sqrt(2.0) * re[p]
+    A[c, c] = re[diff]
+    A[c, c] += re[total]
+    if periodic:
+        A[0, s] = A[s, 0] = -math.sqrt(2.0) * im[p]
+        A[s, s] = re[diff]
+        A[s, s] -= re[total]
+        A[c, s] = im[diff]
+        A[c, s] -= im[total]
         A[s, c] = A[c, s].T
-        kin = (2.0 * math.pi * p / L) ** 2
-        A[np.diag_indices_from(A)] += np.concatenate(([0.0], kin, kin))
-        eigenvalues = np.linalg.eigvalsh(A)
-    else:
-        n_fine = 2 * max(n_modes, vals.size - 1)
-        phi = _cosine_resample(vals, n_fine)
-        w = _cosine_coeffs(3.0 * phi * phi - 1.0)
-        N = n_modes
-        A = np.empty((N, N))
-        j = np.arange(1, N)
-        A[1:, 1:] = 0.5 * (w[np.abs(j[:, None] - j[None, :])] + w[j[:, None] + j[None, :]])
-        A[1:, 1:][np.diag_indices(N - 1)] += 0.5 * w[0]
-        A[0, 0] = w[0]
-        A[0, 1:] = w[j] / math.sqrt(2.0)
-        A[1:, 0] = A[0, 1:]
-        A[np.diag_indices_from(A)] += (math.pi * np.arange(N) / L) ** 2
-        eigenvalues = np.linalg.eigvalsh(A)
+    kin = (2.0 * math.pi * p / period) ** 2
+    A[np.diag_indices_from(A)] += np.concatenate(([0.0], kin, kin))[: A.shape[0]]
+    eigenvalues = np.linalg.eigvalsh(A)
 
     return LinearizationSpectrum(
         eigenvalues=eigenvalues, multiplicities=np.ones(eigenvalues.size, dtype=int)

@@ -705,6 +705,21 @@ def test_spectrum_instanton_has_zero_mode(capsys):
     assert min(abs(ev) for ev in eigenvalues) < 1e-6  # translation zero mode
 
 
+def test_spectrum_neumann_instanton(capsys):
+    # beyond L_c = pi: rows 0 and 1 are mu0(m) and the exact 3m/(1+m)
+    from kramers_gl.instanton import solve_m_from_L
+    from kramers_gl.spectrum import mu0
+
+    assert run_cli(["spectrum", "--bc", "neumann", "--L", "4", "--modes", "4"]) == 0
+    rows = [l.split(",") for l in capsys.readouterr().out.strip().split("\n")[1:]]
+    eigenvalues = [float(r[1]) for r in rows]
+    m = solve_m_from_L(4.0, BoundaryCondition.NEUMANN)
+    assert eigenvalues[0] == pytest.approx(mu0(m), abs=1e-8)
+    assert eigenvalues[1] == pytest.approx(3.0 * m / (1.0 + m), abs=1e-8)
+    assert eigenvalues == sorted(eigenvalues)
+    assert [int(r[2]) for r in rows] == [1] * 5
+
+
 # ---------------------------------------------------------------------------
 # mfpt
 # ---------------------------------------------------------------------------
@@ -752,6 +767,19 @@ def test_mfpt_overflowing_step_count_is_one_error_line(capsys):
     assert captured.err == (
         "kramers-gl: error: t_max / dt overflows: t_max=1e+308, dt=0.001\n"
     )
+
+
+@pytest.mark.parametrize("bc", ["neumann", "periodic"])
+@pytest.mark.parametrize("L", ["1e-200", "1e-320"])
+def test_mfpt_refuses_a_length_beyond_double_range(capsys, bc, L):
+    # 1e-200 warned of an overflow, ran the ensemble, then failed in the theory row
+    argv = ["mfpt", "--bc", bc, "--L", L, "--eps", "0.25", "--ntraj", "2"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert f"L = {float(L)!r} is too short" in err[0]
 
 
 def test_mfpt_reruns_are_byte_identical(tmp_path, capsys):

@@ -32,10 +32,10 @@ from kramers_gl.simulator import (
     SimConfig,
     SimulationBlowUp,
     estimate_mfpt,
-    mode_eigenvalues,
     run_to_transition,
     trajectory_rng,
 )
+from kramers_gl.spectrum import uniform_spectrum
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN
@@ -263,7 +263,7 @@ def test_exact_linear_propagation_single_mode():
     for _ in range(1000):
         row = step(row, params, 8, 1e-3, z, include_cubic=False)
     coeffs = to_half(row, PER)
-    lam3 = mode_eigenvalues(2.0, PER, 8)[3]
+    lam3 = uniform_spectrum(2.0, PER, "transition", 8).eigenvalues[3]
     expect = (0.4 - 0.2j) * math.exp(-lam3 * 1.0)
     assert abs(coeffs[3] - expect) < 1e-12 * abs(expect)
     assert np.max(np.abs(np.delete(coeffs, 3))) == 0.0
@@ -297,7 +297,7 @@ def test_ou_stationary_variance():
     # stationary variance eps/lambda_k regardless of dt
     params = SystemParams(L=2.0, eps=0.08, bc=NEU)
     K, dt = 8, 0.25
-    lam = mode_eigenvalues(2.0, NEU, K)
+    lam = uniform_spectrum(2.0, NEU, "transition", K).eigenvalues
     rng = np.random.default_rng(42)
     n_traj, burn, keep = 64, 80, 720
     rows = [uniform_row(params, K, 0.0) for _ in range(n_traj)]
@@ -674,6 +674,21 @@ def test_ensemble_of_blown_up_trajectories_is_unavailable(monkeypatch):
     poison_trajectories(monkeypatch, dict.fromkeys(range(6), 100))
     with pytest.raises(EstimateUnavailable, match="6 blown up"):
         estimate_mfpt(cfg)
+
+
+@pytest.mark.parametrize("bc", [NEU, PER])
+@pytest.mark.parametrize("L", [1e-200, 1e-320])
+def test_length_beyond_double_range_is_refused_before_any_step(monkeypatch, bc, L):
+    # 1e-200 overflowed and passed in 1-2 steps; 1e-320 blew up every trajectory
+    def draw_noise(*args):
+        raise AssertionError("a trajectory ran")
+
+    monkeypatch.setattr(simulator, "_draw_noise", draw_noise)
+    cfg = SimConfig(params=SystemParams(L=L, eps=0.1, bc=bc), K=8, n_traj=4, t_max=1.0)
+    with pytest.raises(ValueError, match=f"L = {L!r} is too short"):
+        estimate_mfpt(cfg)
+    with pytest.raises(ValueError, match=f"L = {L!r} is too short"):
+        run_to_transition(cfg, trajectory_rng(1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,21 @@ def test_uniform_spectrum_refuses_eigenvalues_beyond_double_range(L, bc):
             uniform_spectrum(L, bc, state, 64)
 
 
+@pytest.mark.parametrize("K_max", [2.5, 4.0, True, np.float64(3.0)])
+def test_uniform_spectrum_refuses_a_non_integer_mode_count(K_max):
+    # 2.5 gave modes k = 0..3 and True gave two
+    with pytest.raises(ValueError, match="K_max must be an integer"):
+        uniform_spectrum(2.0, NEU, "transition", K_max)
+
+
+def test_uniform_spectrum_accepts_numpy_integers():
+    for K_max in (np.int64(4), np.int32(4), np.uint8(4)):
+        spec = uniform_spectrum(2.0, NEU, "transition", K_max)
+        np.testing.assert_array_equal(
+            spec.eigenvalues, uniform_spectrum(2.0, NEU, "transition", 4).eigenvalues
+        )
+
+
 def test_spectrum_dataclass_rejects_descending():
     with pytest.raises(ValueError):
         LinearizationSpectrum(
@@ -183,6 +198,51 @@ def complex_periodic_eigenvalues(fieldcfg, L, n_modes):
     return np.linalg.eigvalsh(A)
 
 
+def modulo_gather_periodic_eigenvalues(fieldcfg, L, n_modes):
+    """The real-basis periodic matrix with complex gathers taken % n_fine."""
+    K = n_modes // 2
+    n_fine = 4 * max(K + 1, fieldcfg.n_x)
+    phi = _fourier_resample(fieldcfg.values, n_fine)
+    w = np.fft.fft(3.0 * phi * phi - 1.0) / n_fine
+    p = np.arange(1, K + 1)
+    diff, total = w[(p[:, None] - p[None, :]) % n_fine], w[p[:, None] + p[None, :]]
+    c, s = slice(1, K + 1), slice(K + 1, None)
+    A = np.empty((2 * K + 1, 2 * K + 1))
+    A[0, 0] = w[0].real
+    A[0, c] = A[c, 0] = math.sqrt(2.0) * w[p].real
+    A[0, s] = A[s, 0] = -math.sqrt(2.0) * w[p].imag
+    A[c, c], A[s, s] = diff.real + total.real, diff.real - total.real
+    A[c, s] = diff.imag - total.imag
+    A[s, c] = A[c, s].T
+    kin = (2.0 * math.pi * p / L) ** 2
+    A[np.diag_indices_from(A)] += np.concatenate(([0.0], kin, kin))
+    return np.linalg.eigvalsh(A)
+
+
+def cosine_basis_eigenvalues(fieldcfg, L, n_modes):
+    """The Neumann matrix in {1, sqrt2 cos(pi j x/L)}, from cosine coefficients."""
+
+    def coeffs(v):  # w_d of sum_d w_d cos(pi d x/L), via the even extension
+        F = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / (2 * (v.size - 1))
+        w = 2.0 * F
+        w[0], w[-1] = F[0], F[-1]
+        return w
+
+    M = 2 * max(n_modes, fieldcfg.n_x - 1)  # intervals of the fine grid
+    w = coeffs(fieldcfg.values)
+    spec = np.zeros(M + 1)
+    spec[: w.size] = w * M
+    spec[0] *= 2.0
+    phi = np.fft.irfft(spec, n=2 * M)[: M + 1]
+    w = coeffs(3.0 * phi * phi - 1.0)
+    j = np.arange(n_modes)
+    A = 0.5 * (w[np.abs(j[:, None] - j)] + w[j[:, None] + j])
+    A[0] /= math.sqrt(2.0)
+    A[:, 0] /= math.sqrt(2.0)
+    A[np.diag_indices_from(A)] += 0.5 * w[0] + (math.pi * j / L) ** 2
+    return np.linalg.eigvalsh(A)
+
+
 def two_harmonic_field(L, n_x=512):
     x = np.arange(n_x) * (L / n_x)
     k = 2.0 * math.pi / L
@@ -204,6 +264,51 @@ def test_periodic_real_basis_matches_complex_basis(L, field):
     expect = complex_periodic_eigenvalues(fieldcfg, L, 512)
     got = hessian_spectrum(fieldcfg, L, PER, n_modes=512).eigenvalues
     assert got.shape == expect.shape
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize(
+    "L, field",
+    [
+        (6.6, lambda: instanton_profile(6.6, PER, n_x=1024)),
+        (8.0, lambda: instanton_profile(8.0, PER, phase=0.3, n_x=1024)),
+        (9.0, lambda: instanton_profile(9.0, PER, phase=0.3, n_x=1024)),
+        (13.0, lambda: instanton_profile(13.0, PER, n_x=1024)),
+        (7.0, lambda: two_harmonic_field(7.0)),
+    ],
+)
+def test_periodic_assembly_is_bit_identical_to_modulo_gathers(L, field):
+    # w[-d] reads w[n_fine - d], and each entry is still one IEEE add
+    fieldcfg = field()
+    expect = modulo_gather_periodic_eigenvalues(fieldcfg, L, 512)
+    got = hessian_spectrum(fieldcfg, L, PER, n_modes=512).eigenvalues
+    assert np.array_equal(got, expect)
+
+
+def three_harmonic_cosine_field(L, n_x=513):
+    x = np.linspace(0.0, L, n_x)
+    k = math.pi / L
+    values = 0.4 * np.cos(k * x) + 0.3 * np.cos(2 * k * x) - 0.2 * np.cos(5 * k * x)
+    return FieldConfiguration(values, NEU)
+
+
+@pytest.mark.parametrize("n_x, n_modes", [(1024, 512), (512, 256)])
+@pytest.mark.parametrize(
+    "L, field",
+    [
+        (3.3, lambda n_x: instanton_profile(3.3, NEU, n_x=n_x)),
+        (4.0, lambda n_x: instanton_profile(4.0, NEU, n_x=n_x)),
+        (5.5, lambda n_x: instanton_profile(5.5, NEU, n_x=n_x)),
+        (7.0, lambda n_x: instanton_profile(7.0, NEU, n_x=n_x)),
+        (6.0, lambda n_x: three_harmonic_cosine_field(6.0, n_x)),
+    ],
+)
+def test_neumann_even_half_matches_cosine_basis(L, field, n_x, n_modes):
+    # the cosine block of the 2L-periodic real basis is the cosine basis on [0, L]
+    fieldcfg = field(n_x)
+    expect = cosine_basis_eigenvalues(fieldcfg, L, n_modes)
+    got = hessian_spectrum(fieldcfg, L, NEU, n_modes=n_modes).eigenvalues
+    assert got.shape == expect.shape == (n_modes,)
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
@@ -261,6 +366,22 @@ def test_hessian_resolution_convergence(bc, L):
     lo = hessian_spectrum(prof, L, bc, n_modes=256).eigenvalues[:5]
     hi = hessian_spectrum(prof, L, bc, n_modes=512).eigenvalues[:5]
     np.testing.assert_allclose(lo, hi, atol=1e-8)
+
+
+@pytest.mark.parametrize("n_modes", [512.0, 256.5, True, np.float64(128.0)])
+def test_hessian_refuses_a_non_integer_mode_count(n_modes):
+    # 512.0 ended in numpy's TypeError
+    prof = instanton_profile(4.0, NEU, n_x=256)
+    with pytest.raises(ValueError, match="n_modes must be an integer"):
+        hessian_spectrum(prof, 4.0, NEU, n_modes=n_modes)
+
+
+def test_hessian_accepts_numpy_integers():
+    prof = instanton_profile(8.0, PER, n_x=256)
+    expect = hessian_spectrum(prof, 8.0, PER, n_modes=128).eigenvalues
+    for n_modes in (np.int64(128), np.int16(128)):
+        got = hessian_spectrum(prof, 8.0, PER, n_modes=n_modes).eigenvalues
+        np.testing.assert_array_equal(got, expect)
 
 
 def test_hessian_validation():
