@@ -176,13 +176,14 @@ def _integer(minimum, maximum=math.inf):
 # L grid and its CSV text is built in memory, one row of about 150 bytes per
 # point and eps value. A profile holds its samples and their CSV text: 230 MB
 # peak RSS at 10^6 samples. An ensemble holds, per trajectory, a generator
-# (about 650 B), a state row and two noise blocks of 16 to 128 steps, each row
-# as wide as the noise (K+1 Neumann, 2K+1 periodic). So ntraj x width is capped
-# at 10^5 x 17, the largest ensemble at the default K = 16 (Neumann). At that
-# budget, with whole 16-step blocks (t_max = 20 dt), peak RSS was 0.71 GB for
-# Neumann K = 16, 0.67 GB for Neumann K = 64 and 0.59-0.65 GB for periodic
-# K = 8 and 64. Beyond L_c, spectrum diagonalises 2 modes per listed
-# eigenvalue, and hessian_spectrum takes 1024.
+# (about 620 B, 700 B of RSS), a state row, its grid values and two noise blocks
+# of 16 to 128 steps, each row as wide as the noise (K+1 Neumann, 2K+1
+# periodic). So ntraj x width is capped at 10^5 x 17, the largest ensemble at
+# the default K = 16 (Neumann). At that budget, over 200 steps with 24-60 % of
+# the trajectories crossing (eps = 20), peak RSS was 0.72 GB for Neumann
+# K = 16, 0.68 GB for Neumann K = 64 and 0.60-0.66 GB for periodic K = 8 and
+# 64; over 20 steps without a crossing, 0.44-0.55 GB. Beyond L_c, spectrum
+# diagonalises 2 modes per listed eigenvalue, and hessian_spectrum takes 1024.
 _MAX_L_POINTS = 100_000
 _MAX_PROFILE_SAMPLES = 1_000_000
 _MAX_TRAJECTORIES = 100_000

@@ -30,9 +30,9 @@ Trajectories draw their noise from counter-based per-trajectory
 substreams keyed by (seed, trajectory index), so ensemble results are
 reproducible under any execution order or batching. An ensemble advances
 in blocks of at most 128 steps; one worker thread draws the next block's
-noise while the calling thread integrates the current one. Each of the two
-noise buffers holds at most max(2^20, 16·n·width) draws for n trajectories
-of width draws per step, whatever the horizon.
+noise while the calling thread integrates the current one. Blocks fit the
+trajectories still running, inside two buffers of at most max(2^18,
+16·n·width) draws each for n trajectories of width draws, whatever the horizon.
 """
 
 from __future__ import annotations
@@ -51,11 +51,11 @@ from .instanton import BoundaryCondition, SystemParams
 from .spectrum import uniform_spectrum
 
 _DEALIAS_FACTOR = 4  # grid points per retained mode bundle (exact for cubes)
-# Noise blocks: two (n, B, width) buffers, B from a budget of draws per buffer
-# (8 MiB of float64). The floor keeps the per-block hand-off cheap for very
-# wide ensembles; the cap keeps the serial first block and the draws thrown
-# away after a passage short.
-_NOISE_BUDGET = 1 << 20
+# Noise blocks: m active trajectories take B steps from a budget of draws per
+# block (2 MiB of float64). The floor keeps the per-block hand-off cheap for
+# very wide ensembles; the cap keeps the serial first block and the draws
+# thrown away after a passage short.
+_NOISE_BUDGET = 1 << 18
 _MIN_BLOCK_STEPS = 16
 _MAX_BLOCK_STEPS = 128
 
@@ -245,6 +245,11 @@ def _block_steps(n: int, width: int, n_steps: int) -> int:
     return min(n_steps, _MAX_BLOCK_STEPS, max(_MIN_BLOCK_STEPS, fit))
 
 
+def _block_capacity(n: int, width: int) -> int:
+    """Trajectory-steps of the largest block any m <= n gets; m·B(m) is not monotone."""
+    return min(_MAX_BLOCK_STEPS * n, max(_NOISE_BUDGET // width, _MIN_BLOCK_STEPS * n))
+
+
 def _draw_noise(rngs, block: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Fill block[i] with the next draws of rngs[i], then scale by s in place."""
     for rng, out in zip(rngs, block):
@@ -304,12 +309,12 @@ def _evolve_ensemble(
     trajectory i or None (censored or blown up); blowups is a list of
     (trajectory_index, step_index).
 
-    Time advances in blocks of B steps (``_block_steps``). While the
-    calling thread integrates steps [t, t+B) of the active trajectories,
-    one worker thread draws and scales the noise of steps [t+B, t+2B)
-    into the second of two (n, B, width) buffers. Trajectories that stop
-    in a block are compacted out of the state and of the prefetched
-    block; their extra draws are discarded, so a generator ends up to
+    Time advances in blocks of B = ``_block_steps(m, ...)`` steps for the m
+    active trajectories. While the calling thread integrates one block, one
+    worker thread draws and scales the next into the other of two buffers
+    of fixed size, viewed as (m, B, width). Trajectories that stop in a
+    block are compacted out of the state and of the prefetched block in
+    place; their extra draws are discarded, so a generator ends up to
     two blocks past its trajectory's last step.
 
     Each trajectory consumes noise only from its own generator, in step
@@ -337,29 +342,31 @@ def _evolve_ensemble(
     # one row per trajectory: same products as broadcasting, in one pass
     decay, w = np.tile(decay, (n, 1)), np.tile(w, (n, 1))
     n_steps_total = int(math.ceil(config.t_max / dt - 1e-12))
-    B = _block_steps(n, width, n_steps_total)
     rows = np.zeros((n, width), dtype=np.float64)
     rows[:, 0] = sign * (-1.0) * math.sqrt(L)
     g = np.empty((n, synth.shape[1]), dtype=np.float64)
     g3 = np.empty_like(g)
     cubic = np.empty_like(rows)
-    means = np.empty((n, B), dtype=np.float64)
-    buffers = [np.empty((n, B, width), dtype=np.float64) for _ in range(2)]
+    capacity = _block_capacity(n, width)
+    means = np.empty(capacity, dtype=np.float64)
+    buffers = [np.empty((capacity, width), dtype=np.float64) for _ in range(2)]
 
     outcomes: list = [None] * n
     blowups: list = []
     active = list(range(n))
     active_rngs = list(rngs)
     steps_done = 0
-    noise = _draw_noise(active_rngs, buffers[0][:, :B], s)
+    bs = _block_steps(n, width, n_steps_total)
+    noise = _draw_noise(active_rngs, buffers[0][: n * bs].reshape(n, bs, width), s)
     with _NoiseWorker() as worker:
         while True:
             m, bs = noise.shape[:2]
-            bs_next = min(B, n_steps_total - steps_done - bs)
-            if bs_next:
+            remaining = n_steps_total - steps_done - bs
+            if remaining:
+                bs_next = _block_steps(m, width, remaining)
                 buffers.reverse()
-                worker.submit(active_rngs, buffers[0][:m, :bs_next], s)
-            r, gv, g3v, cv, mv = rows[:m], g[:m], g3[:m], cubic[:m], means[:m, :bs]
+                worker.submit(active_rngs, buffers[0][: m * bs_next].reshape(m, bs_next, width), s)
+            r, gv, g3v, cv, mv = rows[:m], g[:m], g3[:m], cubic[:m], means[: m * bs].reshape(m, bs)
             dv, wv = decay[:m], w[:m]
             # overflow in a diverging trajectory is handled via the
             # finiteness scan below, not as a warning
@@ -392,16 +399,18 @@ def _evolve_ensemble(
                 else:
                     keep.append(row_i)
             steps_done += bs
-            if not bs_next:
+            if not remaining:
                 break
             noise = worker.result()
             if not keep:
                 break
             if len(keep) < m:
-                k = len(keep)
-                rows[:k] = r[keep]
-                noise[:k] = noise[keep]
-                noise = noise[:k]
+                # keep ascends: each kept row moves forward in place, no temporary block
+                for dst, src in enumerate(keep):
+                    if dst != src:
+                        rows[dst] = rows[src]
+                        noise[dst] = noise[src]
+                noise = noise[: len(keep)]
                 active = [active[i] for i in keep]
                 active_rngs = [active_rngs[i] for i in keep]
 

@@ -86,6 +86,15 @@ def _fourier_resample(values: np.ndarray, n_new: int) -> np.ndarray:
     return np.fft.irfft(vhat, n=n_new) * (n_new / n)
 
 
+def _diff_total(v: np.ndarray, K: int) -> tuple:
+    """v[p - q] and v[p + q] for p, q = 1..K as strided views, v[-d] = v[n - d]."""
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view as windows
+
+    below = np.concatenate((v[v.size - K + 1 :], v[:K]))  # v[-(K - 1)] .. v[K - 1]
+    return windows(below, K)[:, ::-1], windows(v[2 : 2 * K + 1], K)
+
+
 def hessian_spectrum(
     fieldcfg: FieldConfiguration,
     L: float,
@@ -121,24 +130,20 @@ def hessian_spectrum(
         (vals, period), K = _even_extension(vals, L), n_modes - 1
     n_fine = 4 * max(K + 1, vals.size)
     phi = _fourier_resample(vals, n_fine)
-    # w_d multiplies exp(2 pi i d x/P), so the cos and sin blocks read w_(p-q)
-    # (w[-d] is w_(n_fine-d)) and w_(p+q), filled in place one gather at a time
+    # w_d multiplies exp(2 pi i d x/P): the cos and sin blocks read w_(p-q) and w_(p+q)
     w = np.fft.fft(3.0 * phi * phi - 1.0) / n_fine
     re, im = w.real, w.imag
     p = np.arange(1, K + 1)
-    diff, total = p[:, None] - p, p[:, None] + p
     c, s = slice(1, K + 1), slice(K + 1, None)
     A = np.empty((2 * K + 1, 2 * K + 1) if periodic else (K + 1, K + 1))
     A[0, 0] = re[0]
     A[0, c] = A[c, 0] = math.sqrt(2.0) * re[p]
-    A[c, c] = re[diff]
-    A[c, c] += re[total]
+    re_diff, re_total = _diff_total(re, K)
+    np.add(re_diff, re_total, out=A[c, c])
     if periodic:
         A[0, s] = A[s, 0] = -math.sqrt(2.0) * im[p]
-        A[s, s] = re[diff]
-        A[s, s] -= re[total]
-        A[c, s] = im[diff]
-        A[c, s] -= im[total]
+        np.subtract(re_diff, re_total, out=A[s, s])
+        np.subtract(*_diff_total(im, K), out=A[c, s])
         A[s, c] = A[c, s].T
     kin = (2.0 * math.pi * p / period) ** 2
     A[np.diag_indices_from(A)] += np.concatenate(([0.0], kin, kin))[: A.shape[0]]

@@ -15,7 +15,9 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -592,6 +594,61 @@ def test_wide_ensemble_noise_buffers_stay_bounded():
     )
     assert proc.returncode == 0, proc.stderr
     assert "20000 censored" in proc.stdout
+
+
+def test_ensemble_working_memory_stays_near_its_noise_budget():
+    # two (256, 128, 17) buffers and a whole-block copy on every compaction
+    # took 13.6 MiB; two flat 2 MiB buffers compacted in place take about 5
+    params = SystemParams(L=2.0, eps=0.25, bc=NEU)
+    run_to_transition(SimConfig(params=params, t_max=0.1), trajectory_rng(3, 0))  # caches
+    cfg = SimConfig(params=params, K=16, t_max=20.0, n_traj=256, seed=3)
+    tracemalloc.start()
+    try:
+        est = estimate_mfpt(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n_completed > 100  # compaction ran
+    assert peak <= 6 << 20, f"{peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("budget", [1 << 9, 1 << 12])
+def test_engine_bytes_hold_as_the_block_length_follows_the_active_count(
+    monkeypatch, budget
+):
+    # small budgets make the block length change as trajectories stop
+    monkeypatch.setattr(simulator, "_NOISE_BUDGET", budget)
+    real = simulator._block_steps
+    lengths = []  # per run, the block lengths not cut short by the horizon
+
+    def spy(m, width, n_steps):
+        bs = real(m, width, n_steps)
+        if bs < n_steps:
+            lengths[-1].add(bs)
+        return bs
+
+    monkeypatch.setattr(simulator, "_block_steps", spy)
+    for name, (spec, mirror, digest) in ENGINE_DIGESTS.items():
+        lengths.append(set())
+        est = estimate_mfpt(sim_config(**spec), _mirror=mirror)
+        assert hashlib.sha256(repr(est.per_trajectory).encode()).hexdigest() == digest, name
+    assert max(map(len, lengths)) >= 2, lengths
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    width=st.sampled_from([9, 17, 33, 65, 129]),
+    n_steps=st.integers(1, 10**6),
+    budget=st.sampled_from([1 << 9, 1 << 12, simulator._NOISE_BUDGET]),
+)
+def test_every_block_fits_the_buffers(n, width, n_steps, budget):
+    # the buffers are sized once, for n trajectories; every later block has
+    # m <= n rows and must fit the same flat buffer
+    with mock.patch.object(simulator, "_NOISE_BUDGET", budget):
+        capacity = simulator._block_capacity(n, width)
+        for m in range(1, n + 1):
+            assert m * simulator._block_steps(m, width, n_steps) <= capacity, m
 
 
 class FailingRng:

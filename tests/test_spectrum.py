@@ -8,12 +8,14 @@ profile: mu0 = 1 - (2/(m+1)) sqrt(m^2-m+1) and, for Neumann, exactly
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kramers_gl import spectrum
 from kramers_gl.instanton import (
     BoundaryCondition,
     FieldConfiguration,
@@ -283,6 +285,46 @@ def test_periodic_assembly_is_bit_identical_to_modulo_gathers(L, field):
     expect = modulo_gather_periodic_eigenvalues(fieldcfg, L, 512)
     got = hessian_spectrum(fieldcfg, L, PER, n_modes=512).eigenvalues
     assert np.array_equal(got, expect)
+
+
+def index_gathers(v, K):
+    """v[p - q] and v[p + q], p, q = 1..K, gathered through index arrays."""
+    p = np.arange(1, K + 1)
+    return v[p[:, None] - p], v[p[:, None] + p]
+
+
+@pytest.mark.parametrize(
+    "L, bc, field",
+    [
+        (4.0, NEU, lambda: instanton_profile(4.0, NEU, n_x=1024)),
+        (7.0, NEU, lambda: three_harmonic_cosine_field(7.0)),
+        (9.0, PER, lambda: instanton_profile(9.0, PER, phase=0.3, n_x=1024)),
+        (7.0, PER, lambda: two_harmonic_field(7.0)),  # not even about any point
+    ],
+)
+def test_strided_views_are_bit_identical_to_index_gathers(monkeypatch, L, bc, field):
+    fieldcfg = field()
+    got = hessian_spectrum(fieldcfg, L, bc, n_modes=512).eigenvalues
+    monkeypatch.setattr(spectrum, "_diff_total", index_gathers)
+    expect = hessian_spectrum(fieldcfg, L, bc, n_modes=512).eigenvalues
+    assert np.array_equal(got, expect)
+    v = np.random.default_rng(5).normal(size=4 * 513)
+    for K in (1, 2, 255, 512):
+        for view, gather in zip(spectrum._diff_total(v, K), index_gathers(v, K)):
+            assert np.array_equal(view, gather), K
+
+
+def test_neumann_hessian_takes_no_index_arrays():
+    # the index arrays and their gathers, five K x K temporaries, took 8.3 MiB
+    prof = instanton_profile(4.0, NEU, n_x=1024)
+    hessian_spectrum(prof, 4.0, NEU, n_modes=512)  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        hessian_spectrum(prof, 4.0, NEU, n_modes=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 << 20, f"{peak / 2**20:.2f} MiB"
 
 
 def three_harmonic_cosine_field(L, n_x=513):
