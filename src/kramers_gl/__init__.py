@@ -29,7 +29,6 @@ from .rates import (
     phi_switch,
     prefactor_classical,
     prefactor_corrected,
-    prefactor_from_determinants,
     psi_minus,
     psi_plus,
     psi_plus_tilde,
@@ -109,7 +108,6 @@ __all__ = [
     "phi_switch",
     "prefactor_classical",
     "prefactor_corrected",
-    "prefactor_from_determinants",
     "psi_minus",
     "psi_plus",
     "psi_plus_tilde",

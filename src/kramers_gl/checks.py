@@ -4,9 +4,10 @@ A row of ``CHECKS`` is (name, tolerance, quick, check). A check yields its
 deviations from an independent oracle; ``worst`` reduces them to the
 largest, or to NaN if any is NaN, so a layer that returns NaN fails its row.
 Checks reach the layers through their modules (``_rates.psi_plus``), so a
-patched function or constant is what they check. The quadrature oracles
-for the scaling functions live here, their only library caller. numpy,
-scipy and ``spectrum`` are imported only inside the checks that use them.
+patched function or constant is what they check. The determinant-product
+oracle for the classical prefactor and the quadrature oracles for the
+scaling functions live here, their only library caller. numpy, scipy and
+``spectrum`` are imported only inside the checks that use them.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ def _check_activation_energy_quadrature():
 def _check_determinant_prefactor():
     L = math.pi / 2.0
     closed = _rates.prefactor_classical(L, NEU)
-    truncated = _rates.prefactor_from_determinants(L, NEU, 10_000)
+    truncated = prefactor_from_determinants(L, NEU, 10_000)
     yield abs(truncated / closed - 1.0)
 
 
@@ -156,6 +157,44 @@ def _check_periodic_zero_mode():
     fieldcfg = _instanton.instanton_profile(L, PER, n_x=1024)
     spec = _spectrum.hessian_spectrum(fieldcfg, L, PER, n_modes=512)
     yield float(min(abs(ev) for ev in spec.expanded()))
+
+
+# Determinant-product oracle for the classical prefactor below the critical
+# length, where the transition state is uniform and both spectra are closed
+# forms.
+
+
+def prefactor_from_determinants(L: float, bc: BoundaryCondition, K_max: int) -> float:
+    """(1/2 pi) |lambda_0| sqrt(prod_k eta_k/|lambda_k|), truncated at K_max.
+
+    Multiplicities follow the boundary condition (periodic modes k >= 1
+    are double). The O(1/K) truncation error is removed by Richardson
+    extrapolation of log-products at K_max and K_max/2; converges to
+    prefactor_classical. Only defined below the critical length, where
+    the transition state is uniform.
+    """
+    import numpy as np
+
+    from . import spectrum as _spectrum
+
+    L, bc = _instanton._length_and_bc(L, bc)
+    if L >= bc.critical_length:
+        raise ValueError(
+            "determinant product is only defined below the critical length "
+            f"L_c = {bc.critical_length}"
+        )
+    K_max = int(K_max)
+    if K_max < 10:
+        raise ValueError(f"K_max must be >= 10, got {K_max}")
+
+    def log_product(K: int) -> float:
+        trans = _spectrum.uniform_spectrum(L, bc, "transition", K).expanded()
+        stab = _spectrum.uniform_spectrum(L, bc, "stable", K).expanded()
+        return float(np.sum(np.log(stab) - np.log(np.abs(trans))))
+
+    ln_prod = 2.0 * log_product(K_max) - log_product(K_max // 2)
+    abs_lambda0 = 1.0
+    return abs_lambda0 * math.exp(0.5 * ln_prod) / (2.0 * math.pi)
 
 
 # Quadrature oracles for the scaling functions: the partition integral of

@@ -23,10 +23,12 @@ a flag overrides the file's value, which overrides the default, and the
 same converter checks both, so a JSON ``true`` is no number and an
 integer option takes only whole numbers.
 
-``rate``, ``sweep`` and ``profile`` load no numpy: this module imports
-``spectrum``, ``simulator`` and ``checks`` only in the commands that use
-them, so ``spectrum``, ``mfpt`` and ``verify`` import numpy when they
-run. Only a run with ``--out`` loads ``hashlib`` (and with it OpenSSL).
+``rate``, ``sweep`` and ``profile`` load neither numpy nor ``dataclasses``
+(nor the ``inspect`` it imports): the rate path's value types are
+``__slots__`` records, and this module imports ``simulator`` and ``checks``
+only in the commands that use them, so ``spectrum``, ``mfpt`` and
+``verify`` import numpy when they run. Only a run with ``--out`` loads
+``hashlib`` (and with it OpenSSL).
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ _ROW_FIELDS = (
     "correction_factor", "gamma0_corrected", "eps_exponent", "rate",
 )
 CSV_COLUMNS = ",".join(_ROW_FIELDS)
+# the rate JSON's RateBreakdown keys end with log_rate, finite where rate
+# underflows; the sweep CSV has no such column
+_RATE_KEYS = _ROW_FIELDS[3:] + ("log_rate",)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +320,11 @@ def cmd_rate(args: argparse.Namespace) -> int:
     opts = _resolve(args)
     bc, L, eps = opts["bc"], opts["L"], opts["eps"]
     started = _utc_now()
-    row = _breakdown_row(bc, L, eps)
-    doc = {key: _jsonable(value) for key, value in zip(_ROW_FIELDS, row)}
-    text = json.dumps(doc, indent=2) + "\n"
     params = {"bc": bc.value, "L": L, "eps": eps}
+    rb = _rates.prefactor_corrected(L, eps, bc)
+    doc = dict(params)
+    doc.update((key, _jsonable(getattr(rb, key))) for key in _RATE_KEYS)
+    text = json.dumps(doc, indent=2) + "\n"
     return _emit(opts["out"], "rate", params, None, started, text)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .specfun import _elliptic_KE, _sn, _sn_levels, elliptic_K
 
@@ -60,39 +59,85 @@ def _length_and_bc(L: float, bc) -> tuple[float, BoundaryCondition]:
     return L, bc
 
 
-@dataclass(frozen=True)
-class SystemParams:
+# sets a field of a _Record in its __init__ (bound once: the sweep builds
+# one RateBreakdown per row)
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Immutable value: ``__slots__`` fields that ``__init__`` sets once
+    through ``_set_field``.
+
+    ``repr``, ``==`` and ``hash`` read the fields in slot order, as those of
+    a frozen dataclass do; ``repr`` skips the names in ``_UNSHOWN``.
+    Pickling and copying rebuild the value through its constructor, so its
+    checks run again.
+    """
+
+    __slots__ = ()
+    _UNSHOWN = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for name in self.__slots__
+            if name not in self._UNSHOWN
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class SystemParams(_Record):
     """Full physical input: interval length L, noise intensity eps, bc."""
 
-    L: float
-    eps: float
-    bc: BoundaryCondition
+    __slots__ = ("L", "eps", "bc")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bc", _length_and_bc(self.L, self.bc)[1])
-        if isinstance(self.eps, bool) or not (math.isfinite(self.eps) and self.eps > 0):
-            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+    def __init__(self, L: float, eps: float, bc: BoundaryCondition):
+        bc = _length_and_bc(L, bc)[1]
+        if isinstance(eps, bool) or not (math.isfinite(eps) and eps > 0):
+            raise ValueError(f"eps must be positive and finite, got {eps}")
+        _set_field(self, "L", L)
+        _set_field(self, "eps", eps)
+        _set_field(self, "bc", bc)
 
 
-@dataclass(frozen=True)
-class FieldConfiguration:
+class FieldConfiguration(_Record):
     """Grid samples phi(x_i) on uniformly spaced points of [0, L].
 
     Periodic: N_x points x_i = i L / N_x (right endpoint excluded).
     Neumann: N_x points x_i = i L / (N_x - 1) (both endpoints included).
     """
 
-    values: np.ndarray
-    bc: BoundaryCondition
+    __slots__ = ("values", "bc")
 
-    def __post_init__(self):
+    def __init__(self, values: np.ndarray, bc: BoundaryCondition):
         import numpy as np
 
-        object.__setattr__(self, "bc", BoundaryCondition.parse(self.bc))
-        vals = np.asarray(self.values, dtype=float)
+        bc = BoundaryCondition.parse(bc)
+        vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size < 16:
             raise ValueError("field needs at least 16 grid values")
-        object.__setattr__(self, "values", vals)
+        _set_field(self, "values", vals)
+        _set_field(self, "bc", bc)
 
     @property
     def n_x(self) -> int:

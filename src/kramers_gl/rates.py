@@ -3,27 +3,25 @@
 Classical Kramers prefactors (which diverge at the critical interval
 length where the transition state bifurcates), bifurcation-corrected
 prefactors built from universal scaling functions of Bessel and error
-function type, a determinant-product oracle, and the full rate
-Gamma = Gamma_0 exp(-deltaW/eps).
+function type, and the full rate Gamma = Gamma_0 exp(-deltaW/eps). The
+module imports no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .instanton import (
     BoundaryCondition,
     SystemParams,
     _instanton_energy,
     _length_and_bc,
+    _Record,
+    _set_field,
     solve_m_from_L,
 )
 from .specfun import _elliptic_KE, bessel_I14, bessel_K14, erf, erfcx
 from .spectrum import mu0, mu1_approx
-
-# numpy is imported inside the determinant oracle, so a closed-form rate
-# loads none of it
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
@@ -41,33 +39,44 @@ class DivergentClassicalPrefactor(ValueError):
     """The classical prefactor has a genuine divergence at L = L_c."""
 
 
-@dataclass(frozen=True)
-class RateBreakdown:
+class RateBreakdown(_Record):
     """Full decomposition of a transition rate at one (L, eps, bc) point.
 
     eps_exponent records the explicit power of eps carried inside
     gamma0_corrected: 0 generically, -1/2 on the periodic branch beyond
     the critical length where nucleation can occur anywhere in space.
     m is the instanton modulus on the instanton branch, None on the
-    uniform one.
+    uniform one. log_rate is log(gamma0_corrected) - deltaW/eps, finite
+    where rate underflows to 0; None if not given.
     """
 
-    regime: str
-    deltaW: float
-    gamma0_classical: float
-    correction_factor: float
-    gamma0_corrected: float
-    eps_exponent: float
-    rate: float
-    m: float | None = None
+    __slots__ = (
+        "regime", "deltaW", "gamma0_classical", "correction_factor",
+        "gamma0_corrected", "eps_exponent", "rate", "m", "log_rate",
+    )
+    # left out of the repr, whose text pinned value digests hash
+    _UNSHOWN = ("log_rate",)
 
-    def __post_init__(self):
-        if self.regime not in ("uniform_saddle", "instanton_saddle"):
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if not (math.isfinite(self.gamma0_corrected) and self.gamma0_corrected > 0):
+    def __init__(
+        self, regime: str, deltaW: float, gamma0_classical: float,
+        correction_factor: float, gamma0_corrected: float, eps_exponent: float,
+        rate: float, m: float | None = None, log_rate: float | None = None,
+    ):
+        if regime not in ("uniform_saddle", "instanton_saddle"):
+            raise ValueError(f"unknown regime {regime!r}")
+        if not (math.isfinite(gamma0_corrected) and gamma0_corrected > 0):
             raise ValueError("corrected prefactor must be finite and positive")
-        if not (math.isfinite(self.deltaW) and self.deltaW > 0):
+        if not (math.isfinite(deltaW) and deltaW > 0):
             raise ValueError("activation energy must be finite and positive")
+        _set_field(self, "regime", regime)
+        _set_field(self, "deltaW", deltaW)
+        _set_field(self, "gamma0_classical", gamma0_classical)
+        _set_field(self, "correction_factor", correction_factor)
+        _set_field(self, "gamma0_corrected", gamma0_corrected)
+        _set_field(self, "eps_exponent", eps_exponent)
+        _set_field(self, "rate", rate)
+        _set_field(self, "m", m)
+        _set_field(self, "log_rate", log_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +322,8 @@ def prefactor_corrected(L: float, eps: float, bc: BoundaryCondition) -> RateBrea
         corrected = classical * correction
         deltaW = _instanton_energy(m, bc)
 
-    rate = corrected * math.exp(-deltaW / eps)
+    barrier = deltaW / eps
+    rate = corrected * math.exp(-barrier)
     return RateBreakdown(
         regime=regime,
         deltaW=deltaW,
@@ -323,47 +333,10 @@ def prefactor_corrected(L: float, eps: float, bc: BoundaryCondition) -> RateBrea
         eps_exponent=eps_exponent,
         rate=rate,
         m=m,
+        log_rate=math.log(corrected) - barrier,
     )
 
 
 def kramers_rate(params: SystemParams) -> RateBreakdown:
     """Full transition rate Gamma = Gamma_0 exp(-deltaW/eps) at params."""
     return prefactor_corrected(params.L, params.eps, params.bc)
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle: truncated determinant products.
-# ---------------------------------------------------------------------------
-
-
-def prefactor_from_determinants(L: float, bc: BoundaryCondition, K_max: int) -> float:
-    """(1/2 pi) |lambda_0| sqrt(prod_k eta_k/|lambda_k|), truncated at K_max.
-
-    Multiplicities follow the boundary condition (periodic modes k >= 1
-    are double). The O(1/K) truncation error is removed by Richardson
-    extrapolation of log-products at K_max and K_max/2; converges to
-    prefactor_classical. Only defined below the critical length, where
-    the transition state is uniform.
-    """
-    import numpy as np
-
-    from .spectrum import uniform_spectrum
-
-    L, bc = _length_and_bc(L, bc)
-    if L >= bc.critical_length:
-        raise ValueError(
-            "determinant product is only defined below the critical length "
-            f"L_c = {bc.critical_length}"
-        )
-    K_max = int(K_max)
-    if K_max < 10:
-        raise ValueError(f"K_max must be >= 10, got {K_max}")
-
-    def log_product(K: int) -> float:
-        trans = uniform_spectrum(L, bc, "transition", K).expanded()
-        stab = uniform_spectrum(L, bc, "stable", K).expanded()
-        return float(np.sum(np.log(stab) - np.log(np.abs(trans))))
-
-    ln_prod = 2.0 * log_product(K_max) - log_product(K_max // 2)
-    abs_lambda0 = 1.0
-    return abs_lambda0 * math.exp(0.5 * ln_prod) / (2.0 * math.pi)

@@ -10,10 +10,9 @@ its 2L-periodic extension, and its Hessian the cosine block on [0, 2L].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .instanton import BoundaryCondition, FieldConfiguration
-from .instanton import _even_extension, _length_and_bc
+from .instanton import _even_extension, _length_and_bc, _Record, _set_field
 
 # numpy is imported inside the functions that build arrays: mu0 and
 # mu1_approx serve the closed-form rate path, which loads none of it
@@ -21,24 +20,22 @@ from .instanton import _even_extension, _length_and_bc
 _MAX_DENSE_MODES = 1024
 
 
-@dataclass(frozen=True)
-class LinearizationSpectrum:
+class LinearizationSpectrum(_Record):
     """Ascending eigenvalues with multiplicity tags."""
 
-    eigenvalues: np.ndarray
-    multiplicities: np.ndarray
+    __slots__ = ("eigenvalues", "multiplicities")
 
-    def __post_init__(self):
+    def __init__(self, eigenvalues: np.ndarray, multiplicities: np.ndarray):
         import numpy as np
 
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        mult = np.asarray(self.multiplicities, dtype=int)
+        ev = np.asarray(eigenvalues, dtype=float)
+        mult = np.asarray(multiplicities, dtype=int)
         if ev.shape != mult.shape or ev.ndim != 1:
             raise ValueError("eigenvalues and multiplicities must be 1-d, same shape")
         if np.any(np.diff(ev) < 0):
             raise ValueError("eigenvalues must be ascending")
-        object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "multiplicities", mult)
+        _set_field(self, "eigenvalues", ev)
+        _set_field(self, "multiplicities", mult)
 
     def expanded(self) -> np.ndarray:
         """Eigenvalues repeated according to their multiplicities."""

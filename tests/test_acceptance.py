@@ -29,6 +29,7 @@ from kramers_gl.checks import (
     _psi_minus_quadrature,
     _psi_plus_quadrature,
     _psi_tilde_quadrature,
+    prefactor_from_determinants,
 )
 from kramers_gl.cli import CSV_COLUMNS, main as cli_main
 from kramers_gl.instanton import (
@@ -44,7 +45,6 @@ from kramers_gl.rates import (
     phi_switch,
     prefactor_classical,
     prefactor_corrected,
-    prefactor_from_determinants,
     psi_minus,
     psi_plus,
     psi_plus_tilde,

@@ -89,12 +89,32 @@ def test_rate_stdout_json(capsys):
         "gamma0_corrected",
         "eps_exponent",
         "rate",
+        "log_rate",
     ]
     assert doc["bc"] == "neumann"
     assert doc["regime"] == "uniform_saddle"
     assert doc["m"] is None
     assert doc["deltaW"] == 0.5  # L/4 below the critical length
     assert doc["gamma0_corrected"] > 0
+
+
+@pytest.mark.parametrize("bc, L", [("neumann", "30"), ("periodic", "4")])
+def test_rate_json_keeps_the_log_rate_where_rate_underflows(capsys, bc, L):
+    # deltaW/eps is about 1000, so exp(-deltaW/eps) underflows to 0
+    assert run_cli(["rate", "--bc", bc, "--L", L, "--eps", "1e-3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rate"] == 0.0
+    assert math.isfinite(doc["log_rate"])
+    expected = math.log(doc["gamma0_corrected"]) - doc["deltaW"] / 1e-3
+    assert doc["log_rate"] == pytest.approx(expected, rel=1e-15)
+
+
+def test_sweep_csv_has_no_log_rate_column(capsys):
+    argv = ["sweep", "--bc", "neumann", "--L", "30", "--eps", "1e-3"]
+    assert run_cli(argv) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == CSV_COLUMNS
+    assert "log_rate" not in header
 
 
 def test_rate_matches_library(capsys):
@@ -172,6 +192,25 @@ def test_profile_leaves_numpy_unloaded(tmp_path):
     )
     assert os.path.exists(out + ".manifest.json")
     assert [name for name in added if name.split(".")[0] == "numpy"] == []
+
+
+def test_closed_form_commands_leave_dataclasses_unloaded():
+    # dataclasses imports inspect, ast, dis and tokenize: about a sixth of a
+    # cold rate call. The rate path's value types are __slots__ records.
+    added = modules_added_by(
+        [
+            ["rate", "--bc", "neumann", "--L", "2.0", "--eps", "0.01"],
+            ["rate", "--bc", "neumann", "--L", "4.0", "--eps", "0.01"],
+            ["rate", "--bc", "periodic", "--L", "5.0", "--eps", "0.01"],
+            ["rate", "--bc", "periodic", "--L", "9.0", "--eps", "0.01"],
+            ["sweep", "--bc", "neumann", "--L-range", "2.5:4.5:0.5", "--eps", "0.01"],
+            ["sweep", "--bc", "periodic", "--L-range", "5.5:7.5:0.5", "--eps", "0.01"],
+            ["profile", "--bc", "periodic", "--L", "9.0"],
+            ["profile", "--bc", "neumann", "--L", "4.0"],
+        ]
+    )
+    assert "dataclasses" not in added
+    assert "inspect" not in added
 
 
 def test_stdout_runs_leave_openssl_unloaded():

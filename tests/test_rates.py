@@ -22,6 +22,7 @@ from kramers_gl.checks import (
     _psi_plus_quadrature,
     _psi_tilde_quadrature,
     _quartic_integral,
+    prefactor_from_determinants,
 )
 from kramers_gl.instanton import (
     BoundaryCondition,
@@ -37,7 +38,6 @@ from kramers_gl.rates import (
     phi_switch,
     prefactor_classical,
     prefactor_corrected,
-    prefactor_from_determinants,
     psi_minus,
     psi_plus,
     psi_plus_tilde,
@@ -635,3 +635,32 @@ def test_breakdown_dataclass_validation():
             eps_exponent=0.0,
             rate=0.1,
         )
+
+
+@pytest.mark.parametrize("L, bc", [(30.0, NEU), (4.0, PER)])
+def test_log_rate_is_finite_where_the_rate_underflows(L, bc):
+    # deltaW/eps is about 1000 at eps = 1e-3: exp(-deltaW/eps) is 0.0
+    rb = prefactor_corrected(L, 1e-3, bc)
+    assert rb.rate == 0.0
+    assert math.isfinite(rb.log_rate)
+    assert rb.log_rate == math.log(rb.gamma0_corrected) - rb.deltaW / 1e-3
+
+
+@pytest.mark.parametrize("bc", [NEU, PER])
+def test_log_rate_agrees_with_a_normal_rate(bc):
+    L_c = bc.critical_length
+    checked = 0
+    for frac in (0.3, 0.8, 0.999, 1.0, 1.001, 1.2, 2.0, 4.0):
+        for eps in (0.5, 0.1, 1e-2, 1e-3, 1e-5):
+            rb = prefactor_corrected(frac * L_c, eps, bc)
+            if rb.rate >= sys.float_info.min:
+                assert abs(math.log(rb.rate) - rb.log_rate) <= 1e-9
+                checked += 1
+    assert checked >= 20
+
+
+def test_breakdown_positional_construction_keeps_its_defaults():
+    rb = RateBreakdown("instanton_saddle", 0.5, 1.0, 1.0, 1.0, 0.0, 0.1, 0.3)
+    assert (rb.rate, rb.m, rb.log_rate) == (0.1, 0.3, None)
+    rb = RateBreakdown("uniform_saddle", 0.5, 1.0, 1.0, 1.0, 0.0, 0.1, None, -2.3)
+    assert rb.log_rate == -2.3
