@@ -12,107 +12,49 @@ Galerkin Monte Carlo simulator for validating the predictions against
 mean first-passage times.
 """
 
-from .instanton import (
-    BoundaryCondition,
-    FieldConfiguration,
-    NoInstantonRegime,
-    SystemParams,
-    activation_energy,
-    energy_functional,
-    instanton_profile,
-    solve_m_from_L,
-)
-from .rates import (
-    DivergentClassicalPrefactor,
-    RateBreakdown,
-    kramers_rate,
-    phi_switch,
-    prefactor_classical,
-    prefactor_corrected,
-    psi_minus,
-    psi_plus,
-    psi_plus_tilde,
-)
-from .specfun import (
-    bessel_I14,
-    bessel_K14,
-    elliptic_E,
-    elliptic_K,
-    erf,
-    erfc,
-    erfcx,
-    jacobi_sn,
-)
-from .spectrum import (
-    LinearizationSpectrum,
-    hessian_spectrum,
-    mu0,
-    mu1_approx,
-    uniform_spectrum,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-# The simulator needs numpy at import; its names are loaded on first use
-# (PEP 562), so the closed-form rate path imports no numpy.
-_SIMULATOR_NAMES = (
-    "EstimateUnavailable",
-    "MfptEstimate",
-    "SimConfig",
-    "SimulationBlowUp",
-    "estimate_mfpt",
-    "run_to_transition",
-    "trajectory_rng",
-)
+# Defining module -> the public names it exports. Each name resolves on
+# first use (PEP 562), so `import kramers_gl` loads no submodule and the
+# closed-form rate path never loads the simulator's numpy. Nothing is
+# cached here: a function patched on its module is what the package gives.
+_EXPORTS = {
+    "instanton": (
+        "BoundaryCondition", "FieldConfiguration", "NoInstantonRegime",
+        "SystemParams", "activation_energy", "energy_functional",
+        "instanton_profile", "solve_m_from_L",
+    ),
+    "rates": (
+        "DivergentClassicalPrefactor", "RateBreakdown", "kramers_rate",
+        "phi_switch", "prefactor_classical", "prefactor_corrected",
+        "psi_minus", "psi_plus", "psi_plus_tilde",
+    ),
+    "specfun": (
+        "bessel_I14", "bessel_K14", "elliptic_E", "elliptic_K", "erfcx",
+        "jacobi_sn",
+    ),
+    "spectrum": (
+        "LinearizationSpectrum", "hessian_spectrum", "mu0", "mu1_approx",
+        "uniform_spectrum",
+    ),
+    "simulator": (
+        "EstimateUnavailable", "MfptEstimate", "SimConfig", "SimulationBlowUp",
+        "estimate_mfpt", "run_to_transition", "trajectory_rng",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    if name in _SIMULATOR_NAMES:
-        from . import simulator
-
-        return getattr(simulator, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
 
 
 def __dir__():
-    return sorted({*globals(), *_SIMULATOR_NAMES})
-
-__all__ = [
-    "BoundaryCondition",
-    "DivergentClassicalPrefactor",
-    "EstimateUnavailable",
-    "FieldConfiguration",
-    "LinearizationSpectrum",
-    "MfptEstimate",
-    "NoInstantonRegime",
-    "RateBreakdown",
-    "SimConfig",
-    "SimulationBlowUp",
-    "SystemParams",
-    "activation_energy",
-    "bessel_I14",
-    "bessel_K14",
-    "elliptic_E",
-    "elliptic_K",
-    "energy_functional",
-    "erf",
-    "erfc",
-    "erfcx",
-    "estimate_mfpt",
-    "hessian_spectrum",
-    "instanton_profile",
-    "jacobi_sn",
-    "kramers_rate",
-    "mu0",
-    "mu1_approx",
-    "phi_switch",
-    "prefactor_classical",
-    "prefactor_corrected",
-    "psi_minus",
-    "psi_plus",
-    "psi_plus_tilde",
-    "run_to_transition",
-    "solve_m_from_L",
-    "trajectory_rng",
-    "uniform_spectrum",
-]
+    return sorted({*globals(), *__all__})

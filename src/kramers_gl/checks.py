@@ -71,11 +71,6 @@ def _check_bessel_connection():
         yield abs(lhs / rhs - 1.0)
 
 
-def _check_erf_complement():
-    for x in (0.3, 2.0, 6.0):
-        yield abs(_specfun.erf(x) + _specfun.erfc(x) - 1.0)
-
-
 def _check_modulus_roundtrip():
     for L, bc in ((4.0, NEU), (7.0, PER)):
         m = _instanton.solve_m_from_L(L, bc)
@@ -309,7 +304,6 @@ CHECKS = (
     ("elliptic legendre relation", 5e-14, True, _check_legendre_relation),
     ("jacobi sn quarter period", 1e-12, True, _check_sn_quarter_period),
     ("bessel K from I connection", 1e-12, True, _check_bessel_connection),
-    ("erf complement", 1e-14, True, _check_erf_complement),
     ("modulus solver roundtrip", 1e-10, True, _check_modulus_roundtrip),
     ("activation energy quadrature", 1e-8, True, _check_activation_energy_quadrature),
     ("determinant prefactor convergence", 1e-6, True, _check_determinant_prefactor),

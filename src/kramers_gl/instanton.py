@@ -69,13 +69,11 @@ class _Record:
     through ``_set_field``.
 
     ``repr``, ``==`` and ``hash`` read the fields in slot order, as those of
-    a frozen dataclass do; ``repr`` skips the names in ``_UNSHOWN``.
-    Pickling and copying rebuild the value through its constructor, so its
-    checks run again.
+    a frozen dataclass do. Pickling and copying rebuild the value through
+    its constructor, so its checks run again.
     """
 
     __slots__ = ()
-    _UNSHOWN = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -87,11 +85,7 @@ class _Record:
         return tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}"
-            for name in self.__slots__
-            if name not in self._UNSHOWN
-        )
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other):

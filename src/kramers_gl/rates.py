@@ -20,7 +20,7 @@ from .instanton import (
     _set_field,
     solve_m_from_L,
 )
-from .specfun import _elliptic_KE, bessel_I14, bessel_K14, erf, erfcx
+from .specfun import _elliptic_KE, bessel_I14, bessel_K14, erfcx
 from .spectrum import mu0, mu1_approx
 
 _SQRT2 = math.sqrt(2.0)
@@ -54,8 +54,6 @@ class RateBreakdown(_Record):
         "regime", "deltaW", "gamma0_classical", "correction_factor",
         "gamma0_corrected", "eps_exponent", "rate", "m", "log_rate",
     )
-    # left out of the repr, whose text pinned value digests hash
-    _UNSHOWN = ("log_rate",)
 
     def __init__(
         self, regime: str, deltaW: float, gamma0_classical: float,
@@ -140,7 +138,7 @@ def phi_switch(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"phi_switch requires finite x, got {x}")
-    return 0.5 * (1.0 + erf(x / _SQRT2))
+    return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
 # ---------------------------------------------------------------------------

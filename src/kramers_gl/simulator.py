@@ -21,10 +21,10 @@ update per mode, the cubic term enters with the first-order ETD weight.
 The cubic is evaluated pseudospectrally on a collocation grid of
 M = 4(K+1) points, wide enough that the cube's full band |k| ≤ 3K never
 folds back onto the retained band (exact dealiasing for a cubic term).
-At these small transform sizes cached cosine/sine matrix products (BLAS)
+At these small transform sizes cosine/sine matrix products (BLAS)
 outperform FFTs, so synthesis and analysis are plain matmuls against
-precomputed matrices, and the all-real layout lets one code path serve
-both boundary conditions.
+matrices built once per ensemble, and the all-real layout lets one code
+path serve both boundary conditions.
 
 Trajectories draw their noise from counter-based per-trajectory
 substreams keyed by (seed, trajectory index), so ensemble results are
@@ -42,7 +42,6 @@ import numbers
 import queue
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -157,8 +156,7 @@ def _noise_width(bc: BoundaryCondition, K: int) -> int:
     return 2 * K + 1 if bc is BoundaryCondition.PERIODIC else K + 1
 
 
-@lru_cache(maxsize=32)
-def _transform_plan(L: float, bc_value: str, K: int):
+def _transform_plan(L: float, bc: BoundaryCondition, K: int):
     """Synthesis/analysis matrices between real mode layout and the grid.
 
     Real layout: [a_0..a_K] (Neumann) or [φ_0, Re φ_1..K, Im φ_1..K]
@@ -168,7 +166,6 @@ def _transform_plan(L: float, bc_value: str, K: int):
     coefficients via trapezoidal/midpoint quadrature, which is exact
     because M = 4(K+1) puts every alias outside the retained band.
     """
-    bc = BoundaryCondition.parse(bc_value)
     M = _DEALIAS_FACTOR * (K + 1)
     sqrtL = math.sqrt(L)
     if bc is BoundaryCondition.PERIODIC:
@@ -196,8 +193,7 @@ def _transform_plan(L: float, bc_value: str, K: int):
     return synth, anal
 
 
-@lru_cache(maxsize=64)
-def _stepping_constants(L: float, bc_value: str, K: int, dt: float, eps: float):
+def _stepping_constants(L: float, bc: BoundaryCondition, K: int, dt: float, eps: float):
     """Exact OU update weights in the real layout: decay, cubic weight, noise amp.
 
     Per mode, φ ← e^{-λdt} φ + w N + s ξ with w = -expm1(-λdt)/λ (→ dt as
@@ -205,7 +201,6 @@ def _stepping_constants(L: float, bc_value: str, K: int, dt: float, eps: float):
     negative λ too. For periodic k ≥ 1 the complex noise ξ_k with
     E|ξ_k|² = 1 splits into real and imaginary parts of amplitude s_k/√2.
     """
-    bc = BoundaryCondition.parse(bc_value)
     lam = uniform_spectrum(L, bc, "transition", K).eigenvalues
     decay = np.exp(-lam * dt)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -332,9 +327,9 @@ def _evolve_ensemble(
     dt = config.dt
     sign = -1.0 if mirror else 1.0
 
-    decay, w, s = _stepping_constants(L, bc.value, K, dt, params.eps)
+    decay, w, s = _stepping_constants(L, bc, K, dt, params.eps)
     s = sign * s
-    synth, anal = _transform_plan(L, bc.value, K)
+    synth, anal = _transform_plan(L, bc, K)
     width = _noise_width(bc, K)
     inv_sqrt_L = 1.0 / math.sqrt(L)
 

@@ -4,8 +4,8 @@ Complete elliptic integrals K(m), E(m) and Jacobi sn from one AGM
 (arithmetic-geometric mean) sequence, which sn descends by Landen
 transformations; modified Bessel functions of orders +-1/4 (K by Temme's
 series for small argument and Steed's continued fraction CF2 for large; I by
-its power series up to z = 80 and its asymptotic series beyond), and
-error-function helpers.
+its power series up to z = 80 and its asymptotic series beyond), and the
+scaled complementary error function.
 
 All functions are pure and reentrant. NaN inputs are rejected with
 ValueError rather than propagated.
@@ -273,18 +273,6 @@ def bessel_I14(order: float, z: float, scaled: bool = False) -> float:
         return i * math.exp(-z) if scaled else i
     i_scaled = _i_asymptotic_scaled(z)
     return i_scaled if scaled else i_scaled * math.exp(z)
-
-
-def erf(x: float) -> float:
-    """Error function."""
-    x = _check_finite("x", x)
-    return math.erf(x)
-
-
-def erfc(x: float) -> float:
-    """Complementary error function."""
-    x = _check_finite("x", x)
-    return math.erfc(x)
 
 
 def erfcx(x: float) -> float:

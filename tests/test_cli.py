@@ -159,12 +159,19 @@ def modules_added_by(calls):
     """Modules a fresh interpreter adds while importing the CLI and running
     ``main`` on each argv of ``calls``; a site that preloads a module does
     not count it."""
-    code = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
+    return modules_added_while(
         "from kramers_gl.cli import main\n"
         f"for argv in {calls!r}:\n"
         "    assert main(argv) == 0\n"
+    )
+
+
+def modules_added_while(body):
+    """Modules a fresh interpreter adds while it runs the code ``body``."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{body}"
         "print(sorted(set(sys.modules) - before))\n"
     )
     src = os.path.dirname(os.path.dirname(kramers_gl.__file__))
@@ -226,8 +233,17 @@ def test_stdout_runs_leave_openssl_unloaded():
     assert "hashlib" not in added
 
 
+def test_import_loads_no_submodule_and_no_numpy():
+    # every exported name resolves on first use; the package alone is cheap
+    added = modules_added_while("import kramers_gl\n")
+    assert "kramers_gl" in added
+    assert [name for name in added if name.startswith("kramers_gl.")] == []
+    assert [name for name in added if name.split(".")[0] == "numpy"] == []
+
+
 def test_package_exports_resolve_to_their_defining_modules():
-    # the simulator's names are loaded on first use, the others eagerly
+    # every name is looked up on its defining module at each access, and
+    # the package keeps no copy
     for name in kramers_gl.__all__:
         obj = getattr(kramers_gl, name)
         assert obj.__module__.startswith("kramers_gl.")
@@ -237,6 +253,7 @@ def test_package_exports_resolve_to_their_defining_modules():
     for name in kramers_gl.__all__:
         assert namespace[name] is getattr(kramers_gl, name)
     assert set(kramers_gl.__all__) <= set(dir(kramers_gl))
+    assert not set(kramers_gl.__all__) & set(vars(kramers_gl))
     with pytest.raises(AttributeError, match="no_such_name"):
         kramers_gl.no_such_name
 
@@ -903,15 +920,15 @@ def _verify_row(out, name):
 
 def test_verify_fails_when_a_layer_returns_nan(monkeypatch, capsys):
     # a NaN deviation must fail its check, not drop out of the maximum
-    import kramers_gl.specfun as specfun_module
+    import kramers_gl.rates as rates_module
 
-    monkeypatch.setattr(specfun_module, "erf", lambda x: math.nan)
+    monkeypatch.setattr(rates_module, "phi_switch", lambda x: math.nan)
     code = run_cli(["verify", "--quick"])
     captured = capsys.readouterr()
     assert code == 1
-    row = _verify_row(captured.out, "erf complement")
+    row = _verify_row(captured.out, "phi switch distribution")
     assert row.split()[-3:] == ["nan", "1.0e-14", "FAIL"]
-    assert "erf complement" in captured.err
+    assert "phi switch distribution" in captured.err
 
 
 def test_verify_reports_a_raising_check_with_its_tolerance(monkeypatch, capsys):

@@ -94,7 +94,7 @@ def test_rate_breakdown_positional_defaults_and_repr():
     assert repr(rb) == (
         "RateBreakdown(regime='uniform_saddle', deltaW=0.5, gamma0_classical=1.0, "
         "correction_factor=1.0, gamma0_corrected=1.0, eps_exponent=0.0, rate=0.1, "
-        "m=None)"
+        "m=None, log_rate=None)"
     )
 
 

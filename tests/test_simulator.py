@@ -7,6 +7,7 @@ first-passage ensemble (Kolmogorov-Smirnov exponentiality, resolution and
 time-step robustness at combined 2σ).
 """
 
+import functools
 import hashlib
 import math
 import os
@@ -78,27 +79,33 @@ def to_half(row, bc):
     return row[0]
 
 
+# the engine builds its tables once per ensemble; the stepper below takes
+# thousands of single steps, so it builds each table once per argument set
+transform_plan = functools.cache(simulator._transform_plan)
+stepping_constants = functools.cache(simulator._stepping_constants)
+
+
 def nonlinear_term(half, params, K):
     """Galerkin projection of -φ³ through the engine's transform plan."""
-    synth, anal = simulator._transform_plan(params.L, params.bc.value, K)
+    synth, anal = transform_plan(params.L, params.bc, K)
     cubic = simulator._cubic_real(to_row(half, params.bc), synth, anal)
     return -to_half(cubic, params.bc)
 
 
 def step(row, params, K, dt, noise, *, include_cubic=True):
     """One exponential Euler-Maruyama step; zero noise gives the ε = 0 flow."""
-    L, bc = params.L, params.bc.value
-    decay, w, s = simulator._stepping_constants(L, bc, K, dt, params.eps)
+    L, bc = params.L, params.bc
+    decay, w, s = stepping_constants(L, bc, K, dt, params.eps)
     new = decay * row + s * noise
     if include_cubic:
-        synth, anal = simulator._transform_plan(L, bc, K)
+        synth, anal = transform_plan(L, bc, K)
         new = new - w * simulator._cubic_real(row, synth, anal)
     return new
 
 
 def field_values(row, params, K):
     """The field on the engine's collocation grid."""
-    return (row @ simulator._transform_plan(params.L, params.bc.value, K)[0])[0]
+    return (row @ transform_plan(params.L, params.bc, K)[0])[0]
 
 
 # the engine starts every trajectory from uniform_row(params, K, -1.0) and
