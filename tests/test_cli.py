@@ -258,6 +258,23 @@ def test_package_exports_resolve_to_their_defining_modules():
         kramers_gl.no_such_name
 
 
+def test_package_follows_a_function_patched_on_its_module(monkeypatch):
+    # the benchmark's span recorder swaps functions on their defining
+    # modules; the package must give the patched one, and only while patched
+    import kramers_gl.rates as rates
+
+    original = rates.kramers_rate
+
+    def patched(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(rates, "kramers_rate", patched)
+        assert kramers_gl.kramers_rate is patched
+    assert kramers_gl.kramers_rate is original
+    assert "kramers_rate" not in vars(kramers_gl)
+
+
 def test_rate_rejects_multiple_eps(capsys):
     code = run_cli(
         ["rate", "--bc", "neumann", "--L", "2.0", "--eps", "0.1", "--eps", "0.2"]

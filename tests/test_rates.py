@@ -144,6 +144,13 @@ def test_phi_switch_values():
         phi_switch(float("inf"))
 
 
+@pytest.mark.parametrize("x", [float("nan"), float("-inf")])
+def test_phi_switch_refuses_non_finite_x(x):
+    # the NaN check the removed erf wrapper made is phi_switch's own
+    with pytest.raises(ValueError, match="finite"):
+        phi_switch(x)
+
+
 @given(x=st.floats(-30.0, 30.0))
 def test_phi_switch_is_a_distribution_function(x):
     v = phi_switch(x)
