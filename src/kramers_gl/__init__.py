@@ -22,9 +22,9 @@ __version__ = "0.1.0"
 # cached here: a function patched on its module is what the package gives.
 _EXPORTS = {
     "instanton": (
-        "BoundaryCondition", "FieldConfiguration", "NoInstantonRegime",
-        "SystemParams", "activation_energy", "energy_functional",
-        "instanton_profile", "solve_m_from_L",
+        "BoundaryCondition", "NoInstantonRegime", "SystemParams",
+        "activation_energy", "energy_functional", "instanton_profile",
+        "solve_m_from_L",
     ),
     "rates": (
         "DivergentClassicalPrefactor", "RateBreakdown", "kramers_rate",

@@ -81,8 +81,8 @@ def _check_modulus_roundtrip():
 def _check_activation_energy_quadrature():
     for L, bc in ((4.0, NEU), (8.0, PER)):
         closed = _instanton.activation_energy(L, bc)
-        fieldcfg = _instanton.instanton_profile(L, bc, n_x=4096)
-        quadrature = _instanton.energy_functional(fieldcfg, L) + L / 4.0
+        profile = _instanton.instanton_profile(L, bc, n_x=4096)
+        quadrature = _instanton.energy_functional(profile, L, bc) + L / 4.0
         yield abs(quadrature / closed - 1.0)
 
 
@@ -140,8 +140,8 @@ def _check_instanton_lowest_eigenvalue():
 
     L = 4.0
     m = _instanton.solve_m_from_L(L, NEU)
-    fieldcfg = _instanton.instanton_profile(L, NEU, n_x=1024)
-    spec = _spectrum.hessian_spectrum(fieldcfg, L, NEU, n_modes=512)
+    profile = _instanton.instanton_profile(L, NEU, n_x=1024)
+    spec = _spectrum.hessian_spectrum(profile, L, NEU, n_modes=512)
     yield abs(float(spec.eigenvalues[0]) / _spectrum.mu0(m) - 1.0)
 
 
@@ -149,8 +149,8 @@ def _check_periodic_zero_mode():
     from . import spectrum as _spectrum
 
     L = 9.0
-    fieldcfg = _instanton.instanton_profile(L, PER, n_x=1024)
-    spec = _spectrum.hessian_spectrum(fieldcfg, L, PER, n_modes=512)
+    profile = _instanton.instanton_profile(L, PER, n_x=1024)
+    spec = _spectrum.hessian_spectrum(profile, L, PER, n_modes=512)
     yield float(min(abs(ev) for ev in spec.expanded()))
 
 

@@ -373,8 +373,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         spec = uniform_spectrum(L, bc, "transition", K_max=n)
         regime = "uniform_saddle"
     else:
-        fieldcfg = _instanton.instanton_profile(L, bc, n_x=1024)
-        spec = hessian_spectrum(fieldcfg, L, bc, n_modes=max(256, 2 * n))
+        profile = _instanton.instanton_profile(L, bc, n_x=1024)
+        spec = hessian_spectrum(profile, L, bc, n_modes=max(256, 2 * n))
         regime = "instanton_saddle"
     lines = ["index,eigenvalue,multiplicity"]
     for i, (ev, mult) in enumerate(zip(spec.eigenvalues, spec.multiplicities)):

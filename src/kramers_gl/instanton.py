@@ -114,40 +114,25 @@ class SystemParams(_Record):
         _set_field(self, "bc", bc)
 
 
-class FieldConfiguration(_Record):
-    """Grid samples phi(x_i) on uniformly spaced points of [0, L].
-
-    Periodic: N_x points x_i = i L / N_x (right endpoint excluded).
-    Neumann: N_x points x_i = i L / (N_x - 1) (both endpoints included).
-    """
-
-    __slots__ = ("values", "bc")
-
-    def __init__(self, values: np.ndarray, bc: BoundaryCondition):
-        import numpy as np
-
-        bc = BoundaryCondition.parse(bc)
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim != 1 or vals.size < 16:
-            raise ValueError("field needs at least 16 grid values")
-        _set_field(self, "values", vals)
-        _set_field(self, "bc", bc)
-
-    @property
-    def n_x(self) -> int:
-        return self.values.size
-
-    def grid(self, L: float) -> np.ndarray:
-        import numpy as np
-
-        return np.array(_grid(L, self.n_x, self.bc))
-
-
 def _grid(L: float, n_x: int, bc: BoundaryCondition) -> list:
     """The n_x grid points, bit for bit as np.arange / np.linspace build them."""
     if bc is BoundaryCondition.PERIODIC:
         return [i * (L / n_x) for i in range(n_x)]
     return [i * (L / (n_x - 1)) for i in range(n_x - 1)] + [float(L)]
+
+
+def _field_samples(values) -> np.ndarray:
+    """A sampled field as a 1-d float array: at least 16 values, all finite."""
+    import numpy as np
+
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or vals.size < 16:
+        raise ValueError(
+            f"field needs at least 16 grid values in 1-d, got shape {vals.shape}"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("field values must be finite")
+    return vals
 
 
 def _even_extension(values: np.ndarray, L: float) -> tuple[np.ndarray, float]:
@@ -207,24 +192,30 @@ def instanton_profile(
     phase: float = 0.0,
     sign: int = 1,
     n_x: int = 512,
-) -> FieldConfiguration:
-    """Instanton transition-state profile sampled on the grid.
+) -> np.ndarray:
+    """Instanton transition-state profile phi(x_i) as a 1-d float array.
 
-    The profile is sign * sqrt(2m/(m+1)) * sn(x / sqrt(m+1) + phase, m) at
-    the modulus m of L. phase shifts it along the interval (periodic bc
-    only; the family is translation degenerate); Neumann bc pin it to
-    K(m). sign selects one of the two mirror-image Neumann instantons.
-    Each sn value is jacobi_sn(scale * x + phase, m), scale = 1/sqrt(m+1),
-    bit for bit; one AGM run after the modulus solve gives the period 4K(m)
-    and the Landen descent levels.
+    Grid: periodic x_i = i L / n_x (right endpoint excluded), Neumann
+    x_i = i L / (n_x - 1) (both endpoints included). The profile is
+    sign * sqrt(2m/(m+1)) * sn(x / sqrt(m+1) + phase, m) at the modulus m
+    of L. phase shifts it along the interval (periodic bc only; the family
+    is translation degenerate); Neumann bc pin it to K(m). sign selects one
+    of the two mirror-image Neumann instantons. Each sn value is
+    jacobi_sn(scale * x + phase, m), scale = 1/sqrt(m+1), bit for bit; one
+    AGM run after the modulus solve gives the period 4K(m) and the Landen
+    descent levels.
     """
-    return FieldConfiguration(values=_profile_samples(L, bc, phase, sign, n_x)[1], bc=bc)
+    import numpy as np
+
+    return np.array(_profile_samples(L, bc, phase, sign, n_x)[1], dtype=float)
 
 
 def _profile_samples(L, bc, phase=0.0, sign=1, n_x=512) -> tuple[list, list]:
     """Grid points and values of ``instanton_profile``, as lists of floats."""
-    if sign not in (-1, 1):
+    if isinstance(sign, bool) or sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if isinstance(n_x, bool) or not hasattr(n_x, "__index__"):
+        raise ValueError(f"n_x must be an integer, got {n_x!r}")
     if n_x < 16:
         raise ValueError("field needs at least 16 grid values")
     bc = BoundaryCondition.parse(bc)
@@ -263,20 +254,18 @@ def _spectral_derivative_periodic(values: np.ndarray, L: float) -> np.ndarray:
     return np.fft.irfft(dhat, n=n)
 
 
-def energy_functional(fieldcfg: FieldConfiguration, L: float) -> float:
+def energy_functional(values: np.ndarray, L: float, bc: BoundaryCondition) -> float:
     """H[phi] = int_0^L [ (phi')^2/2 + phi^4/4 - phi^2/2 ] dx.
 
-    Spectral differentiation plus trapezoid quadrature consistent with the
-    boundary condition; both are spectrally accurate for smooth fields.
+    values are samples on instanton_profile's grid for (L, bc). Spectral
+    differentiation plus trapezoid quadrature consistent with the boundary
+    condition; both are spectrally accurate for smooth fields.
     """
     import numpy as np
 
-    _length_and_bc(L, fieldcfg.bc)
-    vals = fieldcfg.values
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("field values must be finite")
-    period = L
-    if fieldcfg.bc is BoundaryCondition.NEUMANN:
+    L, bc = _length_and_bc(L, bc)
+    vals, period = _field_samples(values), L
+    if bc is BoundaryCondition.NEUMANN:
         vals, period = _even_extension(vals, L)
     dvals = _spectral_derivative_periodic(vals, period)
     integrand = 0.5 * dvals**2 + 0.25 * vals**4 - 0.5 * vals**2

@@ -86,10 +86,10 @@ class RateBreakdown(_Record):
 
 
 def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0.0:
+    value = float(alpha)
+    if isinstance(alpha, bool) or not math.isfinite(value) or value < 0.0:
         raise ValueError(f"scaling functions require alpha >= 0, got {alpha}")
-    return alpha
+    return value
 
 
 def psi_plus(alpha: float) -> float:
@@ -135,10 +135,10 @@ def psi_plus_tilde(alpha: float) -> float:
 
 def phi_switch(x: float) -> float:
     """Standard normal distribution function, 0.5 [1 + erf(x/sqrt 2)]."""
-    x = float(x)
-    if not math.isfinite(x):
+    value = float(x)
+    if isinstance(x, bool) or not math.isfinite(value):
         raise ValueError(f"phi_switch requires finite x, got {x}")
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
+    return 0.5 * (1.0 + math.erf(value / _SQRT2))
 
 
 # ---------------------------------------------------------------------------

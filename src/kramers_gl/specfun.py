@@ -21,10 +21,10 @@ _NU = 0.25  # Bessel order used throughout
 
 
 def _check_finite(name: str, x: float) -> float:
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError(f"{name} must not be NaN")
-    return x
+    value = float(x)
+    if isinstance(x, bool) or math.isnan(value):
+        raise ValueError(f"{name} must be a number other than NaN, got {x!r}")
+    return value
 
 
 def _agm(m: float, means: list | None = None):
@@ -245,7 +245,7 @@ def bessel_K14(z: float, scaled: bool = False) -> float:
     """Modified Bessel function K_(1/4)(z) for z > 0.
 
     With scaled=True returns e^z K_(1/4)(z), which stays representable
-    for arbitrarily large z.
+    for arbitrarily large z; at z = inf both forms return their limit 0.
     """
     z = _check_finite("z", z)
     if z <= 0.0:
@@ -253,7 +253,8 @@ def bessel_K14(z: float, scaled: bool = False) -> float:
     if z <= _BESSEL_CROSSOVER:
         k = _temme_k(z)
         return k * math.exp(z) if scaled else k
-    k_scaled = _cf2_k_scaled(z)
+    # from 2^1023 on CF2's b = 2(1 + z) overflows, and only its leading term is left
+    k_scaled = _cf2_k_scaled(z) if z < 2.0**1023 else math.sqrt(0.5 * math.pi / z)
     return k_scaled if scaled else k_scaled * math.exp(-z)
 
 

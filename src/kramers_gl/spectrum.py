@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .instanton import BoundaryCondition, FieldConfiguration
-from .instanton import _even_extension, _length_and_bc, _Record, _set_field
+from .instanton import BoundaryCondition, _even_extension, _field_samples
+from .instanton import _length_and_bc, _Record, _set_field
 
 # numpy is imported inside the functions that build arrays: mu0 and
 # mu1_approx serve the closed-form rate path, which loads none of it
@@ -93,13 +93,14 @@ def _diff_total(v: np.ndarray, K: int) -> tuple:
 
 
 def hessian_spectrum(
-    fieldcfg: FieldConfiguration,
+    values: np.ndarray,
     L: float,
     bc: BoundaryCondition,
     n_modes: int = 512,
 ) -> LinearizationSpectrum:
     """Eigenvalues of -d^2/dx^2 + (3 phi(x)^2 - 1), dense Galerkin.
 
+    values are samples phi(x_i) on instanton_profile's grid for (L, bc).
     One real basis {1, sqrt2 cos(2 pi p x/P), sqrt2 sin(2 pi p x/P)}, p = 1..K:
     periodic P = L, K = n_modes // 2. A Neumann field is the even half of its
     2L-periodic extension: P = 2L, K = n_modes - 1, and only the even block
@@ -110,16 +111,12 @@ def hessian_spectrum(
     import numpy as np
 
     L, bc = _length_and_bc(L, bc)
-    if fieldcfg.bc is not bc:
-        raise ValueError("field boundary condition does not match bc argument")
     is_count = np.issubdtype(type(n_modes), np.integer)  # int or numpy int, no bool
     if not (is_count and 64 <= n_modes <= _MAX_DENSE_MODES):
         raise ValueError(
             f"n_modes must be an integer in [64, {_MAX_DENSE_MODES}], got {n_modes!r}"
         )
-    vals = fieldcfg.values
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("field values must be finite")
+    vals = _field_samples(values)
 
     periodic = bc is BoundaryCondition.PERIODIC
     period, K = L, n_modes // 2
@@ -151,6 +148,12 @@ def hessian_spectrum(
     )
 
 
+def _check_modulus(name: str, m) -> None:
+    """Refuse an m that is no number in [0, 1] (NaN and bools included)."""
+    if isinstance(m, bool) or not (isinstance(m, (int, float)) and 0.0 <= m <= 1.0):
+        raise ValueError(f"{name} requires m in [0, 1], got {m}")
+
+
 def mu0(m: float) -> float:
     """Single negative Hessian eigenvalue at an instanton transition state.
 
@@ -159,8 +162,7 @@ def mu0(m: float) -> float:
     so the ~ -3(1-m)^2/8 tail near m=1 (long domains) survives instead of
     cancelling to zero in floating point.
     """
-    if not (isinstance(m, (int, float)) and math.isfinite(m)) or not 0.0 <= m <= 1.0:
-        raise ValueError(f"mu0 requires m in [0, 1], got {m}")
+    _check_modulus("mu0", m)
     one_minus = 1.0 - m
     root = math.sqrt(m * m - m + 1.0)
     return -3.0 * one_minus * one_minus / ((1.0 + m) * (1.0 + m + 2.0 * root))
@@ -172,4 +174,5 @@ def mu1_approx(m: float) -> float:
     The substitution is accurate to O(m^2); the exact Neumann value is
     3m/(1+m).
     """
+    _check_modulus("mu1_approx", m)
     return 3.0 * float(m)

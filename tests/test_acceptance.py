@@ -175,7 +175,7 @@ def test_activation_energy_matches_quadrature(m):
         closed = activation_energy(L, bc)
         profile = instanton_profile(L, bc, n_x=4096)
         # energy relative to the uniform stable state, H[+-1] = -L/4
-        quadrature = energy_functional(profile, L) + L / 4.0
+        quadrature = energy_functional(profile, L, bc) + L / 4.0
         assert quadrature == pytest.approx(closed, rel=1e-8)
     assert activation_energy(length_of_modulus(m, NEU), NEU) == pytest.approx(
         activation_energy(length_of_modulus(m, PER), PER) / 2.0, rel=1e-12

@@ -35,7 +35,7 @@ from kramers_gl.cli import (
     _l_range,
     main,
 )
-from kramers_gl.instanton import BoundaryCondition, SystemParams, instanton_profile
+from kramers_gl.instanton import BoundaryCondition, SystemParams, _grid, instanton_profile
 from kramers_gl.simulator import SimConfig, estimate_mfpt
 
 NEU = BoundaryCondition.NEUMANN
@@ -734,11 +734,12 @@ def test_profile_matches_library_samples(tmp_path, capsys, bc, L, n_x):
     xs, phis = zip(*((float(a), float(b)) for a, b in (l.split(",") for l in lines[1:])))
     expected = instanton_profile(L, bc, n_x=n_x)
     # 17 significant digits round-trip doubles exactly
-    assert np.array_equal(np.array(phis), expected.values)
+    assert np.array_equal(np.array(phis), expected)
     # the pure-math grid is numpy's, bit for bit
     numpy_grid = np.linspace(0.0, L, n_x) if bc == "neumann" else np.arange(n_x) * (L / n_x)
     assert np.array_equal(np.array(xs), numpy_grid)
-    assert np.array_equal(expected.grid(L), numpy_grid)
+    grid = _grid(L, n_x, BoundaryCondition.parse(bc))
+    assert np.array_equal(np.array(grid), numpy_grid)
 
 
 def test_profile_below_critical_length_fails_cleanly(capsys):

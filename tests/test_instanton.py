@@ -7,7 +7,6 @@ import pytest
 
 from kramers_gl.instanton import (
     BoundaryCondition,
-    FieldConfiguration,
     NoInstantonRegime,
     SystemParams,
     activation_energy,
@@ -15,6 +14,7 @@ from kramers_gl.instanton import (
     instanton_profile,
     solve_m_from_L,
 )
+from kramers_gl.instanton import _grid
 from kramers_gl.specfun import elliptic_K, jacobi_sn
 
 PERIODIC = BoundaryCondition.PERIODIC
@@ -60,7 +60,7 @@ class TestSolveM:
 class TestProfile:
     def test_amplitude_vanishes_at_bifurcation(self):
         prof = instanton_profile(2 * math.pi * (1 + 1e-10), PERIODIC, n_x=64)
-        assert np.max(np.abs(prof.values)) < 1e-4
+        assert np.max(np.abs(prof)) < 1e-4
 
     def test_neumann_endpoint(self):
         L = 4.0
@@ -68,11 +68,11 @@ class TestProfile:
         amp = math.sqrt(2 * m / (m + 1))
         for sign in (1, -1):
             prof = instanton_profile(L, NEUMANN, sign=sign, n_x=257)
-            assert prof.values[0] == pytest.approx(sign * amp, rel=1e-12)
+            assert prof[0] == pytest.approx(sign * amp, rel=1e-12)
             # spectral endpoint derivative of the even extension vanishes
             dx = L / 256
             one_sided = (
-                -3 * prof.values[0] + 4 * prof.values[1] - prof.values[2]
+                -3 * prof[0] + 4 * prof[1] - prof[2]
             ) / (2 * dx)
             assert abs(one_sided) < 1e-3  # O(dx^2) near a flat point
 
@@ -80,7 +80,7 @@ class TestProfile:
         # -phi'' - phi + phi^3 = 0 for a transition state
         L = 8.0
         prof = instanton_profile(L, PERIODIC, n_x=512)
-        v = prof.values
+        v = prof
         vhat = np.fft.rfft(v)
         k = 2 * math.pi * np.fft.rfftfreq(512, d=L / 512)
         lap = np.fft.irfft(-(k**2) * vhat, n=512)
@@ -90,12 +90,12 @@ class TestProfile:
     def test_neumann_stationarity_residual(self):
         L = 5.0
         prof = instanton_profile(L, NEUMANN, n_x=513)
-        ext = np.concatenate([prof.values, prof.values[-2:0:-1]])
+        ext = np.concatenate([prof, prof[-2:0:-1]])
         n = ext.size
         vhat = np.fft.rfft(ext)
         k = 2 * math.pi * np.fft.rfftfreq(n, d=2 * L / n)
-        lap = np.fft.irfft(-(k**2) * vhat, n=n)[: prof.values.size]
-        residual = -lap - prof.values + prof.values**3
+        lap = np.fft.irfft(-(k**2) * vhat, n=n)[: prof.size]
+        residual = -lap - prof + prof**3
         assert np.max(np.abs(residual)) < 1e-6
 
     def test_raises_below_critical(self):
@@ -112,7 +112,7 @@ class TestProfile:
         ],
     )
     def test_sample_is_jacobi_sn_point_by_point(self, bc, L, phase, sign):
-        fieldcfg = instanton_profile(L, bc, phase=phase, sign=sign, n_x=257)
+        profile = instanton_profile(L, bc, phase=phase, sign=sign, n_x=257)
         m = solve_m_from_L(L, bc)
         if bc is NEUMANN:
             phase = elliptic_K(m)
@@ -120,9 +120,9 @@ class TestProfile:
         scale = 1.0 / math.sqrt(m + 1.0)
         expect = [
             sign * (amplitude * jacobi_sn(scale * x + phase, m))
-            for x in fieldcfg.grid(L)
+            for x in _grid(L, profile.size, bc)
         ]
-        assert all(v == e for v, e in zip(fieldcfg.values, expect, strict=True))
+        assert all(v == e for v, e in zip(profile, expect, strict=True))
 
     @pytest.mark.parametrize("L, phase", [(math.nan, 0.0), (8.0, math.nan), (8.0, math.inf)])
     def test_sample_rejects_nonfinite_arguments(self, L, phase):
@@ -138,46 +138,63 @@ class TestProfile:
         with pytest.raises(ValueError, match="at least 16"):
             instanton_profile(8.0, bc, n_x=n_x)
 
+    # 16.5 and "32" ended in a raw TypeError, and True ran as n_x = 1
+    @pytest.mark.parametrize("n_x", [16.5, "32", True, np.True_, np.float64(32.0)])
+    def test_rejects_a_count_that_is_no_integer_by_name(self, n_x):
+        with pytest.raises(ValueError, match=r"n_x must be an integer, got"):
+            instanton_profile(8.0, PERIODIC, n_x=n_x)
+
+    def test_rejects_a_boolean_sign(self):
+        # True == 1, so it used to pass as sign = +1
+        with pytest.raises(ValueError, match="sign must be"):
+            instanton_profile(4.0, NEUMANN, sign=True)
+
+    @pytest.mark.parametrize("bc, L", [(PERIODIC, 9.0), (NEUMANN, 4.0)])
+    def test_is_a_float_array_and_takes_a_numpy_count(self, bc, L):
+        profile = instanton_profile(L, bc, n_x=np.int64(64))
+        assert profile.dtype == np.float64 and profile.shape == (64,)
+        assert profile.tobytes() == instanton_profile(L, bc, n_x=64).tobytes()
+
 
 class TestEnergyFunctional:
     @pytest.mark.parametrize("bc", [PERIODIC, NEUMANN])
     @pytest.mark.parametrize("L", [1.0, 2 * math.pi, 9.0])
     def test_uniform_states(self, bc, L):
         n = 128
-        ones = FieldConfiguration(values=np.ones(n), bc=bc)
-        zeros = FieldConfiguration(values=np.zeros(n), bc=bc)
-        assert energy_functional(ones, L) == pytest.approx(-L / 4, rel=1e-13)
-        minus = FieldConfiguration(values=-np.ones(n), bc=bc)
-        assert energy_functional(minus, L) == pytest.approx(-L / 4, rel=1e-13)
-        assert energy_functional(zeros, L) == 0.0
+        ones = np.ones(n)
+        zeros = np.zeros(n)
+        assert energy_functional(ones, L, bc) == pytest.approx(-L / 4, rel=1e-13)
+        minus = -np.ones(n)
+        assert energy_functional(minus, L, bc) == pytest.approx(-L / 4, rel=1e-13)
+        assert energy_functional(zeros, L, bc) == 0.0
 
     def test_periodic_instanton_L8(self):
         # barrier height is measured from H[phi_-] = -L/4
         L = 8.0
         prof = instanton_profile(L, PERIODIC, n_x=512)
-        h = energy_functional(prof, L)
+        h = energy_functional(prof, L, PERIODIC)
         assert h + L / 4 == pytest.approx(activation_energy(L, PERIODIC), abs=1e-8)
 
     def test_phase_invariance(self):
         L = 8.0
         rng = np.random.default_rng(7)
         energies = [
-            energy_functional(instanton_profile(L, PERIODIC, phase=ph), L)
+            energy_functional(instanton_profile(L, PERIODIC, phase=ph), L, PERIODIC)
             for ph in rng.uniform(0, 4, size=8)
         ]
         assert max(energies) - min(energies) < 1e-10
 
     def test_sign_symmetry(self):
         L = 4.5
-        e_plus = energy_functional(instanton_profile(L, NEUMANN, sign=1), L)
-        e_minus = energy_functional(instanton_profile(L, NEUMANN, sign=-1), L)
+        e_plus = energy_functional(instanton_profile(L, NEUMANN, sign=1), L, NEUMANN)
+        e_minus = energy_functional(instanton_profile(L, NEUMANN, sign=-1), L, NEUMANN)
         assert e_plus == pytest.approx(e_minus, abs=1e-12)
 
     def test_rejects_nonfinite(self):
         vals = np.ones(32)
         vals[3] = np.nan
         with pytest.raises(ValueError):
-            energy_functional(FieldConfiguration(values=vals, bc=PERIODIC), 2.0)
+            energy_functional(vals, 2.0, PERIODIC)
 
 
 class TestActivationEnergy:
@@ -212,7 +229,7 @@ class TestActivationEnergy:
     def test_closed_form_vs_quadrature(self, bc, m):
         L = length_of_m(m, bc)
         prof = instanton_profile(L, bc, n_x=512 if bc is PERIODIC else 513)
-        barrier = energy_functional(prof, L) + L / 4
+        barrier = energy_functional(prof, L, bc) + L / 4
         assert activation_energy(L, bc) == pytest.approx(barrier, abs=1e-8)
 
     def test_neumann_is_half_periodic(self):
@@ -241,5 +258,5 @@ class TestParams:
         L = 8.0
         m = solve_m_from_L(L, PERIODIC)
         amplitude = math.sqrt(2 * m / (m + 1))
-        peak = np.max(np.abs(instanton_profile(L, PERIODIC).values))
+        peak = np.max(np.abs(instanton_profile(L, PERIODIC)))
         assert 0 < peak <= amplitude < 1

@@ -42,6 +42,7 @@ from kramers_gl.rates import (
     psi_plus,
     psi_plus_tilde,
 )
+from kramers_gl.spectrum import mu1_approx
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN
@@ -462,7 +463,7 @@ def test_corrected_refuses_an_eps_whose_a_underflows(bc, L):
 def _boolean_length_calls():
     from kramers_gl import spectrum
 
-    field = instanton.FieldConfiguration(np.zeros(64), NEU)
+    field = np.zeros(64)
     return {
         "prefactor_corrected": lambda: prefactor_corrected(True, 0.1, "neumann"),
         "prefactor_classical": lambda: prefactor_classical(True, "neumann"),
@@ -472,7 +473,7 @@ def _boolean_length_calls():
             True, "neumann", 16
         ),
         "SystemParams": lambda: SystemParams(L=True, eps=0.1, bc="neumann"),
-        "energy_functional": lambda: instanton.energy_functional(field, True),
+        "energy_functional": lambda: instanton.energy_functional(field, True, NEU),
         "uniform_spectrum": lambda: spectrum.uniform_spectrum(True, NEU, "stable", 8),
         "hessian_spectrum": lambda: spectrum.hessian_spectrum(field, True, NEU, 64),
     }
@@ -492,6 +493,42 @@ def test_boolean_noise_intensity_is_refused():
         prefactor_classical(7.0, "periodic", True)  # ran with eps = 1
     with pytest.raises(ValueError, match="eps must lie in"):
         prefactor_corrected(2.0, True, "neumann")
+
+
+def _boolean_argument_calls(flag):
+    from kramers_gl import specfun, spectrum
+
+    return {
+        "psi_plus": lambda: psi_plus(flag),
+        "psi_minus": lambda: psi_minus(flag),
+        "psi_plus_tilde": lambda: psi_plus_tilde(flag),
+        "phi_switch": lambda: phi_switch(flag),
+        "mu0": lambda: spectrum.mu0(flag),
+        "mu1_approx": lambda: spectrum.mu1_approx(flag),
+        "elliptic_K": lambda: specfun.elliptic_K(flag),
+        "elliptic_E": lambda: specfun.elliptic_E(flag),
+        "jacobi_sn u": lambda: specfun.jacobi_sn(flag, 0.5),
+        "jacobi_sn m": lambda: specfun.jacobi_sn(0.5, flag),
+        "bessel_K14": lambda: specfun.bessel_K14(flag),
+        "bessel_I14": lambda: specfun.bessel_I14(0.25, flag),
+        "erfcx": lambda: specfun.erfcx(flag),
+    }
+
+
+# bool is an int: each of these ran True as 1 (False as 0), e.g.
+# elliptic_E(True) returned 1.0 and mu0(True) -0.0
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("name", list(_boolean_argument_calls(True)))
+def test_boolean_argument_is_refused(name, flag):
+    with pytest.raises(ValueError, match=f"got {flag}"):
+        _boolean_argument_calls(flag)[name]()
+
+
+@pytest.mark.parametrize("m", [2.0, -0.5, math.nan, math.inf])
+def test_mu1_approx_shares_the_domain_of_mu0(m):
+    # mu1_approx(2.0) returned 6.0 and mu1_approx(nan) nan
+    with pytest.raises(ValueError, match="requires m in"):
+        mu1_approx(m)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,6 @@
 """The value types of the closed-form path behave as frozen dataclasses did.
 
-SystemParams, FieldConfiguration, RateBreakdown and LinearizationSpectrum
-keep their constructors, repr, equality and hashing, refuse assignment and
+SystemParams, RateBreakdown and LinearizationSpectrum keep their constructors, repr, equality and hashing, refuse assignment and
 deletion, and survive pickle and copy round-trips.
 """
 
@@ -11,7 +10,7 @@ import pickle
 import numpy as np
 import pytest
 
-from kramers_gl.instanton import BoundaryCondition, FieldConfiguration, SystemParams
+from kramers_gl.instanton import BoundaryCondition, SystemParams
 from kramers_gl.rates import RateBreakdown, prefactor_corrected
 from kramers_gl.spectrum import LinearizationSpectrum
 
@@ -29,11 +28,9 @@ def _round_trips(value):
 
 
 def _records():
-    field = FieldConfiguration(np.linspace(-1.0, 1.0, 16), PER)
     spectrum = LinearizationSpectrum([-1.0, 0.5, 2.0], [1, 2, 2])
     return {
         "SystemParams": (SystemParams(2.0, 0.1, "neumann"), "L"),
-        "FieldConfiguration": (field, "values"),
         "RateBreakdown": (prefactor_corrected(4.0, 0.01, NEU), "rate"),
         "LinearizationSpectrum": (spectrum, "eigenvalues"),
     }
@@ -63,15 +60,14 @@ def test_scalar_records_round_trip_equal_with_equal_hashes(name):
         assert repr(twin) == repr(value)
 
 
-@pytest.mark.parametrize("name", ["FieldConfiguration", "LinearizationSpectrum"])
+@pytest.mark.parametrize("name", ["LinearizationSpectrum"])
 def test_array_records_round_trip_field_by_field(name):
     value, _ = _records()[name]
     for twin in _round_trips(value):
         assert type(twin) is type(value)
         assert repr(twin) == repr(value)
-        for attr in ("values", "eigenvalues", "multiplicities", "bc"):
-            if hasattr(value, attr):
-                np.testing.assert_array_equal(getattr(twin, attr), getattr(value, attr))
+        for attr in ("eigenvalues", "multiplicities"):
+            np.testing.assert_array_equal(getattr(twin, attr), getattr(value, attr))
     assert value == value  # identical arrays compare by identity first
 
 
@@ -99,8 +95,6 @@ def test_rate_breakdown_positional_defaults_and_repr():
 
 
 def test_array_record_reprs_list_their_fields():
-    value, _ = _records()["FieldConfiguration"]
-    assert repr(value) == f"FieldConfiguration(values={value.values!r}, bc={PER!r})"
     spec, _ = _records()["LinearizationSpectrum"]
     assert repr(spec) == (
         f"LinearizationSpectrum(eigenvalues={spec.eigenvalues!r}, "

@@ -6,6 +6,7 @@ integration), never from the implementation itself.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -165,8 +166,8 @@ def _pinned_values(name):
         ]
     if name == "profiles":
         return [
-            instanton_profile(4.0, "neumann", n_x=257).values.tolist(),
-            instanton_profile(9.0, "periodic", n_x=256).values.tolist(),
+            instanton_profile(4.0, "neumann", n_x=257).tolist(),
+            instanton_profile(9.0, "periodic", n_x=256).tolist(),
         ]
     points = [(2.0, "neumann"), (4.0, "neumann"), (5.0, "periodic"), (9.0, "periodic")]
     return [
@@ -255,6 +256,14 @@ class TestBesselK14:
         for bad in [0.0, -1.0, math.nan]:
             with pytest.raises(ValueError):
                 sf.bessel_K14(bad)
+
+    # CF2's b = 2(1 + z) overflowed from z = 2^1023 on, and both forms
+    # returned NaN there and at z = inf; just below, CF2 already gives
+    # exactly its leading term sqrt(pi/(2z))
+    @pytest.mark.parametrize("z", [8.9e307, 9e307, sys.float_info.max, math.inf])
+    def test_largest_arguments_reach_their_limits(self, z):
+        assert sf.bessel_K14(z, scaled=True) == math.sqrt(0.5 * math.pi / z)
+        assert sf.bessel_K14(z) == 0.0
 
 
 class TestBesselI14:

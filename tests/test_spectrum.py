@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from kramers_gl import spectrum
 from kramers_gl.instanton import (
     BoundaryCondition,
-    FieldConfiguration,
+    energy_functional,
     instanton_profile,
     solve_m_from_L,
 )
@@ -142,7 +142,7 @@ def test_spectrum_dataclass_rejects_descending():
 
 @pytest.mark.parametrize("bc", [PER, NEU])
 def test_hessian_at_saddle_matches_uniform_closed_form(bc):
-    zeros = FieldConfiguration(values=np.zeros(128), bc=bc)
+    zeros = np.zeros(128)
     spec = hessian_spectrum(zeros, 5.0, bc, n_modes=128)
     expect = uniform_spectrum(5.0, bc, "transition", K_max=60).expanded()
     n = 20
@@ -151,7 +151,7 @@ def test_hessian_at_saddle_matches_uniform_closed_form(bc):
 
 @pytest.mark.parametrize("bc", [PER, NEU])
 def test_hessian_at_stable_state_bounded_below_by_two(bc):
-    ones = FieldConfiguration(values=np.full(128, -1.0), bc=bc)
+    ones = np.full(128, -1.0)
     spec = hessian_spectrum(ones, 7.0, bc, n_modes=128)
     assert spec.eigenvalues[0] >= 2.0 - 1e-12
 
@@ -164,7 +164,7 @@ def test_hessian_at_stable_state_bounded_below_by_two(bc):
 )
 def test_hessian_uniform_field_shifts_free_spectrum(c, L, bc):
     # potential 3c^2 - 1 just shifts every free eigenvalue by 3c^2
-    field = FieldConfiguration(values=np.full(64, c), bc=bc)
+    field = np.full(64, c)
     spec = hessian_spectrum(field, L, bc, n_modes=64)
     expect = np.sort(uniform_spectrum(L, bc, "transition", K_max=40).expanded())[:5]
     np.testing.assert_allclose(
@@ -188,11 +188,11 @@ def test_periodic_instanton_has_translation_zero_mode():
     assert ev[2] > 1e-3
 
 
-def complex_periodic_eigenvalues(fieldcfg, L, n_modes):
+def complex_periodic_eigenvalues(values, L, n_modes):
     """The exponential-basis Hermitian Galerkin matrix, diagonalised."""
     K = n_modes // 2
-    n_fine = 4 * max(K + 1, fieldcfg.n_x)
-    phi = _fourier_resample(fieldcfg.values, n_fine)
+    n_fine = 4 * max(K + 1, values.size)
+    phi = _fourier_resample(values, n_fine)
     w = np.fft.fft(3.0 * phi * phi - 1.0) / n_fine
     p = np.arange(-K, K + 1)
     A = w[(p[:, None] - p[None, :]) % n_fine]
@@ -200,11 +200,11 @@ def complex_periodic_eigenvalues(fieldcfg, L, n_modes):
     return np.linalg.eigvalsh(A)
 
 
-def modulo_gather_periodic_eigenvalues(fieldcfg, L, n_modes):
+def modulo_gather_periodic_eigenvalues(values, L, n_modes):
     """The real-basis periodic matrix with complex gathers taken % n_fine."""
     K = n_modes // 2
-    n_fine = 4 * max(K + 1, fieldcfg.n_x)
-    phi = _fourier_resample(fieldcfg.values, n_fine)
+    n_fine = 4 * max(K + 1, values.size)
+    phi = _fourier_resample(values, n_fine)
     w = np.fft.fft(3.0 * phi * phi - 1.0) / n_fine
     p = np.arange(1, K + 1)
     diff, total = w[(p[:, None] - p[None, :]) % n_fine], w[p[:, None] + p[None, :]]
@@ -221,7 +221,7 @@ def modulo_gather_periodic_eigenvalues(fieldcfg, L, n_modes):
     return np.linalg.eigvalsh(A)
 
 
-def cosine_basis_eigenvalues(fieldcfg, L, n_modes):
+def cosine_basis_eigenvalues(values, L, n_modes):
     """The Neumann matrix in {1, sqrt2 cos(pi j x/L)}, from cosine coefficients."""
 
     def coeffs(v):  # w_d of sum_d w_d cos(pi d x/L), via the even extension
@@ -230,8 +230,8 @@ def cosine_basis_eigenvalues(fieldcfg, L, n_modes):
         w[0], w[-1] = F[0], F[-1]
         return w
 
-    M = 2 * max(n_modes, fieldcfg.n_x - 1)  # intervals of the fine grid
-    w = coeffs(fieldcfg.values)
+    M = 2 * max(n_modes, values.size - 1)  # intervals of the fine grid
+    w = coeffs(values)
     spec = np.zeros(M + 1)
     spec[: w.size] = w * M
     spec[0] *= 2.0
@@ -248,7 +248,7 @@ def cosine_basis_eigenvalues(fieldcfg, L, n_modes):
 def two_harmonic_field(L, n_x=512):
     x = np.arange(n_x) * (L / n_x)
     k = 2.0 * math.pi / L
-    return FieldConfiguration(0.4 * np.cos(k * x) + 0.3 * np.sin(2 * k * x + 0.2), PER)
+    return 0.4 * np.cos(k * x) + 0.3 * np.sin(2 * k * x + 0.2)
 
 
 @pytest.mark.parametrize(
@@ -262,9 +262,9 @@ def two_harmonic_field(L, n_x=512):
 )
 def test_periodic_real_basis_matches_complex_basis(L, field):
     # {1, sqrt2 cos, sqrt2 sin} is a unitary change of the exponential basis
-    fieldcfg = field()
-    expect = complex_periodic_eigenvalues(fieldcfg, L, 512)
-    got = hessian_spectrum(fieldcfg, L, PER, n_modes=512).eigenvalues
+    values = field()
+    expect = complex_periodic_eigenvalues(values, L, 512)
+    got = hessian_spectrum(values, L, PER, n_modes=512).eigenvalues
     assert got.shape == expect.shape
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
@@ -281,9 +281,9 @@ def test_periodic_real_basis_matches_complex_basis(L, field):
 )
 def test_periodic_assembly_is_bit_identical_to_modulo_gathers(L, field):
     # w[-d] reads w[n_fine - d], and each entry is still one IEEE add
-    fieldcfg = field()
-    expect = modulo_gather_periodic_eigenvalues(fieldcfg, L, 512)
-    got = hessian_spectrum(fieldcfg, L, PER, n_modes=512).eigenvalues
+    values = field()
+    expect = modulo_gather_periodic_eigenvalues(values, L, 512)
+    got = hessian_spectrum(values, L, PER, n_modes=512).eigenvalues
     assert np.array_equal(got, expect)
 
 
@@ -303,10 +303,10 @@ def index_gathers(v, K):
     ],
 )
 def test_strided_views_are_bit_identical_to_index_gathers(monkeypatch, L, bc, field):
-    fieldcfg = field()
-    got = hessian_spectrum(fieldcfg, L, bc, n_modes=512).eigenvalues
+    values = field()
+    got = hessian_spectrum(values, L, bc, n_modes=512).eigenvalues
     monkeypatch.setattr(spectrum, "_diff_total", index_gathers)
-    expect = hessian_spectrum(fieldcfg, L, bc, n_modes=512).eigenvalues
+    expect = hessian_spectrum(values, L, bc, n_modes=512).eigenvalues
     assert np.array_equal(got, expect)
     v = np.random.default_rng(5).normal(size=4 * 513)
     for K in (1, 2, 255, 512):
@@ -331,7 +331,7 @@ def three_harmonic_cosine_field(L, n_x=513):
     x = np.linspace(0.0, L, n_x)
     k = math.pi / L
     values = 0.4 * np.cos(k * x) + 0.3 * np.cos(2 * k * x) - 0.2 * np.cos(5 * k * x)
-    return FieldConfiguration(values, NEU)
+    return values
 
 
 @pytest.mark.parametrize("n_x, n_modes", [(1024, 512), (512, 256)])
@@ -347,9 +347,9 @@ def three_harmonic_cosine_field(L, n_x=513):
 )
 def test_neumann_even_half_matches_cosine_basis(L, field, n_x, n_modes):
     # the cosine block of the 2L-periodic real basis is the cosine basis on [0, L]
-    fieldcfg = field(n_x)
-    expect = cosine_basis_eigenvalues(fieldcfg, L, n_modes)
-    got = hessian_spectrum(fieldcfg, L, NEU, n_modes=n_modes).eigenvalues
+    values = field(n_x)
+    expect = cosine_basis_eigenvalues(values, L, n_modes)
+    got = hessian_spectrum(values, L, NEU, n_modes=n_modes).eigenvalues
     assert got.shape == expect.shape == (n_modes,)
     assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
@@ -429,15 +429,35 @@ def test_hessian_accepts_numpy_integers():
 def test_hessian_validation():
     prof = instanton_profile(8.0, PER)
     with pytest.raises(ValueError):
-        hessian_spectrum(prof, 8.0, NEU, n_modes=256)  # bc mismatch
-    with pytest.raises(ValueError):
         hessian_spectrum(prof, 8.0, PER, n_modes=32)  # too coarse
     with pytest.raises(ValueError):
         hessian_spectrum(prof, -8.0, PER, n_modes=256)
-    bad = FieldConfiguration(values=np.full(64, 0.1), bc=PER)
-    object.__setattr__(bad, "values", np.full(64, np.nan))
+    bad = np.full(64, np.nan)
     with pytest.raises(ValueError):
         hessian_spectrum(bad, 8.0, PER, n_modes=256)
+
+
+_MALFORMED_SAMPLES = {
+    "2-d": (np.zeros((2, 32)), "at least 16 grid values in 1-d"),
+    "15 values": (np.zeros(15), "at least 16 grid values"),
+    "a NaN": (np.concatenate([np.zeros(31), [np.nan]]), "finite"),
+}
+
+
+_TAKE_SAMPLES = {
+    "hessian_spectrum": lambda values, bc: hessian_spectrum(values, 8.0, bc, n_modes=256),
+    "energy_functional": lambda values, bc: energy_functional(values, 8.0, bc),
+}
+
+
+# both used to read .values and .bc off a FieldConfiguration record
+@pytest.mark.parametrize("samples", list(_MALFORMED_SAMPLES))
+@pytest.mark.parametrize("bc", [PER, NEU])
+@pytest.mark.parametrize("take", list(_TAKE_SAMPLES))
+def test_sampled_field_is_refused_unless_1d_16_and_finite(take, bc, samples):
+    values, message = _MALFORMED_SAMPLES[samples]
+    with pytest.raises(ValueError, match=message):
+        _TAKE_SAMPLES[take](values, bc)
 
 
 # ---------------------------------------------------------------------------
