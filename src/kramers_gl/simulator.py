@@ -18,9 +18,11 @@ per-mode Wiener processes, and N_k the Galerkin projection of -φ³. The
 Time stepping is exponential-time-differencing Euler-Maruyama: the stiff
 linear part and the noise are integrated exactly as an Ornstein-Uhlenbeck
 update per mode, the cubic term enters with the first-order ETD weight.
-The cubic is evaluated pseudospectrally on a collocation grid of
-M = 4(K+1) points, wide enough that the cube's full band |k| ≤ 3K never
-folds back onto the retained band (exact dealiasing for a cubic term).
+The cubic is evaluated pseudospectrally on a collocation grid wide
+enough that no product of the cube (band ≤ 3K) with a retained mode
+aliases (exact dealiasing for a cubic term): M = 4(K+1) points on the
+periodic circle, and M = 2(K+1) midpoints on [0, L] for Neumann, the half
+of the 4(K+1)-point grid of the field's 2L-periodic even extension.
 At these small transform sizes cosine/sine matrix products (BLAS)
 outperform FFTs, so synthesis and analysis are plain matmuls against
 matrices built once per ensemble, and the all-real layout lets one code
@@ -29,18 +31,16 @@ path serve both boundary conditions.
 Trajectories draw their noise from counter-based per-trajectory
 substreams keyed by (seed, trajectory index), so ensemble results are
 reproducible under any execution order or batching. An ensemble advances
-in blocks of at most 128 steps; one worker thread draws the next block's
-noise while the calling thread integrates the current one. Blocks fit the
-trajectories still running, inside two buffers of at most max(2^18,
-16·n·width) draws each for n trajectories of width draws, whatever the horizon.
+in blocks of at most 128 steps on the calling thread: draw a block's
+noise, integrate it, detect passages. Blocks fit the trajectories still
+running, inside one buffer of at most max(2^18, 16·n·width) draws for n
+trajectories of width draws, whatever the horizon.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import queue
-import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -49,11 +49,9 @@ import numpy as np
 from .instanton import BoundaryCondition, SystemParams
 from .spectrum import uniform_spectrum
 
-_DEALIAS_FACTOR = 4  # grid points per retained mode bundle (exact for cubes)
 # Noise blocks: m active trajectories take B steps from a budget of draws per
-# block (2 MiB of float64). The floor keeps the per-block hand-off cheap for
-# very wide ensembles; the cap keeps the serial first block and the draws
-# thrown away after a passage short.
+# block (2 MiB of float64). The floor keeps the per-block overhead small for
+# very wide ensembles; the cap keeps the draws thrown away after a passage few.
 _NOISE_BUDGET = 1 << 18
 _MIN_BLOCK_STEPS = 16
 _MAX_BLOCK_STEPS = 128
@@ -163,12 +161,14 @@ def _transform_plan(L: float, bc: BoundaryCondition, K: int):
     (periodic; φ_0 of a real field is real). ``synth`` (n_real, M) maps
     modes to the M collocation values; ``anal`` (M, n_real) maps grid
     values of a band-limited function (band ≤ 3K) to its exact mode
-    coefficients via trapezoidal/midpoint quadrature, which is exact
-    because M = 4(K+1) puts every alias outside the retained band.
+    coefficients via trapezoidal/midpoint quadrature. The periodic rule
+    on M = 4(K+1) points is exact for e^{2πipx/L} with |p| < M, the
+    Neumann midpoint rule on M = 2(K+1) points for cos(πpx/L) with
+    p < 2M; the cube times a retained mode reaches |p| ≤ 4K, inside both.
     """
-    M = _DEALIAS_FACTOR * (K + 1)
     sqrtL = math.sqrt(L)
     if bc is BoundaryCondition.PERIODIC:
+        M = 4 * (K + 1)
         j = np.arange(M)
         k = np.arange(1, K + 1)
         theta = 2.0 * math.pi * np.outer(k, j) / M  # (K, M)
@@ -181,6 +181,7 @@ def _transform_plan(L: float, bc: BoundaryCondition, K: int):
         anal[:, 1 : K + 1] = (sqrtL / M) * np.cos(theta).T
         anal[:, K + 1 :] = -(sqrtL / M) * np.sin(theta).T
     else:
+        M = 2 * (K + 1)
         j = np.arange(M)
         k = np.arange(1, K + 1)
         theta = math.pi * np.outer(k, j + 0.5) / M  # (K, M)
@@ -253,45 +254,6 @@ def _draw_noise(rngs, block: np.ndarray, s: np.ndarray) -> np.ndarray:
     return block
 
 
-class _NoiseWorker(threading.Thread):
-    """Thread that runs ``_draw_noise`` on each submitted block, in order.
-
-    It sleeps on a queue between blocks, so each block wakes it afresh
-    and the scheduler can place it on an idle CPU. ``result()`` returns
-    the oldest outstanding block, or raises what drawing it raised.
-    Leaving the ``with`` block lets the thread finish and joins it.
-    """
-
-    def __init__(self):
-        super().__init__(name="kramers-gl-noise")
-        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self._done: queue.SimpleQueue = queue.SimpleQueue()
-
-    def run(self):
-        while (job := self._jobs.get()) is not None:
-            try:
-                self._done.put(_draw_noise(*job))
-            except BaseException as exc:  # raised again by result()
-                self._done.put(exc)
-
-    def submit(self, rngs, block: np.ndarray, s: np.ndarray) -> None:
-        self._jobs.put((rngs, block, s))
-
-    def result(self) -> np.ndarray:
-        block = self._done.get()
-        if isinstance(block, BaseException):
-            raise block
-        return block
-
-    def __enter__(self) -> "_NoiseWorker":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._jobs.put(None)
-        self.join()
-
-
 def _evolve_ensemble(
     config: SimConfig,
     rngs: Sequence[np.random.Generator],
@@ -305,12 +267,12 @@ def _evolve_ensemble(
     (trajectory_index, step_index).
 
     Time advances in blocks of B = ``_block_steps(m, ...)`` steps for the m
-    active trajectories. While the calling thread integrates one block, one
-    worker thread draws and scales the next into the other of two buffers
-    of fixed size, viewed as (m, B, width). Trajectories that stop in a
-    block are compacted out of the state and of the prefetched block in
-    place; their extra draws are discarded, so a generator ends up to
-    two blocks past its trajectory's last step.
+    active trajectories. Each block's noise is drawn and scaled on the
+    calling thread into one flat buffer of fixed size, viewed as
+    (m, B, width); the block is integrated, then passages and blow-ups
+    are detected. Trajectories that stop in a block are compacted out of
+    the state in place; the draws past their last step are discarded,
+    so a generator ends at most one block past its trajectory's last step.
 
     Each trajectory consumes noise only from its own generator, in step
     order, and all inter-trajectory operations are elementwise or
@@ -330,12 +292,13 @@ def _evolve_ensemble(
     decay, w, s = _stepping_constants(L, bc, K, dt, params.eps)
     s = sign * s
     synth, anal = _transform_plan(L, bc, K)
+    anal_w = anal * w  # the cubic's ETD weight, folded into the analysis
     width = _noise_width(bc, K)
     inv_sqrt_L = 1.0 / math.sqrt(L)
 
     n = len(rngs)
     # one row per trajectory: same products as broadcasting, in one pass
-    decay, w = np.tile(decay, (n, 1)), np.tile(w, (n, 1))
+    decay = np.tile(decay, (n, 1))
     n_steps_total = int(math.ceil(config.t_max / dt - 1e-12))
     rows = np.zeros((n, width), dtype=np.float64)
     rows[:, 0] = sign * (-1.0) * math.sqrt(L)
@@ -344,70 +307,55 @@ def _evolve_ensemble(
     cubic = np.empty_like(rows)
     capacity = _block_capacity(n, width)
     means = np.empty(capacity, dtype=np.float64)
-    buffers = [np.empty((capacity, width), dtype=np.float64) for _ in range(2)]
+    buffer = np.empty((capacity, width), dtype=np.float64)
 
     outcomes: list = [None] * n
     blowups: list = []
     active = list(range(n))
     active_rngs = list(rngs)
     steps_done = 0
-    bs = _block_steps(n, width, n_steps_total)
-    noise = _draw_noise(active_rngs, buffers[0][: n * bs].reshape(n, bs, width), s)
-    with _NoiseWorker() as worker:
-        while True:
-            m, bs = noise.shape[:2]
-            remaining = n_steps_total - steps_done - bs
-            if remaining:
-                bs_next = _block_steps(m, width, remaining)
-                buffers.reverse()
-                worker.submit(active_rngs, buffers[0][: m * bs_next].reshape(m, bs_next, width), s)
-            r, gv, g3v, cv, mv = rows[:m], g[:m], g3[:m], cubic[:m], means[: m * bs].reshape(m, bs)
-            dv, wv = decay[:m], w[:m]
-            # overflow in a diverging trajectory is handled via the
-            # finiteness scan below, not as a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                for j in range(bs):
-                    np.matmul(r, synth, out=gv)
-                    np.multiply(gv, gv, out=g3v)
-                    np.multiply(g3v, gv, out=g3v)
-                    np.matmul(g3v, anal, out=cv)
-                    np.multiply(dv, r, out=r)
-                    np.multiply(wv, cv, out=cv)
-                    np.subtract(r, cv, out=r)
-                    np.add(r, noise[:, j], out=r)
-                    mv[:, j] = r[:, 0]
-                mv *= sign * inv_sqrt_L
+    while True:
+        m = len(active)
+        bs = _block_steps(m, width, n_steps_total - steps_done)
+        noise = _draw_noise(active_rngs, buffer[: m * bs].reshape(m, bs, width), s)
+        r, gv, g3v, cv, mv = rows[:m], g[:m], g3[:m], cubic[:m], means[: m * bs].reshape(m, bs)
+        dv = decay[:m]
+        # overflow in a diverging trajectory is handled via the
+        # finiteness scan below, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(bs):
+                np.matmul(r, synth, out=gv)
+                np.multiply(gv, gv, out=g3v)
+                np.multiply(g3v, gv, out=g3v)
+                np.matmul(g3v, anal_w, out=cv)
+                np.multiply(dv, r, out=r)
+                np.subtract(r, cv, out=r)
+                np.add(r, noise[:, j], out=r)
+                mv[:, j] = r[:, 0]
+            mv *= sign * inv_sqrt_L
 
-            crossed = mv >= config.crossing_threshold  # NaN compares False
-            any_crossed = crossed.any(axis=1)
-            first = crossed.argmax(axis=1)
-            finite = np.isfinite(r).all(axis=1)
+        crossed = mv >= config.crossing_threshold  # NaN compares False
+        any_crossed = crossed.any(axis=1)
+        first = crossed.argmax(axis=1)
+        finite = np.isfinite(r).all(axis=1)
 
-            keep = []
-            for row_i, traj in enumerate(active):
-                if any_crossed[row_i]:
-                    outcomes[traj] = (steps_done + int(first[row_i]) + 1) * dt
-                elif not finite[row_i]:
-                    bad = np.flatnonzero(~np.isfinite(mv[row_i]))
-                    step_index = steps_done + (int(bad[0]) if bad.size else bs)
-                    blowups.append((traj, step_index))
-                else:
-                    keep.append(row_i)
-            steps_done += bs
-            if not remaining:
-                break
-            noise = worker.result()
-            if not keep:
-                break
-            if len(keep) < m:
-                # keep ascends: each kept row moves forward in place, no temporary block
-                for dst, src in enumerate(keep):
-                    if dst != src:
-                        rows[dst] = rows[src]
-                        noise[dst] = noise[src]
-                noise = noise[: len(keep)]
-                active = [active[i] for i in keep]
-                active_rngs = [active_rngs[i] for i in keep]
+        keep = []
+        for row_i, traj in enumerate(active):
+            if any_crossed[row_i]:
+                outcomes[traj] = (steps_done + int(first[row_i]) + 1) * dt
+            elif not finite[row_i]:
+                bad = np.flatnonzero(~np.isfinite(mv[row_i]))
+                step_index = steps_done + (int(bad[0]) if bad.size else bs)
+                blowups.append((traj, step_index))
+            else:
+                keep.append(row_i)
+        steps_done += bs
+        if steps_done == n_steps_total or not keep:
+            break
+        if len(keep) < m:
+            rows[: len(keep)] = rows[keep]
+            active = [active[i] for i in keep]
+            active_rngs = [active_rngs[i] for i in keep]
 
     return outcomes, blowups
 
@@ -419,9 +367,10 @@ def run_to_transition(
 
     Returns the passage time, or None if censored at t_max. A non-finite
     state raises SimulationBlowUp carrying the seed and step index.
-    Noise is drawn a block ahead (see ``_evolve_ensemble``), so on return
-    ``rng_stream`` stands up to two blocks past the passage step; the
-    passage time itself is the same as with one draw per step.
+    Noise is drawn a block at a time (see ``_evolve_ensemble``), so on
+    return ``rng_stream`` stands at the end of the block that holds the
+    passage step; the passage time itself is the same as with one draw
+    per step.
     """
     outcomes, blowups = _evolve_ensemble(config, [rng_stream])
     if blowups:

@@ -145,6 +145,11 @@ _BESSEL_CROSSOVER = 2.0
 # The power series takes more terms as z grows (82 at z = 80); from z = 80
 # on, the asymptotic series' smallest term is far below 1e-16.
 _I_SERIES_LIMIT = 80.0
+# From z = 1e17 on, e^z K_(1/4)(z) is its leading term sqrt(pi/(2z)) to
+# rounding: the first correction, -3/(32z), is below 1e-18 relative. CF2
+# would run there too, but near 2^1023 its d = 1/b is subnormal and costs
+# an ulp, and from 2^1023 on b = 2(1 + z) overflows.
+_K_LEADING_TERM_FROM = 1e17
 
 
 def _temme_k(x: float) -> float:
@@ -253,8 +258,10 @@ def bessel_K14(z: float, scaled: bool = False) -> float:
     if z <= _BESSEL_CROSSOVER:
         k = _temme_k(z)
         return k * math.exp(z) if scaled else k
-    # from 2^1023 on CF2's b = 2(1 + z) overflows, and only its leading term is left
-    k_scaled = _cf2_k_scaled(z) if z < 2.0**1023 else math.sqrt(0.5 * math.pi / z)
+    if z < _K_LEADING_TERM_FROM:
+        k_scaled = _cf2_k_scaled(z)
+    else:
+        k_scaled = math.sqrt(0.5 * math.pi / z)
     return k_scaled if scaled else k_scaled * math.exp(-z)
 
 

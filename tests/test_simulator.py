@@ -220,7 +220,7 @@ def test_cubic_matches_direct_convolution_periodic(K):
     )
 
 
-@pytest.mark.parametrize("K", [6, 8])
+@pytest.mark.parametrize("K", [6, 8, 16])
 def test_cubic_matches_direct_convolution_neumann(K):
     rng = np.random.default_rng(11 + K)
     a = rng.normal(size=K + 1)
@@ -481,14 +481,13 @@ def test_threshold_sensitivity_is_within_relaxation_scale():
 
 
 # ---------------------------------------------------------------------------
-# engine bytes, batching invariance, bounded noise buffers, the noise worker
+# engine bytes, batching invariance, the bounded noise buffer, noise drawing
 # ---------------------------------------------------------------------------
 
-# SHA-256 of repr(per_trajectory) for small seeded ensembles, recorded before
-# the engine drew noise on a worker thread; any changed passage time changes
-# the digest. The cases cover both boundary conditions, censoring, horizons
-# that are no multiple of the block length (4001 steps, a prime, and 10001),
-# the mirrored engine, and a lone trajectory.
+# SHA-256 of repr(per_trajectory) for small seeded ensembles; any changed
+# passage time changes the digest. The cases cover both boundary conditions,
+# censoring, horizons that are no multiple of the block length (4001 steps,
+# a prime, and 10001), the mirrored engine, and a lone trajectory.
 ENGINE_DIGESTS = {
     "neumann": (
         dict(L=2.0, eps=0.25, bc=NEU, K=8, dt=2e-3, t_max=500.0, n_traj=24, seed=4242),
@@ -545,9 +544,8 @@ def test_ensemble_equals_trajectories_run_one_at_a_time(name):
 
 
 def test_engine_bytes_hold_with_concurrent_ensembles_and_fast_switching():
-    # four ensembles at a time (eight threads with their noise workers) on a
-    # host of few cores, with the interpreter switching threads every
-    # microsecond
+    # four ensembles at a time, one thread each, on a host of few cores,
+    # with the interpreter switching threads every microsecond
     names = ["neumann_censored_odd_horizon", "periodic", "periodic_censored_mirror"] * 2
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -604,8 +602,8 @@ def test_wide_ensemble_noise_buffers_stay_bounded():
 
 
 def test_ensemble_working_memory_stays_near_its_noise_budget():
-    # two (256, 128, 17) buffers and a whole-block copy on every compaction
-    # took 13.6 MiB; two flat 2 MiB buffers compacted in place take about 5
+    # one flat 2 MiB noise buffer and the small state and grid arrays take
+    # about 2.6 MiB; a second noise buffer would pass 4.5
     params = SystemParams(L=2.0, eps=0.25, bc=NEU)
     run_to_transition(SimConfig(params=params, t_max=0.1), trajectory_rng(3, 0))  # caches
     cfg = SimConfig(params=params, K=16, t_max=20.0, n_traj=256, seed=3)
@@ -616,7 +614,7 @@ def test_ensemble_working_memory_stays_near_its_noise_budget():
     finally:
         tracemalloc.stop()
     assert est.n_completed > 100  # compaction ran
-    assert peak <= 6 << 20, f"{peak / 2**20:.2f} MiB"
+    assert peak <= 3.5 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("budget", [1 << 9, 1 << 12])
@@ -670,6 +668,21 @@ class FailingRng:
         if self.calls == 3:
             raise RuntimeError("third draw failed")
         return self._rng.standard_normal(*args, **kwargs)
+
+
+def test_noise_is_drawn_on_the_calling_thread(monkeypatch):
+    threads = []
+    real = simulator._draw_noise
+
+    def draw_noise(*args):
+        threads.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(simulator, "_draw_noise", draw_noise)
+    cfg = SimConfig(params=quick_params(), K=8, dt=2e-3, t_max=8.0, n_traj=40, seed=2718)
+    estimate_mfpt(cfg)
+    assert len(threads) > 1
+    assert set(threads) == {threading.get_ident()}
 
 
 def test_noise_failure_reaches_caller_and_leaves_no_thread():

@@ -265,6 +265,27 @@ class TestBesselK14:
         assert sf.bessel_K14(z, scaled=True) == math.sqrt(0.5 * math.pi / z)
         assert sf.bessel_K14(z) == 0.0
 
+    # CF2 gave one ulp more than the leading term at these two arguments,
+    # where its d = 1/b is subnormal; the mpmath values are the leading term
+    @pytest.mark.parametrize(
+        "z, oracle",
+        [
+            (6.304983172568007e307, 1.578403272279465e-154),
+            (5.997505368630224e307, 1.6183580626728504e-154),
+        ],
+    )
+    def test_scaled_value_near_the_overflow(self, z, oracle):
+        assert sf.bessel_K14(z, scaled=True) == oracle
+
+    def test_leading_term_from_1e17_on(self):
+        # the first correction, -3/(32z), is below 1e-18 relative there;
+        # CF2 agrees to an ulp wherever it runs
+        rng = np.random.default_rng(17)
+        for z in np.exp(rng.uniform(math.log(1e17), 1023 * math.log(2), 2000)).tolist():
+            leading = math.sqrt(0.5 * math.pi / z)
+            assert sf.bessel_K14(z, scaled=True) == leading, z
+            assert sf._cf2_k_scaled(z) == pytest.approx(leading, rel=2.3e-16, abs=0.0), z
+
 
 class TestBesselI14:
     def test_small_argument_limit(self):
