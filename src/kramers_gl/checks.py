@@ -172,15 +172,13 @@ def prefactor_from_determinants(L: float, bc: BoundaryCondition, K_max: int) -> 
 
     from . import spectrum as _spectrum
 
-    L, bc = _instanton._length_and_bc(L, bc)
+    L, bc = _specfun._real("L", L, 0.0), BoundaryCondition.parse(bc)
     if L >= bc.critical_length:
         raise ValueError(
             "determinant product is only defined below the critical length "
             f"L_c = {bc.critical_length}"
         )
-    K_max = int(K_max)
-    if K_max < 10:
-        raise ValueError(f"K_max must be >= 10, got {K_max}")
+    K_max = _specfun._count("K_max", K_max, 10)
 
     def log_product(K: int) -> float:
         trans = _spectrum.uniform_spectrum(L, bc, "transition", K).expanded()

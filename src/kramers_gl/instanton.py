@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .specfun import _elliptic_KE, _sn, _sn_levels, elliptic_K
+from .specfun import _count, _elliptic_KE, _real, _sn, _sn_levels, elliptic_K
 
 # numpy is imported inside the functions that build arrays, so the
 # closed-form rate path (modulus, activation energy) loads none of it
@@ -49,14 +49,6 @@ class BoundaryCondition(enum.Enum):
             raise ValueError(
                 f"bc must be 'periodic' or 'neumann', got {value!r}"
             ) from None
-
-
-def _length_and_bc(L: float, bc) -> tuple[float, BoundaryCondition]:
-    """Parse bc and refuse an L that is no positive finite length (or a bool)."""
-    bc = BoundaryCondition.parse(bc)
-    if isinstance(L, bool) or not (math.isfinite(L) and L > 0):
-        raise ValueError(f"L must be positive and finite, got {L}")
-    return L, bc
 
 
 # sets a field of a _Record in its __init__ (bound once: the sweep builds
@@ -106,12 +98,9 @@ class SystemParams(_Record):
     __slots__ = ("L", "eps", "bc")
 
     def __init__(self, L: float, eps: float, bc: BoundaryCondition):
-        bc = _length_and_bc(L, bc)[1]
-        if isinstance(eps, bool) or not (math.isfinite(eps) and eps > 0):
-            raise ValueError(f"eps must be positive and finite, got {eps}")
-        _set_field(self, "L", L)
-        _set_field(self, "eps", eps)
-        _set_field(self, "bc", bc)
+        _set_field(self, "L", _real("L", L, 0.0))
+        _set_field(self, "eps", _real("eps", eps, 0.0))
+        _set_field(self, "bc", BoundaryCondition.parse(bc))
 
 
 def _grid(L: float, n_x: int, bc: BoundaryCondition) -> list:
@@ -154,7 +143,7 @@ def solve_m_from_L(L: float, bc: BoundaryCondition) -> float:
     increasing in m, so the root is unique; bisection brackets it and a
     few Newton steps polish to |residual| < 1e-12.
     """
-    L, bc = _length_and_bc(L, bc)
+    L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
     if L <= bc.critical_length:
         raise NoInstantonRegime(
             f"no instanton for L={L} <= critical length {bc.critical_length} "
@@ -212,19 +201,15 @@ def instanton_profile(
 
 def _profile_samples(L, bc, phase=0.0, sign=1, n_x=512) -> tuple[list, list]:
     """Grid points and values of ``instanton_profile``, as lists of floats."""
-    if isinstance(sign, bool) or sign not in (-1, 1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if isinstance(n_x, bool) or not hasattr(n_x, "__index__"):
-        raise ValueError(f"n_x must be an integer, got {n_x!r}")
-    if n_x < 16:
-        raise ValueError("field needs at least 16 grid values")
-    bc = BoundaryCondition.parse(bc)
+    L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
+    sign, n_x = _count("sign", sign, -1, 1), _count("n_x", n_x, 16)
+    phase = _real("phase", phase)
+    if sign == 0:
+        raise ValueError("sign must be +1 or -1, got 0")
     m = solve_m_from_L(L, bc)
     period, levels = _sn_levels(m)
     if bc is BoundaryCondition.NEUMANN:
         phase = 0.25 * period  # K(m): the same AGM limit, scaled exactly
-    elif not math.isfinite(phase):
-        raise ValueError(f"phase must be finite, got {phase}")
     scale = 1.0 / math.sqrt(m + 1.0)
     amplitude = math.sqrt(2.0 * m / (m + 1.0))
     x = _grid(L, n_x, bc)
@@ -263,7 +248,7 @@ def energy_functional(values: np.ndarray, L: float, bc: BoundaryCondition) -> fl
     """
     import numpy as np
 
-    L, bc = _length_and_bc(L, bc)
+    L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
     vals, period = _field_samples(values), L
     if bc is BoundaryCondition.NEUMANN:
         vals, period = _even_extension(vals, L)
@@ -280,7 +265,7 @@ def activation_energy(L: float, bc: BoundaryCondition) -> float:
     of K(m) and E(m) at the instanton modulus; Neumann instantons carry
     half the periodic value. Continuous across the critical length.
     """
-    L, bc = _length_and_bc(L, bc)
+    L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
     if L <= bc.critical_length:
         return L / 4.0
     return _instanton_energy(solve_m_from_L(L, bc), bc)

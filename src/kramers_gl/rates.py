@@ -15,12 +15,11 @@ from .instanton import (
     BoundaryCondition,
     SystemParams,
     _instanton_energy,
-    _length_and_bc,
     _Record,
     _set_field,
     solve_m_from_L,
 )
-from .specfun import _elliptic_KE, bessel_I14, bessel_K14, erfcx
+from .specfun import _elliptic_KE, _real, bessel_I14, bessel_K14, erfcx
 from .spectrum import mu0, mu1_approx
 
 _SQRT2 = math.sqrt(2.0)
@@ -85,19 +84,12 @@ class RateBreakdown(_Record):
 # ---------------------------------------------------------------------------
 
 
-def _check_alpha(alpha: float) -> float:
-    value = float(alpha)
-    if isinstance(alpha, bool) or not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"scaling functions require alpha >= 0, got {alpha}")
-    return value
-
-
 def psi_plus(alpha: float) -> float:
     """sqrt(alpha(1+alpha)/(8 pi)) e^{alpha^2/16} K_{1/4}(alpha^2/16).
 
     Limit at 0: Gamma(1/4) 2^{-5/4} / sqrt(pi); tends to 1 as alpha -> oo.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _real("alpha", alpha, 0.0, math.inf, "[)")
     if alpha < 1e-100:
         return PSI_LIMIT_AT_ZERO
     z = alpha * alpha / 16.0
@@ -113,7 +105,7 @@ def psi_minus(alpha: float) -> float:
 
     Same limit at 0 as psi_plus; tends to 2 as alpha -> oo.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _real("alpha", alpha, 0.0, math.inf, "[)")
     if alpha < 1e-100:
         return PSI_LIMIT_AT_ZERO
     z = alpha * alpha / 64.0
@@ -129,16 +121,13 @@ def psi_plus_tilde(alpha: float) -> float:
     Two-mode variant of psi_plus; sqrt(pi/8) at 0, tends to 1 as
     alpha -> oo.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _real("alpha", alpha, 0.0, math.inf, "[)")
     return PSI_TILDE_LIMIT_AT_ZERO * (1.0 + alpha) * erfcx(alpha / (2.0 * _SQRT2))
 
 
 def phi_switch(x: float) -> float:
     """Standard normal distribution function, 0.5 [1 + erf(x/sqrt 2)]."""
-    value = float(x)
-    if isinstance(x, bool) or not math.isfinite(value):
-        raise ValueError(f"phi_switch requires finite x, got {x}")
-    return 0.5 * (1.0 + math.erf(value / _SQRT2))
+    return 0.5 * (1.0 + math.erf(_real("x", x) / _SQRT2))
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +202,11 @@ def prefactor_classical(
     saddle is the instanton profile and the determinants involve
     complete elliptic integrals. The periodic instanton branch carries
     an explicit eps^{-1/2} (nucleation anywhere in space) and therefore
-    requires eps.
+    requires eps; the other branches take it, checked, and ignore it.
     """
-    L, bc = _length_and_bc(L, bc)
+    L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
+    if eps is not None:
+        eps = _real("eps", eps, 0.0)
     L_c = bc.critical_length
     if L == L_c:
         raise DivergentClassicalPrefactor(
@@ -223,13 +214,10 @@ def prefactor_classical(
         )
     if L < L_c:
         return _uniform_classical(L, bc)
-    if bc is BoundaryCondition.PERIODIC:
-        if eps is None:
-            raise ValueError(
-                "eps is required on the periodic branch beyond the critical length"
-            )
-        if isinstance(eps, bool) or not (math.isfinite(eps) and eps > 0):
-            raise ValueError(f"eps must be positive and finite, got {eps}")
+    if bc is BoundaryCondition.PERIODIC and eps is None:
+        raise ValueError(
+            "eps is required on the periodic branch beyond the critical length"
+        )
     return _classical_instanton(L, bc, solve_m_from_L(L, bc), eps)
 
 
@@ -270,9 +258,8 @@ def prefactor_corrected(L: float, eps: float, bc: BoundaryCondition) -> RateBrea
     The soft-mode combination lambda_1/sin(...) is evaluated as a single
     ratio so the formulas stay finite and smooth through L_c.
     """
-    L, bc = _length_and_bc(L, bc)
-    if not (math.isfinite(eps) and 0.0 < eps <= 0.5):
-        raise ValueError(f"eps must lie in (0, 0.5], got {eps}")
+    L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
+    eps = _real("eps", eps, 0.0, 0.5, "(]")
     L_c = bc.critical_length
     a = math.sqrt(3.0 * eps / (4.0 * L))
     if a == 0.0:

@@ -40,13 +40,13 @@ trajectories of width draws, whatever the horizon.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .instanton import BoundaryCondition, SystemParams
+from .specfun import _count, _real
 from .spectrum import uniform_spectrum
 
 # Noise blocks: m active trajectories take B steps from a budget of draws per
@@ -66,7 +66,7 @@ class SimulationBlowUp(RuntimeError):
         self.step_index = step_index
         super().__init__(
             f"trajectory {trajectory_index} (seed {seed}) became non-finite "
-            f"near step {step_index}; reduce dt"
+            f"at step {step_index}; reduce dt"
         )
 
 
@@ -87,34 +87,23 @@ class SimConfig:
     crossing_threshold: float = 0.5
 
     def __post_init__(self):
-        for name in ("K", "n_traj", "seed"):  # numpy integers are stored as int
-            value = getattr(self, name)
-            if isinstance(value, bool):  # an Integral, but True is no count
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if isinstance(value, numbers.Integral):
-                object.__setattr__(self, name, int(value))
         if not isinstance(self.params, SystemParams):
             raise TypeError("params must be a SystemParams")
-        if not (isinstance(self.K, int) and self.K >= 8):
-            raise ValueError(f"K must be an integer >= 8, got {self.K}")
-        for name in ("dt", "t_max"):  # a bool is a number too, but True is no time
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (math.isfinite(self.t_max) and self.t_max >= self.dt):
-            raise ValueError(f"t_max must be at least dt, got {self.t_max}")
-        if not math.isfinite(self.t_max / self.dt):  # the step count
-            raise ValueError(f"t_max / dt overflows: t_max={self.t_max}, dt={self.dt}")
-        if not (isinstance(self.n_traj, int) and self.n_traj >= 1):
-            raise ValueError(f"n_traj must be a positive integer, got {self.n_traj}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if not (0.0 < self.crossing_threshold < 1.0):
-            raise ValueError(
-                f"crossing_threshold must lie in (0, 1), got {self.crossing_threshold}"
-            )
+        dt = _real("dt", self.dt, 0.0)
+        checked = {  # numpy numbers are stored as int and float
+            "K": _count("K", self.K, 8),
+            "dt": dt,
+            "t_max": _real("t_max", self.t_max, dt, math.inf, "[)"),
+            "n_traj": _count("n_traj", self.n_traj, 1),
+            "seed": _count("seed", self.seed, 0, 2**64 - 1),
+            "crossing_threshold": _real(
+                "crossing_threshold", self.crossing_threshold, 0.0, 1.0
+            ),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+        if not math.isfinite(self.t_max / dt):  # the step count
+            raise ValueError(f"t_max / dt overflows: t_max={self.t_max}, dt={dt}")
 
 
 @dataclass(frozen=True)
@@ -231,8 +220,8 @@ def _cubic_real(rows: np.ndarray, synth: np.ndarray, anal: np.ndarray) -> np.nda
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based substream for one trajectory: Philox keyed (seed, index)."""
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = [_count("seed", seed, 0, 2**64 - 1), _count("index", index, 0, 2**64 - 1)]
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 def _block_steps(n: int, width: int, n_steps: int) -> int:
@@ -264,15 +253,18 @@ def _evolve_ensemble(
 
     Returns (outcomes, blowups): outcomes[i] is the passage time of
     trajectory i or None (censored or blown up); blowups is a list of
-    (trajectory_index, step_index).
+    (trajectory_index, step_index), step_index counting from 0 the first
+    step after which some mode of the trajectory is non-finite.
 
     Time advances in blocks of B = ``_block_steps(m, ...)`` steps for the m
     active trajectories. Each block's noise is drawn and scaled on the
     calling thread into one flat buffer of fixed size, viewed as
     (m, B, width); the block is integrated, then passages and blow-ups
-    are detected. Trajectories that stop in a block are compacted out of
-    the state in place; the draws past their last step are discarded,
-    so a generator ends at most one block past its trajectory's last step.
+    are detected. A blown-up row replays its block from a copy of its
+    block-start state, step by step, to find its step. Trajectories that
+    stop in a block are compacted out of the state in place; the draws
+    past their last step are discarded, so a generator ends at most one
+    block past its trajectory's last step.
 
     Each trajectory consumes noise only from its own generator, in step
     order, and all inter-trajectory operations are elementwise or
@@ -305,9 +297,28 @@ def _evolve_ensemble(
     g = np.empty((n, synth.shape[1]), dtype=np.float64)
     g3 = np.empty_like(g)
     cubic = np.empty_like(rows)
+    start = np.empty_like(rows)  # the rows at the start of the block
     capacity = _block_capacity(n, width)
     means = np.empty(capacity, dtype=np.float64)
     buffer = np.empty((capacity, width), dtype=np.float64)
+
+    def advance(sel: slice, steps) -> np.ndarray:
+        """Take rows[sel] through the given steps of the current block's noise,
+        writing mode 0 of each into mv; returns which rows are still finite."""
+        r, gv, g3v, cv, dv = rows[sel], g[sel], g3[sel], cubic[sel], decay[sel]
+        # overflow in a diverging trajectory shows in the finiteness scan,
+        # not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in steps:
+                np.dot(r, synth, out=gv)
+                np.multiply(gv, gv, out=g3v)
+                np.multiply(g3v, gv, out=g3v)
+                np.dot(g3v, anal_w, out=cv)
+                np.multiply(dv, r, out=r)
+                np.subtract(r, cv, out=r)
+                np.add(r, noise[sel, j], out=r)
+                mv[sel, j] = r[:, 0]
+        return np.isfinite(r).all(axis=1)
 
     outcomes: list = [None] * n
     blowups: list = []
@@ -318,35 +329,28 @@ def _evolve_ensemble(
         m = len(active)
         bs = _block_steps(m, width, n_steps_total - steps_done)
         noise = _draw_noise(active_rngs, buffer[: m * bs].reshape(m, bs, width), s)
-        r, gv, g3v, cv, mv = rows[:m], g[:m], g3[:m], cubic[:m], means[: m * bs].reshape(m, bs)
-        dv = decay[:m]
-        # overflow in a diverging trajectory is handled via the
-        # finiteness scan below, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(bs):
-                np.matmul(r, synth, out=gv)
-                np.multiply(gv, gv, out=g3v)
-                np.multiply(g3v, gv, out=g3v)
-                np.matmul(g3v, anal_w, out=cv)
-                np.multiply(dv, r, out=r)
-                np.subtract(r, cv, out=r)
-                np.add(r, noise[:, j], out=r)
-                mv[:, j] = r[:, 0]
+        mv = means[: m * bs].reshape(m, bs)
+        start[:m] = rows[:m]
+        finite = advance(slice(0, m), range(bs))
+        with np.errstate(over="ignore"):  # the mean of a diverging row
             mv *= sign * inv_sqrt_L
 
         crossed = mv >= config.crossing_threshold  # NaN compares False
         any_crossed = crossed.any(axis=1)
         first = crossed.argmax(axis=1)
-        finite = np.isfinite(r).all(axis=1)
 
         keep = []
         for row_i, traj in enumerate(active):
             if any_crossed[row_i]:
                 outcomes[traj] = (steps_done + int(first[row_i]) + 1) * dt
             elif not finite[row_i]:
-                bad = np.flatnonzero(~np.isfinite(mv[row_i]))
-                step_index = steps_done + (int(bad[0]) if bad.size else bs)
-                blowups.append((traj, step_index))
+                # replay the row's block to the first step that leaves any mode
+                # non-finite: the last one if no earlier (mv is read by now)
+                one, j = slice(row_i, row_i + 1), 0
+                rows[one] = start[one]
+                while j < bs - 1 and advance(one, (j,))[0]:
+                    j += 1
+                blowups.append((traj, steps_done + j))
             else:
                 keep.append(row_i)
         steps_done += bs

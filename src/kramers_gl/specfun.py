@@ -7,8 +7,9 @@ series for small argument and Steed's continued fraction CF2 for large; I by
 its power series up to z = 80 and its asymptotic series beyond), and the
 scaled complementary error function.
 
-All functions are pure and reentrant. NaN inputs are rejected with
-ValueError rather than propagated.
+All functions are pure and reentrant. Every public argument goes through
+_real or _count, which refuse a bool, a str, NaN and a value outside the
+function's domain with ValueError; Python and numpy numbers pass alike.
 """
 
 from __future__ import annotations
@@ -18,13 +19,42 @@ import math
 _EPS = 2.2e-16
 _MAXIT = 400
 _NU = 0.25  # Bessel order used throughout
+_BOOLS = ("bool", "bool_")  # type names of Python's bool and numpy's (bool_ in 1.x)
 
 
-def _check_finite(name: str, x: float) -> float:
-    value = float(x)
-    if isinstance(x, bool) or math.isnan(value):
-        raise ValueError(f"{name} must be a number other than NaN, got {x!r}")
-    return value
+def _scalar(x) -> bool:
+    """x is no bool and no array of one or more dimensions."""
+    return type(x).__name__ not in _BOOLS and not getattr(x, "ndim", 0)
+
+
+def _real(name: str, x, lo=-math.inf, hi=math.inf, ends="()") -> float:
+    """x as a float in the interval from lo to hi, each end open or closed
+    as ends reads: "[)" is lo <= x < hi. By default the finite numbers.
+
+    Python and numpy numbers pass. A bool, a str, an array, NaN or a value
+    outside raises ValueError naming the argument, the interval and the value.
+    """
+    value = x
+    if type(x) is not float:
+        value = float(x) if _scalar(x) and hasattr(x, "__float__") else math.nan
+    if lo < value < hi or (value == lo and ends[0] == "[") or (
+        value == hi and ends[1] == "]"
+    ):
+        return value
+    interval = f"{ends[0]}{lo:g}, {hi:g}{ends[1]}"
+    raise ValueError(f"{name} must be a number in {interval}, got {x!r}")
+
+
+def _count(name: str, n, lo: int, hi: float = math.inf) -> int:
+    """n as an int in [lo, hi]: Python and numpy integers pass; a bool, a
+    float, a str or an array raises ValueError naming the argument, range
+    and value."""
+    if _scalar(n) and hasattr(n, "__index__"):
+        value = n.__index__()
+        if lo <= value <= hi:
+            return value
+    high = f"{hi}]" if hi < math.inf else "inf)"
+    raise ValueError(f"{name} must be an integer in [{lo}, {high}, got {n!r}")
 
 
 def _agm(m: float, means: list | None = None):
@@ -61,9 +91,7 @@ def elliptic_K(m: float) -> float:
 
     K(m) = int_0^(pi/2) dt / sqrt(1 - m sin^2 t), for 0 <= m < 1.
     """
-    m = _check_finite("m", m)
-    if not 0.0 <= m < 1.0:
-        raise ValueError(f"elliptic_K requires 0 <= m < 1, got m={m}")
+    m = _real("m", m, 0.0, 1.0, "[)")
     return math.pi / (2.0 * _agm(m)[0])
 
 
@@ -72,9 +100,7 @@ def elliptic_E(m: float) -> float:
 
     E(m) = int_0^(pi/2) sqrt(1 - m sin^2 t) dt, for 0 <= m <= 1.
     """
-    m = _check_finite("m", m)
-    if not 0.0 <= m <= 1.0:
-        raise ValueError(f"elliptic_E requires 0 <= m <= 1, got m={m}")
+    m = _real("m", m, 0.0, 1.0, "[]")
     if m == 1.0:
         return 1.0
     return _elliptic_KE(m)[1]
@@ -117,15 +143,16 @@ def _sn(u: float, levels) -> float:
 
 
 def jacobi_sn(u: float, m: float) -> float:
-    """Jacobi elliptic sine sn(u, m), parameter convention, 0 <= m <= 1."""
-    u = _check_finite("u", u)
-    m = _check_finite("m", m)
-    if not 0.0 <= m <= 1.0:
-        raise ValueError(f"jacobi_sn requires 0 <= m <= 1, got m={m}")
+    """Jacobi elliptic sine sn(u, m), parameter convention, 0 <= m <= 1.
+
+    u = +-inf is taken at m = 1 only, where sn = tanh has the limits +-1.
+    """
+    m = _real("m", m, 0.0, 1.0, "[]")
+    if m == 1.0:
+        return math.tanh(_real("u", u, -math.inf, math.inf, "[]"))
+    u = _real("u", u)
     if m == 0.0:
         return math.sin(u)
-    if m == 1.0:
-        return math.tanh(u)
     # reduce modulo the period 4K so sn(u + 4K) == sn(u) holds exactly
     period, levels = _sn_levels(m)
     return _sn(math.remainder(u, period), levels)
@@ -252,9 +279,7 @@ def bessel_K14(z: float, scaled: bool = False) -> float:
     With scaled=True returns e^z K_(1/4)(z), which stays representable
     for arbitrarily large z; at z = inf both forms return their limit 0.
     """
-    z = _check_finite("z", z)
-    if z <= 0.0:
-        raise ValueError(f"bessel_K14 requires z > 0, got z={z}")
+    z = _real("z", z, 0.0, math.inf, "(]")
     if z <= _BESSEL_CROSSOVER:
         k = _temme_k(z)
         return k * math.exp(z) if scaled else k
@@ -273,11 +298,9 @@ def bessel_I14(order: float, z: float, scaled: bool = False) -> float:
     """
     if order not in (0.25, -0.25):
         raise ValueError(f"order must be +1/4 or -1/4, got {order}")
-    z = _check_finite("z", z)
-    if z <= 0.0:
-        raise ValueError(f"bessel_I14 requires z > 0, got z={z}")
+    z = _real("z", z, 0.0, math.inf, "(]")
     if z <= _I_SERIES_LIMIT:
-        i = _i_series(order, z)
+        i = _i_series(float(order), z)
         return i * math.exp(-z) if scaled else i
     i_scaled = _i_asymptotic_scaled(z)
     return i_scaled if scaled else i_scaled * math.exp(z)
@@ -290,9 +313,7 @@ def erfcx(x: float) -> float:
     via the asymptotic series 1/(x sqrt(pi)) sum (-1)^n (2n-1)!!/(2x^2)^n
     beyond, where the series truncates below 1e-16.
     """
-    x = _check_finite("x", x)
-    if x < 0.0:
-        raise ValueError(f"erfcx requires x >= 0, got x={x}")
+    x = _real("x", x, 0.0, math.inf, "[]")
     if x < 25.0:
         return math.exp(x * x) * math.erfc(x)
     inv2x2 = 1.0 / (2.0 * x * x)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 
 from .instanton import BoundaryCondition, _even_extension, _field_samples
-from .instanton import _length_and_bc, _Record, _set_field
+from .instanton import _Record, _set_field
+from .specfun import _count, _real
 
 # numpy is imported inside the functions that build arrays: mu0 and
 # mu1_approx serve the closed-form rate path, which loads none of it
@@ -53,9 +54,8 @@ def uniform_spectrum(
     """
     import numpy as np
 
-    L, bc = _length_and_bc(L, bc)
-    if not (np.issubdtype(type(K_max), np.integer) and K_max >= 1):  # no bool
-        raise ValueError(f"K_max must be an integer >= 1, got {K_max!r}")
+    L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
+    K_max = _count("K_max", K_max, 1)
     if state not in ("stable", "transition"):
         raise ValueError(f"state must be 'stable' or 'transition', got {state!r}")
     k = np.arange(K_max + 1)
@@ -110,12 +110,8 @@ def hessian_spectrum(
     """
     import numpy as np
 
-    L, bc = _length_and_bc(L, bc)
-    is_count = np.issubdtype(type(n_modes), np.integer)  # int or numpy int, no bool
-    if not (is_count and 64 <= n_modes <= _MAX_DENSE_MODES):
-        raise ValueError(
-            f"n_modes must be an integer in [64, {_MAX_DENSE_MODES}], got {n_modes!r}"
-        )
+    L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
+    n_modes = _count("n_modes", n_modes, 64, _MAX_DENSE_MODES)
     vals = _field_samples(values)
 
     periodic = bc is BoundaryCondition.PERIODIC
@@ -148,12 +144,6 @@ def hessian_spectrum(
     )
 
 
-def _check_modulus(name: str, m) -> None:
-    """Refuse an m that is no number in [0, 1] (NaN and bools included)."""
-    if isinstance(m, bool) or not (isinstance(m, (int, float)) and 0.0 <= m <= 1.0):
-        raise ValueError(f"{name} requires m in [0, 1], got {m}")
-
-
 def mu0(m: float) -> float:
     """Single negative Hessian eigenvalue at an instanton transition state.
 
@@ -162,7 +152,7 @@ def mu0(m: float) -> float:
     so the ~ -3(1-m)^2/8 tail near m=1 (long domains) survives instead of
     cancelling to zero in floating point.
     """
-    _check_modulus("mu0", m)
+    m = _real("m", m, 0.0, 1.0, "[]")
     one_minus = 1.0 - m
     root = math.sqrt(m * m - m + 1.0)
     return -3.0 * one_minus * one_minus / ((1.0 + m) * (1.0 + m + 2.0 * root))
@@ -174,5 +164,4 @@ def mu1_approx(m: float) -> float:
     The substitution is accurate to O(m^2); the exact Neumann value is
     3m/(1+m).
     """
-    _check_modulus("mu1_approx", m)
-    return 3.0 * float(m)
+    return 3.0 * _real("m", m, 0.0, 1.0, "[]")

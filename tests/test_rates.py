@@ -148,7 +148,7 @@ def test_phi_switch_values():
 @pytest.mark.parametrize("x", [float("nan"), float("-inf")])
 def test_phi_switch_refuses_non_finite_x(x):
     # the NaN check the removed erf wrapper made is phi_switch's own
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=r"^x must be a number in \(-inf, inf\)"):
         phi_switch(x)
 
 
@@ -482,16 +482,16 @@ def _boolean_length_calls():
 @pytest.mark.parametrize("name", list(_boolean_length_calls()))
 def test_boolean_length_is_refused(name):
     # bool is an int, but True is no length: it used to run as L = 1
-    with pytest.raises(ValueError, match="L must be positive and finite, got True"):
+    with pytest.raises(ValueError, match=r"^L must be a number in \(0, inf\), got True"):
         _boolean_length_calls()[name]()
 
 
 def test_boolean_noise_intensity_is_refused():
-    with pytest.raises(ValueError, match="eps must be positive and finite, got True"):
+    with pytest.raises(ValueError, match=r"^eps must be a number in \(0, inf\), got True"):
         SystemParams(L=2.0, eps=True, bc="neumann")
-    with pytest.raises(ValueError, match="eps must be positive and finite, got True"):
+    with pytest.raises(ValueError, match=r"^eps must be a number in \(0, inf\), got True"):
         prefactor_classical(7.0, "periodic", True)  # ran with eps = 1
-    with pytest.raises(ValueError, match="eps must lie in"):
+    with pytest.raises(ValueError, match=r"^eps must be a number in \(0, 0.5\]"):
         prefactor_corrected(2.0, True, "neumann")
 
 
@@ -527,7 +527,7 @@ def test_boolean_argument_is_refused(name, flag):
 @pytest.mark.parametrize("m", [2.0, -0.5, math.nan, math.inf])
 def test_mu1_approx_shares_the_domain_of_mu0(m):
     # mu1_approx(2.0) returned 6.0 and mu1_approx(nan) nan
-    with pytest.raises(ValueError, match="requires m in"):
+    with pytest.raises(ValueError, match=r"^m must be a number in \[0, 1\]"):
         mu1_approx(m)
 
 

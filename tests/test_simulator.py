@@ -161,7 +161,7 @@ def test_config_rejects_booleans(name):
     # time step or horizon (it ran as dt = 1)
     p = SystemParams(L=2.0, eps=0.1, bc=NEU)
     kind = "a number" if name in ("dt", "t_max") else "an integer"
-    with pytest.raises(ValueError, match=f"{name} must be {kind}, got True"):
+    with pytest.raises(ValueError, match=f"^{name} must be {kind} in .*, got True"):
         SimConfig(params=p, **{name: True})
 
 
@@ -696,29 +696,30 @@ def test_noise_failure_reaches_caller_and_leaves_no_thread():
 
 
 class NanRng:
-    """Generator proxy that writes NaN into mode 0 of the draws of one step."""
+    """Generator proxy that writes NaN into one mode of the draws of one step."""
 
-    def __init__(self, rng, step_index):
+    def __init__(self, rng, step_index, mode=0):
         self._rng = rng
         self._step_index = step_index
+        self._mode = mode
         self._steps_drawn = 0
 
     def standard_normal(self, *, out):
         self._rng.standard_normal(out=out)  # out holds one block, (steps, width)
         j = self._step_index - self._steps_drawn
         if 0 <= j < len(out):
-            out[j, 0] = math.nan
+            out[j, self._mode] = math.nan
         self._steps_drawn += len(out)
         return out
 
 
-def poison_trajectories(monkeypatch, poisoned):
-    """Make estimate_mfpt draw NaN for trajectory i at step poisoned[i]."""
+def poison_trajectories(monkeypatch, poisoned, mode=0):
+    """Make estimate_mfpt draw NaN into mode for trajectory i at step poisoned[i]."""
     real = simulator.trajectory_rng
 
     def rng_for(seed, index):
         rng = real(seed, index)
-        return NanRng(rng, poisoned[index]) if index in poisoned else rng
+        return NanRng(rng, poisoned[index], mode) if index in poisoned else rng
 
     monkeypatch.setattr(simulator, "trajectory_rng", rng_for)
 
@@ -731,11 +732,24 @@ def test_blowup_reports_its_step():
     assert info.value.step_index == 300
 
 
-def test_blown_up_trajectory_is_dropped_from_the_ensemble(monkeypatch):
+# a lone trajectory takes blocks of 128 steps: 127 ends the first, 128 starts
+# the second, and 300 lies inside the third
+@pytest.mark.parametrize("step", [0, 127, 128, 300])
+def test_blowup_step_is_read_from_every_mode(step):
+    # a NaN in mode 3 reached the spatial mean one step later, and one in
+    # the last step of a block was reported at the next block's first step
+    cfg = SimConfig(params=quick_params(eps=1e-4), K=8, dt=1e-3, t_max=2.0, seed=1)
+    with pytest.raises(SimulationBlowUp) as info:
+        run_to_transition(cfg, NanRng(trajectory_rng(1, 0), step, mode=3))
+    assert info.value.step_index == step
+
+
+@pytest.mark.parametrize("mode", [0, 3])
+def test_blown_up_trajectory_is_dropped_from_the_ensemble(monkeypatch, mode):
     cfg = SimConfig(params=quick_params(), K=8, n_traj=6, seed=5)
     clean = estimate_mfpt(cfg)
     assert clean.n_blowup == 0 and clean.per_trajectory[2] > 2300 * cfg.dt
-    poison_trajectories(monkeypatch, {2: 2300})
+    poison_trajectories(monkeypatch, {2: 2300}, mode)
     est = estimate_mfpt(cfg)
     assert est.n_blowup == 1
     assert est.blowup_records == ((2, 2300),)

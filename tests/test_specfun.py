@@ -133,6 +133,16 @@ class TestJacobiSn:
         with pytest.raises(ValueError):
             sf.jacobi_sn(math.nan, 0.5)
 
+    def test_infinite_argument_only_where_sn_has_a_limit(self):
+        # at m = 1, sn = tanh has the limits +-1; below it, math.remainder
+        # ended in "math domain error", and at m = 0 math.sin did
+        assert sf.jacobi_sn(math.inf, 1.0) == 1.0
+        assert sf.jacobi_sn(-math.inf, 1.0) == -1.0
+        for m in (0.0, 0.5, 1.0 - 1e-12):
+            for u in (math.inf, -math.inf):
+                with pytest.raises(ValueError, match=r"^u must be a number in \(-inf, inf\)"):
+                    sf.jacobi_sn(u, m)
+
 
 # The elliptic layer and what is built from it, pinned bit for bit: the
 # SHA-256 of repr() of each list below; a rate is pinned by its field
