@@ -20,8 +20,12 @@ themselves stay reproducible.
 Each option of a subcommand is declared once, in ``OPTIONS``: converter,
 default and help. Values may also come from a JSON file (``--config``);
 a flag overrides the file's value, which overrides the default, and the
-same converter checks both, so a JSON ``true`` is no number and an
-integer option takes only whole numbers.
+same converter checks both. A number's flag text goes through float(), a
+count's through int(), and then every number through the library's one
+check, ``specfun._real`` or ``specfun._count``: a JSON ``true`` is no
+number, and a count takes only whole numbers (a JSON 32.0 is 32). Every
+command but ``verify`` is a function of its resolved options returning
+what ``_emit`` writes; ``main`` resolves, stamps the start and emits.
 
 ``rate``, ``sweep`` and ``profile`` load neither numpy nor ``dataclasses``
 (nor the ``inspect`` it imports): the rate path's value types are
@@ -38,11 +42,13 @@ import json
 import math
 import sys
 import time
+from functools import partial
 
 from . import __version__
 from . import instanton as _instanton
 from . import rates as _rates
 from .instanton import BoundaryCondition, SystemParams
+from .specfun import _count, _real
 
 # one rate row: sweep CSV columns and rate JSON keys, in this order
 _ROW_FIELDS = (
@@ -99,8 +105,9 @@ def _write_result(path: str, text: str) -> dict:
     }
 
 
-def _emit(out, command, params, seed, started, text, note="", extra=()) -> int:
-    """Deliver one run's result; returns the exit code 0.
+def _emit(out, command, started, params, text, note="", extra=(), seed=None) -> int:
+    """Deliver one run's result, what its command returned after ``out``,
+    ``command`` and ``started``; returns the exit code 0.
 
     With ``--out``: write ``text`` there and each ``(path, text)`` of
     ``extra`` after it, then one manifest next to ``--out`` listing every
@@ -126,8 +133,9 @@ def _emit(out, command, params, seed, started, text, note="", extra=()) -> int:
 
 
 # ---------------------------------------------------------------------------
-# options: one converter per kind of value takes flag text and config values
-# alike, and raises TypeError or ValueError with the reason for a bad one
+# options: one converter per kind of value takes the option's name and its
+# flag text or config value, and raises TypeError or ValueError with the
+# reason for a bad one; numbers get the library's check, _real or _count
 # ---------------------------------------------------------------------------
 
 
@@ -135,46 +143,30 @@ class UsageError(ValueError):
     """Bad invocation: reported with the offending key, exit code 2."""
 
 
-def _positive_float(value) -> float:
-    if isinstance(value, bool):  # JSON true/false would pass as 1.0/0.0
-        raise TypeError("must be a number")
-    number = float(value)
-    if not (math.isfinite(number) and number > 0):
-        raise ValueError("must be > 0")
-    return number
+def _positive(name, value) -> float:
+    """A real option, finite and > 0: flag text through float()."""
+    return _real(name, float(value) if isinstance(value, str) else value, 0.0)
 
 
-def _eps_list(value) -> list:
+def _whole(lo, hi, name, value) -> int:
+    """A count in [lo, hi] (bound by partial): text through int(), 32.0 as 32."""
+    if isinstance(value, str) or (isinstance(value, float) and value.is_integer()):
+        value = int(value)
+    return _count(name, value, lo, hi)
+
+
+def _eps_list(name, value) -> list:
     items = value if isinstance(value, (list, tuple)) else [value]
     if not items:
         raise ValueError("no value given")
-    return [_positive_float(item) for item in items]
+    return [_positive(name, item) for item in items]
 
 
-def _one_eps(value) -> float:
-    values = _eps_list(value)
+def _one_eps(name, value) -> float:
+    values = _eps_list(name, value)
     if len(values) != 1:
         raise ValueError(f"exactly one is required here, got {len(values)} values")
     return values[0]
-
-
-def _integer(minimum, maximum=math.inf):
-    """Converter for a whole number in [minimum, maximum], as text or JSON."""
-
-    def convert(value) -> int:
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        # what is left of JSON true/false, fractions, lists, ... is no integer
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise TypeError("must be an integer")
-        number = int(value)
-        if number < minimum:
-            raise ValueError(f"must be >= {minimum}")
-        if number > maximum:
-            raise ValueError(f"must be <= {maximum}")
-        return number
-
-    return convert
 
 
 # Sizes refused before anything is allocated. The manifest records the whole
@@ -198,22 +190,19 @@ _MAX_ENSEMBLE_DRAWS = 100_000 * 17  # ntraj x noise width
 _MAX_SPECTRUM_MODES = 512
 
 
-def _l_range(value) -> list:
+def _l_range(name, value) -> list:
     parts = str(value).split(":")
     if len(parts) != 3:
         raise ValueError("expected start:stop:step")
-    a, b, step = (float(p) for p in parts)
-    if not all(map(math.isfinite, (a, b, step))) or a <= 0 or step <= 0:
-        raise ValueError("need start > 0 and step > 0")
-    if b < a:
-        raise ValueError("empty L range: stop is below start")
+    a, step = _real("start", float(parts[0]), 0.0), _real("step", float(parts[2]), 0.0)
+    b = _real("stop", float(parts[1]), a, math.inf, "[)")
     intervals = (b - a) / step + 1e-9
     if not intervals < _MAX_L_POINTS:  # also catches an infinite count
         raise ValueError(f"more than {_MAX_L_POINTS} points")
     return [a + i * step for i in range(math.floor(intervals) + 1)]
 
 
-def _out_path(value) -> str:
+def _out_path(name, value) -> str:
     if not (isinstance(value, str) and value):
         raise TypeError("must be a file path")
     return value
@@ -224,15 +213,15 @@ _REQUIRED = object()  # the default of an option that has none
 # per subcommand: option name -> (converter, default or _REQUIRED, help).
 # The flag is --name with "_" as "-", a config file may set the name, and
 # a given flag overrides the config value, which overrides the default.
-_BC = {"bc": (BoundaryCondition.parse, _REQUIRED, "periodic or neumann")}
-_L = {"L": (_positive_float, _REQUIRED, "interval length")}
+_BC = {"bc": (lambda _, text: BoundaryCondition.parse(text), _REQUIRED, "periodic or neumann")}
+_L = {"L": (_positive, _REQUIRED, "interval length")}
 _OUT = {"out": (_out_path, None, "output file path (default: stdout)")}
 _ONE_EPS = (_one_eps, _REQUIRED, "noise intensity")
 OPTIONS = {
     "rate": {**_BC, **_L, "eps": _ONE_EPS, **_OUT},
     "sweep": {
         **_BC,
-        "L": (_positive_float, None, "interval length (or --L-range)"),
+        "L": (_positive, None, "interval length (or --L-range)"),
         "L_range": (_l_range, None, "inclusive L grid A:B:STEP"),
         "eps": (_eps_list, _REQUIRED, "noise intensity; repeat for more curves"),
         **_OUT,
@@ -240,13 +229,15 @@ OPTIONS = {
     "profile": {
         **_BC,
         **_L,
-        "modes": (_integer(16, _MAX_PROFILE_SAMPLES), 512, "number of profile samples"),
+        "modes": (partial(_whole, 16, _MAX_PROFILE_SAMPLES), 512, "number of profile samples"),
         **_OUT,
     },
     "spectrum": {
         **_BC,
         **_L,
-        "modes": (_integer(1, _MAX_SPECTRUM_MODES), 32, "list eigenvalues 0..n (n + 1 rows)"),
+        "modes": (
+            partial(_whole, 1, _MAX_SPECTRUM_MODES), 32, "list eigenvalues 0..n (n + 1 rows)"
+        ),
         **_OUT,
     },
     "mfpt": {
@@ -254,11 +245,11 @@ OPTIONS = {
         **_L,
         "eps": _ONE_EPS,
         # unset, these take SimConfig's defaults (see _SIM_FIELDS)
-        "modes": (_integer(8, _MAX_SIM_MODES), None, "spectral modes K"),
-        "dt": (_positive_float, None, "time step"),
-        "tmax": (_positive_float, None, "censoring time"),
-        "ntraj": (_integer(1, _MAX_TRAJECTORIES), None, "number of trajectories"),
-        "seed": (_integer(0, 2**64 - 1), None, "ensemble seed"),
+        "modes": (partial(_whole, 8, _MAX_SIM_MODES), None, "spectral modes K"),
+        "dt": (_positive, None, "time step"),
+        "tmax": (_positive, None, "censoring time"),
+        "ntraj": (partial(_whole, 1, _MAX_TRAJECTORIES), None, "number of trajectories"),
+        "seed": (partial(_whole, 0, 2**64 - 1), None, "ensemble seed"),
         **_OUT,
     },
 }
@@ -294,7 +285,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             value = config.get(name)
         if value is not None:
             try:
-                resolved[name] = convert(value)
+                resolved[name] = convert(name, value)
             except (TypeError, ValueError) as exc:
                 raise UsageError(
                     f"invalid value for {name}: {value!r} ({exc})"
@@ -317,20 +308,16 @@ def _breakdown_row(bc: BoundaryCondition, L: float, eps: float) -> tuple:
     return (bc.value, L, eps) + tuple(getattr(rb, key) for key in _ROW_FIELDS[3:])
 
 
-def cmd_rate(args: argparse.Namespace) -> int:
-    opts = _resolve(args)
+def cmd_rate(opts: dict) -> tuple:
     bc, L, eps = opts["bc"], opts["L"], opts["eps"]
-    started = _utc_now()
     params = {"bc": bc.value, "L": L, "eps": eps}
     rb = _rates.prefactor_corrected(L, eps, bc)
     doc = dict(params)
     doc.update((key, _jsonable(getattr(rb, key))) for key in _RATE_KEYS)
-    text = json.dumps(doc, indent=2) + "\n"
-    return _emit(opts["out"], "rate", params, None, started, text)
+    return params, json.dumps(doc, indent=2) + "\n"
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    opts = _resolve(args)
+def cmd_sweep(opts: dict) -> tuple:
     bc = opts["bc"]
     if opts["L"] is not None and opts["L_range"] is not None:
         raise UsageError("give either L or L_range, not both")
@@ -338,13 +325,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("missing required parameter: L (or L_range)")
     l_grid = opts["L_range"] or [opts["L"]]
     eps_list = sorted(opts["eps"])
-    started = _utc_now()
     rows = [_breakdown_row(bc, L, eps) for eps in eps_list for L in sorted(l_grid)]
     lines = [CSV_COLUMNS]
     lines += [",".join(map(_fmt, row)) for row in rows]
     params = {"bc": bc.value, "L_grid": l_grid, "eps": eps_list}
-    text = "\n".join(lines) + "\n"
-    return _emit(opts["out"], "sweep", params, None, started, text, f" ({len(rows)} rows)")
+    return params, "\n".join(lines) + "\n", f" ({len(rows)} rows)"
 
 
 # ---------------------------------------------------------------------------
@@ -352,24 +337,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    opts = _resolve(args)
+def cmd_profile(opts: dict) -> tuple:
     bc, L, n_x = opts["bc"], opts["L"], opts["modes"]
-    started = _utc_now()
     xs, values = _instanton._profile_samples(L, bc, n_x=n_x)
     lines = ["x,phi"]
     lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, values)]
     params = {"bc": bc.value, "L": L, "samples": n_x}
-    text = "\n".join(lines) + "\n"
-    return _emit(opts["out"], "profile", params, None, started, text, f" ({n_x} samples)")
+    return params, "\n".join(lines) + "\n", f" ({n_x} samples)"
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
+def cmd_spectrum(opts: dict) -> tuple:
     from .spectrum import hessian_spectrum, uniform_spectrum
 
-    opts = _resolve(args)
     bc, L, n = opts["bc"], opts["L"], opts["modes"]
-    started = _utc_now()
     if L <= bc.critical_length:
         spec = uniform_spectrum(L, bc, "transition", K_max=n)
         regime = "uniform_saddle"
@@ -383,7 +363,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             break
         lines.append(f"{i},{_fmt(float(ev))},{int(mult)}")
     params = {"bc": bc.value, "L": L, "modes": n, "regime": regime}
-    return _emit(opts["out"], "spectrum", params, None, started, "\n".join(lines) + "\n")
+    return params, "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +375,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 _SIM_FIELDS = {"modes": "K", "dt": "dt", "tmax": "t_max", "ntraj": "n_traj", "seed": "seed"}
 
 
-def cmd_mfpt(args: argparse.Namespace) -> int:
+def cmd_mfpt(opts: dict) -> tuple:
     from .simulator import SimConfig, _noise_width, estimate_mfpt
 
-    opts = _resolve(args)
-    out = opts.pop("out")
-    started = _utc_now()
     config = SimConfig(
         params=SystemParams(L=opts["L"], eps=opts["eps"], bc=opts["bc"]),
         **{field: opts[name] for name, field in _SIM_FIELDS.items() if opts[name] is not None},
@@ -411,8 +388,9 @@ def cmd_mfpt(args: argparse.Namespace) -> int:
             f"ntraj and modes ask for {config.n_traj} trajectories of {width} draws a "
             f"step, more than {_MAX_ENSEMBLE_DRAWS} in all; lower ntraj or modes"
         )
-    # the resolved options open the result document, in table order
+    # the resolved options but out open the result document, in table order
     run = dict(opts, bc=opts["bc"].value)
+    del run["out"]
     run.update((name, getattr(config, field)) for name, field in _SIM_FIELDS.items())
     est = estimate_mfpt(config)
 
@@ -442,12 +420,12 @@ def cmd_mfpt(args: argparse.Namespace) -> int:
         "ratio_sim_over_theory": _jsonable(ratio),
     }
     text = json.dumps(doc, indent=2) + "\n"
-    stem = (out or "").removesuffix(".json")
+    stem = (opts["out"] or "").removesuffix(".json")
     traj_lines = ["trajectory,passage_time"]
     traj_lines += [f"{i},{_fmt(t)}" for i, t in enumerate(est.per_trajectory)]
     traj = (stem + ".trajectories.csv", "\n".join(traj_lines) + "\n")
     params = {k: doc[k] for k in ("bc", "L", "eps", "modes", "dt", "tmax", "ntraj")}
-    return _emit(out, "mfpt", params, run["seed"], started, text, f" and {traj[0]}", [traj])
+    return params, text, f" and {traj[0]}", [traj], run["seed"]
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +433,9 @@ def cmd_mfpt(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(quick: bool = False) -> int:
     from .checks import CHECKS, worst
 
-    quick = bool(getattr(args, "quick", False))
     checks = [row for row in CHECKS if row[2] or not quick]
     name_width = max(len(row[0]) for row in checks)
     header = f"{'check':<{name_width}}  {'measured':>12}  {'tolerance':>12}  status"
@@ -493,7 +470,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-# subcommand -> (handler, help); every one but verify takes its OPTIONS
+# subcommand -> (handler, help). main calls the handlers held here, not the
+# module attributes, which a tracer may wrap: nothing then sits between
+# main and the layers' spans.
 _COMMANDS = {
     "rate": (cmd_rate, "one-point rate breakdown (JSON)"),
     "sweep": (cmd_sweep, "prefactor curves on an L grid (CSV)"),
@@ -534,8 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = _COMMANDS[args.command][0]
     try:
-        return _COMMANDS[args.command][0](args)
+        if args.command == "verify":
+            return command(args.quick)
+        opts = _resolve(args)
+        started = _utc_now()
+        return _emit(opts["out"], args.command, started, *command(opts))
     except UsageError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except (ValueError, RuntimeError) as exc:  # NoInstantonRegime is a ValueError

@@ -141,7 +141,9 @@ def solve_m_from_L(L: float, bc: BoundaryCondition) -> float:
 
     c = 4 for periodic bc, 2 for Neumann bc. The left side is strictly
     increasing in m, so the root is unique; bisection brackets it and a
-    few Newton steps polish to |residual| < 1e-12.
+    few Newton steps polish it: |c sqrt(1+m) K(m) - L|/L is ~1e-16 to Neumann
+    L = 20, 1.2e-12 at 22 and 1.0e-4 at 49.4, where 1 - m is 1e-14 (periodic
+    bc: twice those L). ROADMAP item 3 plans a solve in 1 - m.
     """
     L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
     if L <= bc.critical_length:
@@ -188,8 +190,9 @@ def instanton_profile(
     x_i = i L / (n_x - 1) (both endpoints included). The profile is
     sign * sqrt(2m/(m+1)) * sn(x / sqrt(m+1) + phase, m) at the modulus m
     of L. phase shifts it along the interval (periodic bc only; the family
-    is translation degenerate); Neumann bc pin it to K(m). sign selects one
-    of the two mirror-image Neumann instantons. Each sn value is
+    is translation degenerate); Neumann bc pin it to K(m) and refuse a
+    nonzero phase. sign selects one of the two mirror-image Neumann
+    instantons. Each sn value is
     jacobi_sn(scale * x + phase, m), scale = 1/sqrt(m+1), bit for bit; one
     AGM run after the modulus solve gives the period 4K(m) and the Landen
     descent levels.
@@ -204,6 +207,8 @@ def _profile_samples(L, bc, phase=0.0, sign=1, n_x=512) -> tuple[list, list]:
     L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
     sign, n_x = _count("sign", sign, -1, 1), _count("n_x", n_x, 16)
     phase = _real("phase", phase)
+    if phase and bc is BoundaryCondition.NEUMANN:
+        raise ValueError(f"phase must be 0 for neumann bc, which pin the instanton, got {phase!r}")
     if sign == 0:
         raise ValueError("sign must be +1 or -1, got 0")
     m = solve_m_from_L(L, bc)

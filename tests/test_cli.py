@@ -24,6 +24,7 @@ import pytest
 
 import kramers_gl
 from kramers_gl.checks import worst
+from kramers_gl import cli
 from kramers_gl.cli import (
     _MAX_ENSEMBLE_DRAWS,
     _MAX_L_POINTS,
@@ -419,6 +420,104 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# one table for every number option: the real and count options of
+# cli.OPTIONS, as flag text and as config values
+# ---------------------------------------------------------------------------
+
+
+def _number_options():
+    """(command, key, kind, lower bound, cap) of every real and count option,
+    and the (command, key) of every other option."""
+    numbers, others = [], []
+    for command, options in cli.OPTIONS.items():
+        for key, (convert, _, _) in options.items():
+            if convert in (cli._positive, cli._eps_list, cli._one_eps):
+                numbers.append((command, key, "real", 0.0, math.inf))
+            elif getattr(convert, "func", None) is cli._whole:
+                numbers.append((command, key, "count", *convert.args))
+            else:
+                others.append((command, key))
+    return numbers, others
+
+
+NUMBER_OPTIONS, OTHER_OPTIONS = _number_options()
+
+# valid flags for each command: every refusal below comes from the one option
+_BASE_FLAGS = {
+    "rate": {"bc": "neumann", "L": "2.0", "eps": "0.1"},
+    "sweep": {"bc": "neumann", "L": "2.0", "eps": "0.1"},
+    "profile": {"bc": "neumann", "L": "4.0"},
+    "spectrum": {"bc": "neumann", "L": "2.0"},
+    "mfpt": {
+        "bc": "neumann", "L": "2.0", "eps": "2.0", "modes": "8",
+        "tmax": "50", "ntraj": "2", "seed": "1",
+    },
+}
+
+
+def _argv_without(command, key):
+    argv = [command]
+    for name, text in _BASE_FLAGS[command].items():
+        if name != key:
+            argv += ["--" + name.replace("_", "-"), text]
+    return argv
+
+
+def _refused_values(kind, lo, cap):
+    """NaN, inf, below the lower bound and above the cap; JSON true too."""
+    if kind == "real":
+        below, above = [lo, lo - 1.0], []  # the lower end is open, no cap below inf
+    else:
+        below, above = [lo - 1], [cap + 1]
+    return [math.nan, math.inf, *below, *above]
+
+
+def test_every_option_is_a_number_or_text():
+    # a number option with a converter of its own would escape the table
+    assert {key for _, key in OTHER_OPTIONS} == {"bc", "L_range", "out"}
+    assert len(NUMBER_OPTIONS) == 15
+
+
+@pytest.mark.parametrize(
+    "command, key, source, value",
+    [
+        (command, key, source, value)
+        for command, key, kind, lo, cap in NUMBER_OPTIONS
+        for source in ("flag", "config")
+        for value in _refused_values(kind, lo, cap) + ([True] if source == "config" else [])
+    ],
+)
+def test_number_option_is_refused_out_of_range(tmp_path, capsys, command, key, source, value):
+    argv = _argv_without(command, key) + ["--out", str(tmp_path / "result")]
+    if source == "flag":
+        argv += ["--" + key, repr(value)]
+    else:
+        (tmp_path / "run.json").write_text(json.dumps({key: value}))
+        argv += ["--config", str(tmp_path / "run.json")]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert f"invalid value for {key}: " in captured.err
+    if isinstance(value, bool) or math.isfinite(value):
+        assert f"({key} must be " in captured.err  # the library's reason
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == (["run.json"] if source == "config" else [])
+
+
+@pytest.mark.parametrize(
+    "command, key", [(c, k) for c, k, kind, *_ in NUMBER_OPTIONS if kind == "count"]
+)
+def test_json_whole_float_is_taken_as_a_count(tmp_path, capsys, command, key):
+    (tmp_path / "run.json").write_text(json.dumps({key: 32.0}))
+    argv = _argv_without(command, key) + ["--config", str(tmp_path / "run.json")]
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    if command == "mfpt":
+        assert json.loads(out)[key] == 32
+    else:  # 32 samples, or eigenvalues 0..32
+        assert len(out.splitlines()) == 1 + 32 + (command == "spectrum")
+
+
+# ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
@@ -471,7 +570,7 @@ def test_sweep_empty_range_is_usage_error(capsys):
     assert run_cli(
         ["sweep", "--bc", "neumann", "--L-range", "4.0:3.0:0.1", "--eps", "1e-3"]
     ) == 2
-    assert "empty L range" in capsys.readouterr().err
+    assert "(stop must be a number in [4, inf), got 3.0)" in capsys.readouterr().err
     # a grid too long to count is refused before anything is allocated
     assert run_cli(
         ["sweep", "--bc", "neumann", "--L-range", "1:1e308:1e-308", "--eps", "1e-3"]
@@ -494,19 +593,22 @@ def _limit_address_space():
         # 10^9 profile samples: 7.45 GiB for one array of them
         (
             ["profile", "--bc", "neumann", "--L", "4", "--modes", "1000000000"],
-            f"invalid value for modes: '1000000000' (must be <= {_MAX_PROFILE_SAMPLES})",
+            "invalid value for modes: '1000000000' "
+            f"(modes must be an integer in [16, {_MAX_PROFILE_SAMPLES}], got 1000000000)",
         ),
         # 10^8 trajectories: about 65 GB for their generators alone
         (
             ["mfpt", "--bc", "neumann", "--L", "2", "--eps", "0.25",
              "--ntraj", "100000000", "--tmax", "0.01"],
-            f"invalid value for ntraj: '100000000' (must be <= {_MAX_TRAJECTORIES})",
+            "invalid value for ntraj: '100000000' "
+            f"(ntraj must be an integer in [1, {_MAX_TRAJECTORIES}], got 100000000)",
         ),
         # K = 10^5 modes: a 298 GiB synthesis matrix
         (
             ["mfpt", "--bc", "neumann", "--L", "2", "--eps", "0.25",
              "--modes", "100000", "--ntraj", "2", "--tmax", "0.01"],
-            f"invalid value for modes: '100000' (must be <= {_MAX_SIM_MODES})",
+            "invalid value for modes: '100000' "
+            f"(modes must be an integer in [8, {_MAX_SIM_MODES}], got 100000)",
         ),
         # 10^5 periodic trajectories at K = 64: a 1.54 GiB noise buffer
         (
@@ -518,12 +620,14 @@ def _limit_address_space():
         # 10^8 eigenvalues of the uniform saddle: 763 MiB for one array
         (
             ["spectrum", "--bc", "neumann", "--L", "2", "--modes", "100000000"],
-            f"invalid value for modes: '100000000' (must be <= {_MAX_SPECTRUM_MODES})",
+            "invalid value for modes: '100000000' "
+            f"(modes must be an integer in [1, {_MAX_SPECTRUM_MODES}], got 100000000)",
         ),
         # beyond L_c, 2 * 10^5 modes exceed hessian_spectrum's limit
         (
             ["spectrum", "--bc", "neumann", "--L", "4", "--modes", "100000"],
-            f"invalid value for modes: '100000' (must be <= {_MAX_SPECTRUM_MODES})",
+            "invalid value for modes: '100000' "
+            f"(modes must be an integer in [1, {_MAX_SPECTRUM_MODES}], got 100000)",
         ),
     ],
     ids=[
@@ -555,9 +659,9 @@ def test_sweep_oversized_grid_is_refused_before_allocating(tmp_path, argv, messa
 
 
 def test_l_range_point_limit_is_inclusive():
-    assert len(_l_range(f"1:{_MAX_L_POINTS}:1")) == _MAX_L_POINTS
+    assert len(_l_range("L_range", f"1:{_MAX_L_POINTS}:1")) == _MAX_L_POINTS
     with pytest.raises(ValueError, match="more than"):
-        _l_range(f"1:{_MAX_L_POINTS + 1}:1")
+        _l_range("L_range", f"1:{_MAX_L_POINTS + 1}:1")
 
 
 def test_sweep_rejects_both_L_and_range(capsys):

@@ -144,6 +144,17 @@ class TestProfile:
         with pytest.raises(ValueError, match=r"^n_x must be an integer in \[16, inf\), got"):
             instanton_profile(8.0, PERIODIC, n_x=n_x)
 
+    # a finite phase was ignored: phase=0.5 gave the phase=0.0 profile bit for bit
+    @pytest.mark.parametrize("phase", [0.5, -1e-300, np.float32(2.0)])
+    def test_neumann_refuses_a_nonzero_phase(self, phase):
+        with pytest.raises(ValueError, match=r"^phase must be 0 for neumann bc"):
+            instanton_profile(4.0, NEUMANN, phase=phase, n_x=64)
+
+    def test_neumann_takes_a_zero_phase(self):
+        pinned = instanton_profile(4.0, NEUMANN, n_x=64).tobytes()
+        assert instanton_profile(4.0, NEUMANN, phase=-0.0, n_x=64).tobytes() == pinned
+        assert instanton_profile(4.0, NEUMANN, phase=0, n_x=64).tobytes() == pinned
+
     def test_rejects_a_boolean_sign(self):
         # True == 1, so it used to pass as sign = +1
         with pytest.raises(ValueError, match="sign must be"):
