@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "instanton": (
         "BoundaryCondition", "NoInstantonRegime", "SystemParams",
-        "activation_energy", "energy_functional", "instanton_profile",
+        "activation_energy", "instanton_profile", "mu0", "mu1_approx",
         "solve_m_from_L",
     ),
     "rates": (
@@ -36,7 +36,7 @@ _EXPORTS = {
         "jacobi_sn",
     ),
     "spectrum": (
-        "LinearizationSpectrum", "hessian_spectrum", "mu0", "mu1_approx",
+        "LinearizationSpectrum", "energy_functional", "hessian_spectrum",
         "uniform_spectrum",
     ),
     "simulator": (

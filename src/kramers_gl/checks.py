@@ -6,17 +6,20 @@ largest, or to NaN if any is NaN, so a layer that returns NaN fails its row.
 Checks reach the layers through their modules (``_rates.psi_plus``), so a
 patched function or constant is what they check. The determinant-product
 oracle for the classical prefactor and the quadrature oracles for the
-scaling functions live here, their only library caller. numpy, scipy and
-``spectrum`` are imported only inside the checks that use them.
+scaling functions live here, their only library caller. scipy is imported
+only inside the quadrature oracles, which ``verify --quick`` skips.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import instanton as _instanton
 from . import rates as _rates
 from . import specfun as _specfun
+from . import spectrum as _spectrum
 from .instanton import BoundaryCondition
 
 NEU = BoundaryCondition.NEUMANN
@@ -82,7 +85,7 @@ def _check_activation_energy_quadrature():
     for L, bc in ((4.0, NEU), (8.0, PER)):
         closed = _instanton.activation_energy(L, bc)
         profile = _instanton.instanton_profile(L, bc, n_x=4096)
-        quadrature = _instanton.energy_functional(profile, L, bc) + L / 4.0
+        quadrature = _spectrum.energy_functional(profile, L, bc) + L / 4.0
         yield abs(quadrature / closed - 1.0)
 
 
@@ -136,18 +139,14 @@ def _check_anomalous_periodic_limit():
 
 
 def _check_instanton_lowest_eigenvalue():
-    from . import spectrum as _spectrum
-
     L = 4.0
     m = _instanton.solve_m_from_L(L, NEU)
     profile = _instanton.instanton_profile(L, NEU, n_x=1024)
     spec = _spectrum.hessian_spectrum(profile, L, NEU, n_modes=512)
-    yield abs(float(spec.eigenvalues[0]) / _spectrum.mu0(m) - 1.0)
+    yield abs(float(spec.eigenvalues[0]) / _instanton.mu0(m) - 1.0)
 
 
 def _check_periodic_zero_mode():
-    from . import spectrum as _spectrum
-
     L = 9.0
     profile = _instanton.instanton_profile(L, PER, n_x=1024)
     spec = _spectrum.hessian_spectrum(profile, L, PER, n_modes=512)
@@ -168,10 +167,6 @@ def prefactor_from_determinants(L: float, bc: BoundaryCondition, K_max: int) -> 
     prefactor_classical. Only defined below the critical length, where
     the transition state is uniform.
     """
-    import numpy as np
-
-    from . import spectrum as _spectrum
-
     L, bc = _specfun._real("L", L, 0.0), BoundaryCondition.parse(bc)
     if L >= bc.critical_length:
         raise ValueError(

@@ -29,10 +29,10 @@ what ``_emit`` writes; ``main`` resolves, stamps the start and emits.
 
 ``rate``, ``sweep`` and ``profile`` load neither numpy nor ``dataclasses``
 (nor the ``inspect`` it imports): the rate path's value types are
-``__slots__`` records, and this module imports ``simulator`` and ``checks``
-only in the commands that use them, so ``spectrum``, ``mfpt`` and
-``verify`` import numpy when they run. Only a run with ``--out`` loads
-``hashlib`` (and with it OpenSSL).
+``__slots__`` records, and this module imports the array modules
+``spectrum``, ``simulator`` and ``checks`` only in the commands that use
+them, so ``spectrum``, ``mfpt`` and ``verify`` import numpy when they
+run. Only a run with ``--out`` loads ``hashlib`` (and with it OpenSSL).
 """
 
 from __future__ import annotations

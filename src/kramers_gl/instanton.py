@@ -7,8 +7,10 @@ stable states phi = -1 and phi = +1 is phi = 0; above it, the saddles are
 spatially structured instanton profiles built from Jacobi's elliptic sine.
 
 This module provides the length-to-modulus inversion, instanton profiles
-on a grid, the energy functional evaluated with spectral accuracy, and the
-activation energy on both sides of the bifurcation.
+on a grid, the activation energy on both sides of the bifurcation and the
+closed-form Hessian eigenvalues mu0 and mu1 at the instanton. It lies on
+the closed-form rate path and imports no numpy at module level; the energy
+functional of a sampled field is in ``spectrum``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ import math
 
 from .specfun import _count, _elliptic_KE, _real, _sn, _sn_levels, elliptic_K
 
-# numpy is imported inside the functions that build arrays, so the
-# closed-form rate path (modulus, activation energy) loads none of it
+# instanton_profile imports numpy itself: rate and sweep load none of it
 
 
 class NoInstantonRegime(ValueError):
@@ -108,27 +109,6 @@ def _grid(L: float, n_x: int, bc: BoundaryCondition) -> list:
     if bc is BoundaryCondition.PERIODIC:
         return [i * (L / n_x) for i in range(n_x)]
     return [i * (L / (n_x - 1)) for i in range(n_x - 1)] + [float(L)]
-
-
-def _field_samples(values) -> np.ndarray:
-    """A sampled field as a 1-d float array: at least 16 values, all finite."""
-    import numpy as np
-
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim != 1 or vals.size < 16:
-        raise ValueError(
-            f"field needs at least 16 grid values in 1-d, got shape {vals.shape}"
-        )
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("field values must be finite")
-    return vals
-
-
-def _even_extension(values: np.ndarray, L: float) -> tuple[np.ndarray, float]:
-    """Neumann samples on [0, L]'s inclusive grid, evenly extended to period 2L."""
-    import numpy as np
-
-    return np.concatenate([values, values[-2:0:-1]]), 2.0 * L
 
 
 def _length_of_modulus(m: float, bc: BoundaryCondition) -> float:
@@ -224,44 +204,6 @@ def _profile_samples(L, bc, phase=0.0, sign=1, n_x=512) -> tuple[list, list]:
     ]
 
 
-# ---------------------------------------------------------------------------
-# Energy functional. Periodic integrands are integrated by the trapezoid
-# rule on the periodic grid (spectrally accurate); Neumann fields are
-# integrated through their even extension, which is the same rule with
-# half weights at the two endpoints.
-# ---------------------------------------------------------------------------
-
-
-def _spectral_derivative_periodic(values: np.ndarray, L: float) -> np.ndarray:
-    import numpy as np
-
-    n = values.size
-    vhat = np.fft.rfft(values)
-    k = np.fft.rfftfreq(n, d=L / n)  # cycles per unit length
-    dhat = vhat * (2j * math.pi * k)
-    if n % 2 == 0:
-        dhat[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
-    return np.fft.irfft(dhat, n=n)
-
-
-def energy_functional(values: np.ndarray, L: float, bc: BoundaryCondition) -> float:
-    """H[phi] = int_0^L [ (phi')^2/2 + phi^4/4 - phi^2/2 ] dx.
-
-    values are samples on instanton_profile's grid for (L, bc). Spectral
-    differentiation plus trapezoid quadrature consistent with the boundary
-    condition; both are spectrally accurate for smooth fields.
-    """
-    import numpy as np
-
-    L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
-    vals, period = _field_samples(values), L
-    if bc is BoundaryCondition.NEUMANN:
-        vals, period = _even_extension(vals, L)
-    dvals = _spectral_derivative_periodic(vals, period)
-    integrand = 0.5 * dvals**2 + 0.25 * vals**4 - 0.5 * vals**2
-    return float(np.mean(integrand) * L)
-
-
 def activation_energy(L: float, bc: BoundaryCondition) -> float:
     """Energy barrier between a uniform stable state and the saddle.
 
@@ -283,3 +225,26 @@ def _instanton_energy(m: float, bc: BoundaryCondition) -> float:
         3.0 * math.sqrt(1.0 + m)
     )
     return dw if bc is BoundaryCondition.PERIODIC else 0.5 * dw
+
+
+def mu0(m: float) -> float:
+    """Single negative Hessian eigenvalue at an instanton transition state.
+
+    mu0 = 1 - (2/(m+1)) sqrt(m^2 - m + 1), in [-1, 0] for m in [0, 1].
+    Evaluated in the rationalized form -3(1-m)^2 / ((1+m)(1+m+2 sqrt(m^2-m+1)))
+    so the ~ -3(1-m)^2/8 tail near m=1 (long domains) survives instead of
+    cancelling to zero in floating point.
+    """
+    m = _real("m", m, 0.0, 1.0, "[]")
+    one_minus = 1.0 - m
+    root = math.sqrt(m * m - m + 1.0)
+    return -3.0 * one_minus * one_minus / ((1.0 + m) * (1.0 + m + 2.0 * root))
+
+
+def mu1_approx(m: float) -> float:
+    """Small-m approximation 3m of the second instanton Hessian eigenvalue.
+
+    The substitution is accurate to O(m^2); the exact Neumann value is
+    3m/(1+m).
+    """
+    return 3.0 * _real("m", m, 0.0, 1.0, "[]")

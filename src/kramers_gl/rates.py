@@ -17,10 +17,11 @@ from .instanton import (
     _instanton_energy,
     _Record,
     _set_field,
+    mu0,
+    mu1_approx,
     solve_m_from_L,
 )
 from .specfun import _elliptic_KE, _real, bessel_I14, bessel_K14, erfcx
-from .spectrum import mu0, mu1_approx
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)

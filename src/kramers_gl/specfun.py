@@ -36,7 +36,10 @@ def _real(name: str, x, lo=-math.inf, hi=math.inf, ends="()") -> float:
     """
     value = x
     if type(x) is not float:
-        value = float(x) if _scalar(x) and hasattr(x, "__float__") else math.nan
+        try:
+            value = float(x) if _scalar(x) and hasattr(x, "__float__") else math.nan
+        except OverflowError:  # an integer beyond double range
+            value = math.nan
     if lo < value < hi or (value == lo and ends[0] == "[") or (
         value == hi and ends[1] == "]"
     ):

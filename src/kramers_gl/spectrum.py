@@ -1,24 +1,77 @@
-"""Spectra of the linearized evolution operators.
+"""Sampled fields: their energy and the spectra of the linearized operators.
 
-Closed-form eigenvalues at the uniform states (lambda_k at the saddle,
+The energy functional of a field sampled on instanton_profile's grid,
+closed-form eigenvalues at the uniform states (lambda_k at the saddle,
 eta_k at the stable states) and dense Galerkin diagonalization of the
 Hessian -d^2/dx^2 + 3 phi(x)^2 - 1 at arbitrary field configurations in
 one real Fourier basis; a Neumann field on [0, L] is the even half of
 its 2L-periodic extension, and its Hessian the cosine block on [0, 2L].
+The closed-form instanton eigenvalues mu0 and mu1 are in ``instanton``,
+so the closed-form rate path loads neither this module nor numpy.
 """
 
 from __future__ import annotations
 
 import math
 
-from .instanton import BoundaryCondition, _even_extension, _field_samples
-from .instanton import _Record, _set_field
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view as windows
+
+from .instanton import BoundaryCondition, _Record, _set_field
 from .specfun import _count, _real
 
-# numpy is imported inside the functions that build arrays: mu0 and
-# mu1_approx serve the closed-form rate path, which loads none of it
-
 _MAX_DENSE_MODES = 1024
+
+
+def _field_samples(values) -> np.ndarray:
+    """A sampled field as a 1-d float array: at least 16 values, all finite."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or vals.size < 16:
+        raise ValueError(
+            f"field needs at least 16 grid values in 1-d, got shape {vals.shape}"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("field values must be finite")
+    return vals
+
+
+def _even_extension(values: np.ndarray, L: float) -> tuple[np.ndarray, float]:
+    """Neumann samples on [0, L]'s inclusive grid, evenly extended to period 2L."""
+    return np.concatenate([values, values[-2:0:-1]]), 2.0 * L
+
+
+# ---------------------------------------------------------------------------
+# Energy functional. Periodic integrands are integrated by the trapezoid
+# rule on the periodic grid (spectrally accurate); Neumann fields are
+# integrated through their even extension, which is the same rule with
+# half weights at the two endpoints.
+# ---------------------------------------------------------------------------
+
+
+def _spectral_derivative_periodic(values: np.ndarray, L: float) -> np.ndarray:
+    n = values.size
+    vhat = np.fft.rfft(values)
+    k = np.fft.rfftfreq(n, d=L / n)  # cycles per unit length
+    dhat = vhat * (2j * math.pi * k)
+    if n % 2 == 0:
+        dhat[-1] = 0.0  # Nyquist mode has no well-defined odd derivative
+    return np.fft.irfft(dhat, n=n)
+
+
+def energy_functional(values: np.ndarray, L: float, bc: BoundaryCondition) -> float:
+    """H[phi] = int_0^L [ (phi')^2/2 + phi^4/4 - phi^2/2 ] dx.
+
+    values are samples on instanton_profile's grid for (L, bc). Spectral
+    differentiation plus trapezoid quadrature consistent with the boundary
+    condition; both are spectrally accurate for smooth fields.
+    """
+    L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
+    vals, period = _field_samples(values), L
+    if bc is BoundaryCondition.NEUMANN:
+        vals, period = _even_extension(vals, L)
+    dvals = _spectral_derivative_periodic(vals, period)
+    integrand = 0.5 * dvals**2 + 0.25 * vals**4 - 0.5 * vals**2
+    return float(np.mean(integrand) * L)
 
 
 class LinearizationSpectrum(_Record):
@@ -27,8 +80,6 @@ class LinearizationSpectrum(_Record):
     __slots__ = ("eigenvalues", "multiplicities")
 
     def __init__(self, eigenvalues: np.ndarray, multiplicities: np.ndarray):
-        import numpy as np
-
         ev = np.asarray(eigenvalues, dtype=float)
         mult = np.asarray(multiplicities, dtype=int)
         if ev.shape != mult.shape or ev.ndim != 1:
@@ -52,8 +103,6 @@ def uniform_spectrum(
     -1 + ((2 pi/L) k)^2 (periodic), the simulator's mode rates. Stable states
     phi = +-1: eta_k with -1 replaced by +2. Periodic k >= 1 have multiplicity 2.
     """
-    import numpy as np
-
     L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
     K_max = _count("K_max", K_max, 1)
     if state not in ("stable", "transition"):
@@ -74,8 +123,6 @@ def uniform_spectrum(
 
 def _fourier_resample(values: np.ndarray, n_new: int) -> np.ndarray:
     """Trigonometric interpolation of periodic samples onto a finer grid."""
-    import numpy as np
-
     n = values.size
     vhat = np.fft.rfft(values)
     if n % 2 == 0 and n_new != n:
@@ -85,9 +132,6 @@ def _fourier_resample(values: np.ndarray, n_new: int) -> np.ndarray:
 
 def _diff_total(v: np.ndarray, K: int) -> tuple:
     """v[p - q] and v[p + q] for p, q = 1..K as strided views, v[-d] = v[n - d]."""
-    import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view as windows
-
     below = np.concatenate((v[v.size - K + 1 :], v[:K]))  # v[-(K - 1)] .. v[K - 1]
     return windows(below, K)[:, ::-1], windows(v[2 : 2 * K + 1], K)
 
@@ -108,8 +152,6 @@ def hessian_spectrum(
     collocation grid, so no aliasing reaches the retained modes. Returns
     every eigenvalue (2K + 1 periodic, n_modes Neumann), ascending.
     """
-    import numpy as np
-
     L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
     n_modes = _count("n_modes", n_modes, 64, _MAX_DENSE_MODES)
     vals = _field_samples(values)
@@ -143,25 +185,3 @@ def hessian_spectrum(
         eigenvalues=eigenvalues, multiplicities=np.ones(eigenvalues.size, dtype=int)
     )
 
-
-def mu0(m: float) -> float:
-    """Single negative Hessian eigenvalue at an instanton transition state.
-
-    mu0 = 1 - (2/(m+1)) sqrt(m^2 - m + 1), in [-1, 0] for m in [0, 1].
-    Evaluated in the rationalized form -3(1-m)^2 / ((1+m)(1+m+2 sqrt(m^2-m+1)))
-    so the ~ -3(1-m)^2/8 tail near m=1 (long domains) survives instead of
-    cancelling to zero in floating point.
-    """
-    m = _real("m", m, 0.0, 1.0, "[]")
-    one_minus = 1.0 - m
-    root = math.sqrt(m * m - m + 1.0)
-    return -3.0 * one_minus * one_minus / ((1.0 + m) * (1.0 + m + 2.0 * root))
-
-
-def mu1_approx(m: float) -> float:
-    """Small-m approximation 3m of the second instanton Hessian eigenvalue.
-
-    The substitution is accurate to O(m^2); the exact Neumann value is
-    3m/(1+m).
-    """
-    return 3.0 * _real("m", m, 0.0, 1.0, "[]")

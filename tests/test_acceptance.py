@@ -36,8 +36,8 @@ from kramers_gl.instanton import (
     BoundaryCondition,
     SystemParams,
     activation_energy,
-    energy_functional,
     instanton_profile,
+    mu0,
     solve_m_from_L,
 )
 from kramers_gl.rates import (
@@ -50,7 +50,7 @@ from kramers_gl.rates import (
     psi_plus_tilde,
 )
 from kramers_gl.simulator import SimConfig, estimate_mfpt
-from kramers_gl.spectrum import hessian_spectrum, mu0
+from kramers_gl.spectrum import energy_functional, hessian_spectrum
 from kramers_gl.specfun import elliptic_K
 
 NEU = BoundaryCondition.NEUMANN

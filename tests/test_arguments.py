@@ -26,7 +26,7 @@ def _sim(name):
 # row -> (call of the one argument, its name, an in-range numpy scalar,
 # values outside the domain)
 ARGUMENTS = {
-    "elliptic_K": (specfun.elliptic_K, "m", np.float32(0.5), 1.0, -0.25),
+    "elliptic_K": (specfun.elliptic_K, "m", np.float32(0.5), 1.0, -0.25, 10**400),
     "elliptic_E": (specfun.elliptic_E, "m", np.float32(0.5), 1.5),
     "jacobi_sn u": (lambda v: specfun.jacobi_sn(v, 0.5), "u", np.float32(0.75), math.inf),
     "jacobi_sn m": (lambda v: specfun.jacobi_sn(0.3, v), "m", np.float32(0.5), -0.5),
@@ -68,7 +68,7 @@ ARGUMENTS = {
         lambda v: instanton.activation_energy(v, PER), "L", np.float32(9.0), 0.0,
     ),
     "energy_functional": (
-        lambda v: instanton.energy_functional(FIELD, v, NEU), "L", np.float32(3.0), 0.0,
+        lambda v: spectrum.energy_functional(FIELD, v, NEU), "L", np.float32(3.0), 0.0,
     ),
     "instanton_profile L": (
         lambda v: instanton.instanton_profile(v, PER, n_x=64), "L", np.float32(9.5), 0.0,
@@ -84,9 +84,9 @@ ARGUMENTS = {
     "instanton_profile n_x": (
         lambda v: instanton.instanton_profile(9.0, PER, n_x=v), "n_x", np.int16(64), 15, 64.0,
     ),
-    "mu0": (spectrum.mu0, "m", np.float32(0.5), 1.5, -0.5),
-    "mu0 integer": (spectrum.mu0, "m", np.int64(0), 2),
-    "mu1_approx": (spectrum.mu1_approx, "m", np.float32(0.5), 1.5),
+    "mu0": (instanton.mu0, "m", np.float32(0.5), 1.5, -0.5),
+    "mu0 integer": (instanton.mu0, "m", np.int64(0), 2),
+    "mu1_approx": (instanton.mu1_approx, "m", np.float32(0.5), 1.5),
     "uniform_spectrum L": (
         lambda v: spectrum.uniform_spectrum(v, NEU, "stable", 8), "L", np.float32(2.0), 0.0,
     ),

@@ -204,7 +204,8 @@ def test_profile_leaves_numpy_unloaded(tmp_path):
 
 def test_closed_form_commands_leave_dataclasses_unloaded():
     # dataclasses imports inspect, ast, dis and tokenize: about a sixth of a
-    # cold rate call. The rate path's value types are __slots__ records.
+    # cold rate call. The rate path's value types are __slots__ records, and
+    # its closed forms (mu0, mu1) live in instanton, not in spectrum.
     added = modules_added_by(
         [
             ["rate", "--bc", "neumann", "--L", "2.0", "--eps", "0.01"],
@@ -219,6 +220,8 @@ def test_closed_form_commands_leave_dataclasses_unloaded():
     )
     assert "dataclasses" not in added
     assert "inspect" not in added
+    assert "kramers_gl.spectrum" not in added
+    assert [name for name in added if name.split(".")[0] == "numpy"] == []
 
 
 def test_stdout_runs_leave_openssl_unloaded():
@@ -388,6 +391,8 @@ def test_config_accepts_every_option_of_its_subcommand(tmp_path, capsys):
     "argv, key, value",
     [
         (["rate", "--bc", "neumann", "--eps", "0.1"], "L", True),
+        # an integer beyond double range: float() overflows
+        (["rate", "--bc", "neumann", "--eps", "0.1"], "L", 10**400),
         # MFPT_ARGV without its --ntraj flag
         (MFPT_ARGV[:13] + MFPT_ARGV[15:], "ntraj", True),
         (["rate", "--bc", "neumann", "--L", "2.0", "--eps", "0.1"], "out", 5),
@@ -885,8 +890,7 @@ def test_spectrum_instanton_has_zero_mode(capsys):
 
 def test_spectrum_neumann_instanton(capsys):
     # beyond L_c = pi: rows 0 and 1 are mu0(m) and the exact 3m/(1+m)
-    from kramers_gl.instanton import solve_m_from_L
-    from kramers_gl.spectrum import mu0
+    from kramers_gl.instanton import mu0, solve_m_from_L
 
     assert run_cli(["spectrum", "--bc", "neumann", "--L", "4", "--modes", "4"]) == 0
     rows = [l.split(",") for l in capsys.readouterr().out.strip().split("\n")[1:]]

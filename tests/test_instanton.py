@@ -10,12 +10,12 @@ from kramers_gl.instanton import (
     NoInstantonRegime,
     SystemParams,
     activation_energy,
-    energy_functional,
     instanton_profile,
     solve_m_from_L,
 )
 from kramers_gl.instanton import _grid
 from kramers_gl.specfun import elliptic_K, jacobi_sn
+from kramers_gl.spectrum import energy_functional
 
 PERIODIC = BoundaryCondition.PERIODIC
 NEUMANN = BoundaryCondition.NEUMANN
@@ -55,6 +55,15 @@ class TestSolveM:
         for L in [0.5, bc.critical_length * 0.9, bc.critical_length]:
             with pytest.raises(NoInstantonRegime):
                 solve_m_from_L(L, bc)
+
+    @pytest.mark.parametrize(
+        "bc, solved, refused", [(NEUMANN, 55.0, 56.0), (PERIODIC, 110.0, 112.0)]
+    )
+    def test_too_long_to_resolve(self, bc, solved, refused):
+        # 1 - m reaches the double-precision floor 1e-16 between the two
+        assert 0.0 < solve_m_from_L(solved, bc) < 1.0
+        with pytest.raises(ValueError, match="too large to resolve the modulus"):
+            solve_m_from_L(refused, bc)
 
 
 class TestProfile:

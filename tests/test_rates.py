@@ -28,6 +28,7 @@ from kramers_gl.instanton import (
     BoundaryCondition,
     SystemParams,
     activation_energy,
+    mu1_approx,
     solve_m_from_L,
 )
 from kramers_gl.rates import (
@@ -42,7 +43,6 @@ from kramers_gl.rates import (
     psi_plus,
     psi_plus_tilde,
 )
-from kramers_gl.spectrum import mu1_approx
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN
@@ -473,7 +473,7 @@ def _boolean_length_calls():
             True, "neumann", 16
         ),
         "SystemParams": lambda: SystemParams(L=True, eps=0.1, bc="neumann"),
-        "energy_functional": lambda: instanton.energy_functional(field, True, NEU),
+        "energy_functional": lambda: spectrum.energy_functional(field, True, NEU),
         "uniform_spectrum": lambda: spectrum.uniform_spectrum(True, NEU, "stable", 8),
         "hessian_spectrum": lambda: spectrum.hessian_spectrum(field, True, NEU, 64),
     }
@@ -496,15 +496,15 @@ def test_boolean_noise_intensity_is_refused():
 
 
 def _boolean_argument_calls(flag):
-    from kramers_gl import specfun, spectrum
+    from kramers_gl import specfun
 
     return {
         "psi_plus": lambda: psi_plus(flag),
         "psi_minus": lambda: psi_minus(flag),
         "psi_plus_tilde": lambda: psi_plus_tilde(flag),
         "phi_switch": lambda: phi_switch(flag),
-        "mu0": lambda: spectrum.mu0(flag),
-        "mu1_approx": lambda: spectrum.mu1_approx(flag),
+        "mu0": lambda: instanton.mu0(flag),
+        "mu1_approx": lambda: instanton.mu1_approx(flag),
         "elliptic_K": lambda: specfun.elliptic_K(flag),
         "elliptic_E": lambda: specfun.elliptic_E(flag),
         "jacobi_sn u": lambda: specfun.jacobi_sn(flag, 0.5),
@@ -679,6 +679,9 @@ def test_breakdown_dataclass_validation():
             eps_exponent=0.0,
             rate=0.1,
         )
+    for deltaW in (0.0, math.nan):
+        with pytest.raises(ValueError, match="activation energy must be finite and positive"):
+            RateBreakdown("uniform_saddle", deltaW, 1.0, 1.0, 1.0, 0.0, 0.1)
 
 
 @pytest.mark.parametrize("L, bc", [(30.0, NEU), (4.0, PER)])

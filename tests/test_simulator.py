@@ -605,7 +605,8 @@ def test_ensemble_working_memory_stays_near_its_noise_budget():
     # one flat 2 MiB noise buffer and the small state and grid arrays take
     # about 2.6 MiB; a second noise buffer would pass 4.5
     params = SystemParams(L=2.0, eps=0.25, bc=NEU)
-    run_to_transition(SimConfig(params=params, t_max=0.1), trajectory_rng(3, 0))  # caches
+    # warm-up: numpy's and BLAS's first allocations happen outside tracemalloc
+    run_to_transition(SimConfig(params=params, t_max=0.1), trajectory_rng(3, 0))
     cfg = SimConfig(params=params, K=16, t_max=20.0, n_traj=256, seed=3)
     tracemalloc.start()
     try:

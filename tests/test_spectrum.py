@@ -18,16 +18,16 @@ from hypothesis import strategies as st
 from kramers_gl import spectrum
 from kramers_gl.instanton import (
     BoundaryCondition,
-    energy_functional,
     instanton_profile,
+    mu0,
+    mu1_approx,
     solve_m_from_L,
 )
 from kramers_gl.spectrum import (
     LinearizationSpectrum,
     _fourier_resample,
+    energy_functional,
     hessian_spectrum,
-    mu0,
-    mu1_approx,
     uniform_spectrum,
 )
 
@@ -133,6 +133,8 @@ def test_spectrum_dataclass_rejects_descending():
             eigenvalues=np.array([1.0, 0.0]),
             multiplicities=np.array([1, 1]),
         )
+    with pytest.raises(ValueError, match="same shape"):
+        LinearizationSpectrum(eigenvalues=np.array([0.0, 1.0]), multiplicities=np.array([1]))
 
 
 # ---------------------------------------------------------------------------
