@@ -174,14 +174,14 @@ def _one_eps(name, value) -> float:
 # point and eps value. A profile holds its samples and their CSV text: 230 MB
 # peak RSS at 10^6 samples. An ensemble holds, per trajectory, a generator
 # (about 620 B, 700 B of RSS), a state row, its grid values and one noise block
-# of 16 to 128 steps, each row as wide as the noise (K+1 Neumann, 2K+1
-# periodic). So ntraj x width is capped at 10^5 x 17, the largest ensemble at
-# the default K = 16 (Neumann). At that budget, over 200 steps with 24-60 % of
-# the trajectories crossing (eps = 20, L = 2), peak RSS was 0.44 GB for
-# Neumann K = 16 and periodic K = 8, 0.39 GB for Neumann K = 64 and 0.38 GB
-# for periodic K = 64; over 20 steps without a crossing, 0.43 GB. Beyond L_c,
-# spectrum diagonalises 2 modes per listed eigenvalue, and hessian_spectrum
-# takes 1024.
+# of 16 to 128 steps that the block's states overwrite, each row as wide as the
+# noise (K+1 Neumann, 2K+1 periodic). So ntraj x width is capped at 10^5 x 17,
+# the largest ensemble at the default K = 16 (Neumann). At that budget, over
+# 200 steps with 24-60 % of the trajectories crossing (eps = 20, L = 2), peak
+# RSS was 0.44 GiB for Neumann K = 16 and periodic K = 8, 0.40 GiB for Neumann
+# K = 64 and 0.38 GiB for periodic K = 64; over 20 steps without a crossing,
+# 0.43 GiB. Beyond L_c, spectrum diagonalises 2 modes per listed eigenvalue,
+# and hessian_spectrum takes 1024.
 _MAX_L_POINTS = 100_000
 _MAX_PROFILE_SAMPLES = 1_000_000
 _MAX_TRAJECTORIES = 100_000

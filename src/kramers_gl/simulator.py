@@ -32,9 +32,11 @@ Trajectories draw their noise from counter-based per-trajectory
 substreams keyed by (seed, trajectory index), so ensemble results are
 reproducible under any execution order or batching. An ensemble advances
 in blocks of at most 128 steps on the calling thread: draw a block's
-noise, integrate it, detect passages. Blocks fit the trajectories still
-running, inside one buffer of at most max(2^18, 16·n·width) draws for n
-trajectories of width draws, whatever the horizon.
+noise, integrate it, writing each step's state over the noise it used,
+then detect passages and blow-ups in the states the block left. Blocks
+fit the trajectories still running, inside one buffer of at most
+max(2^18, 16·n·width) draws for n trajectories of width draws, whatever
+the horizon.
 """
 
 from __future__ import annotations
@@ -259,12 +261,13 @@ def _evolve_ensemble(
     Time advances in blocks of B = ``_block_steps(m, ...)`` steps for the m
     active trajectories. Each block's noise is drawn and scaled on the
     calling thread into one flat buffer of fixed size, viewed as
-    (m, B, width); the block is integrated, then passages and blow-ups
-    are detected. A blown-up row replays its block from a copy of its
-    block-start state, step by step, to find its step. Trajectories that
-    stop in a block are compacted out of the state in place; the draws
-    past their last step are discarded, so a generator ends at most one
-    block past its trajectory's last step.
+    (m, B, width). Step j writes its new state over the noise it has just
+    used, so after the block the buffer holds the block's state history:
+    passages are read from its mode-0 column, and a blown-up row's step
+    is its first slot with a non-finite mode. Trajectories that stop in
+    a block are compacted out of the state in place; the draws past
+    their last step are discarded, so a generator ends at most one block
+    past its trajectory's last step.
 
     Each trajectory consumes noise only from its own generator, in step
     order, and all inter-trajectory operations are elementwise or
@@ -297,28 +300,7 @@ def _evolve_ensemble(
     g = np.empty((n, synth.shape[1]), dtype=np.float64)
     g3 = np.empty_like(g)
     cubic = np.empty_like(rows)
-    start = np.empty_like(rows)  # the rows at the start of the block
-    capacity = _block_capacity(n, width)
-    means = np.empty(capacity, dtype=np.float64)
-    buffer = np.empty((capacity, width), dtype=np.float64)
-
-    def advance(sel: slice, steps) -> np.ndarray:
-        """Take rows[sel] through the given steps of the current block's noise,
-        writing mode 0 of each into mv; returns which rows are still finite."""
-        r, gv, g3v, cv, dv = rows[sel], g[sel], g3[sel], cubic[sel], decay[sel]
-        # overflow in a diverging trajectory shows in the finiteness scan,
-        # not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in steps:
-                np.dot(r, synth, out=gv)
-                np.multiply(gv, gv, out=g3v)
-                np.multiply(g3v, gv, out=g3v)
-                np.dot(g3v, anal_w, out=cv)
-                np.multiply(dv, r, out=r)
-                np.subtract(r, cv, out=r)
-                np.add(r, noise[sel, j], out=r)
-                mv[sel, j] = r[:, 0]
-        return np.isfinite(r).all(axis=1)
+    buffer = np.empty((_block_capacity(n, width), width), dtype=np.float64)
 
     outcomes: list = [None] * n
     blowups: list = []
@@ -328,12 +310,22 @@ def _evolve_ensemble(
     while True:
         m = len(active)
         bs = _block_steps(m, width, n_steps_total - steps_done)
-        noise = _draw_noise(active_rngs, buffer[: m * bs].reshape(m, bs, width), s)
-        mv = means[: m * bs].reshape(m, bs)
-        start[:m] = rows[:m]
-        finite = advance(slice(0, m), range(bs))
-        with np.errstate(over="ignore"):  # the mean of a diverging row
-            mv *= sign * inv_sqrt_L
+        states = _draw_noise(active_rngs, buffer[: m * bs].reshape(m, bs, width), s)
+        r, gv, g3v, cv, dv = rows[:m], g[:m], g3[:m], cubic[:m], decay[:m]
+        # overflow in a diverging trajectory shows in the finiteness scan,
+        # not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(bs):
+                np.dot(r, synth, out=gv)
+                np.multiply(gv, gv, out=g3v)
+                np.multiply(g3v, gv, out=g3v)
+                np.dot(g3v, anal_w, out=cv)
+                np.multiply(dv, r, out=r)
+                np.subtract(r, cv, out=r)
+                np.add(r, states[:, j], out=r)
+                states[:, j] = r  # the state after step j replaces its noise
+            mv = states[:, :, 0] * (sign * inv_sqrt_L)
+        finite = np.isfinite(r).all(axis=1)
 
         crossed = mv >= config.crossing_threshold  # NaN compares False
         any_crossed = crossed.any(axis=1)
@@ -344,12 +336,8 @@ def _evolve_ensemble(
             if any_crossed[row_i]:
                 outcomes[traj] = (steps_done + int(first[row_i]) + 1) * dt
             elif not finite[row_i]:
-                # replay the row's block to the first step that leaves any mode
-                # non-finite: the last one if no earlier (mv is read by now)
-                one, j = slice(row_i, row_i + 1), 0
-                rows[one] = start[one]
-                while j < bs - 1 and advance(one, (j,))[0]:
-                    j += 1
+                # the first step after which any mode of the row is non-finite
+                j = int(np.isfinite(states[row_i]).all(axis=1).argmin())
                 blowups.append((traj, steps_done + j))
             else:
                 keep.append(row_i)

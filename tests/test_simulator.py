@@ -603,7 +603,7 @@ def test_wide_ensemble_noise_buffers_stay_bounded():
 
 def test_ensemble_working_memory_stays_near_its_noise_budget():
     # one flat 2 MiB noise buffer and the small state and grid arrays take
-    # about 2.6 MiB; a second noise buffer would pass 4.5
+    # about 2.66 MiB; a second noise buffer would pass 4.5
     params = SystemParams(L=2.0, eps=0.25, bc=NEU)
     # warm-up: numpy's and BLAS's first allocations happen outside tracemalloc
     run_to_transition(SimConfig(params=params, t_max=0.1), trajectory_rng(3, 0))
@@ -745,20 +745,29 @@ def test_blowup_step_is_read_from_every_mode(step):
     assert info.value.step_index == step
 
 
-@pytest.mark.parametrize("mode", [0, 3])
-def test_blown_up_trajectory_is_dropped_from_the_ensemble(monkeypatch, mode):
+@pytest.mark.parametrize(
+    "mode, poisoned",
+    [
+        pytest.param(0, {2: 2300}, id="0"),
+        pytest.param(3, {2: 2300}, id="3"),
+        # two rows of the shared block buffer: each step is read from its own row
+        pytest.param(0, {2: 2300, 4: 1001}, id="0-two"),
+        pytest.param(3, {2: 2300, 4: 1001}, id="3-two"),
+    ],
+)
+def test_blown_up_trajectory_is_dropped_from_the_ensemble(monkeypatch, mode, poisoned):
     cfg = SimConfig(params=quick_params(), K=8, n_traj=6, seed=5)
     clean = estimate_mfpt(cfg)
-    assert clean.n_blowup == 0 and clean.per_trajectory[2] > 2300 * cfg.dt
-    poison_trajectories(monkeypatch, {2: 2300}, mode)
+    assert clean.n_blowup == 0
+    for i, step in poisoned.items():
+        assert clean.per_trajectory[i] > step * cfg.dt
+    poison_trajectories(monkeypatch, poisoned, mode)
     est = estimate_mfpt(cfg)
-    assert est.n_blowup == 1
-    assert est.blowup_records == ((2, 2300),)
-    assert est.per_trajectory[2] is None
-    assert est.n_completed + est.n_censored == 5
+    assert est.n_blowup == len(poisoned)
+    assert est.blowup_records == tuple(sorted(poisoned.items()))
+    assert est.n_completed + est.n_censored == 6 - len(poisoned)
     for i, t in enumerate(est.per_trajectory):
-        if i != 2:
-            assert t == clean.per_trajectory[i]
+        assert t == (None if i in poisoned else clean.per_trajectory[i])
 
 
 def test_ensemble_of_blown_up_trajectories_is_unavailable(monkeypatch):
