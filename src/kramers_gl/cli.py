@@ -25,7 +25,7 @@ count's through int(), and then every number through the library's one
 check, ``specfun._real`` or ``specfun._count``: a JSON ``true`` is no
 number, and a count takes only whole numbers (a JSON 32.0 is 32). Every
 command but ``verify`` is a function of its resolved options returning
-what ``_emit`` writes; ``main`` resolves, stamps the start and emits.
+data that ``_emit`` renders; ``main`` resolves, stamps the start and emits.
 
 ``rate``, ``sweep`` and ``profile`` load neither numpy nor ``dataclasses``
 (nor the ``inspect`` it imports): the rate path's value types are
@@ -78,21 +78,33 @@ def _fmt(value) -> str:
     return f"{value:.17g}"
 
 
-def _jsonable(value):
-    """JSON-safe scalar: non-finite floats become null."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
+def _null_nonfinite(value):
+    """``value`` with every non-finite float, at any depth, as None (null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _null_nonfinite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_nonfinite(item) for item in value]
     return value
+
+
+def _render(result) -> str:
+    """The text of one result: a dict as JSON, non-finite floats as null;
+    otherwise rows, the header first, as CSV lines of ``_fmt`` cells."""
+    if isinstance(result, dict):
+        return json.dumps(_null_nonfinite(result), indent=2) + "\n"
+    return "\n".join([",".join(map(_fmt, row)) for row in result]) + "\n"
 
 
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _write_result(path: str, text: str) -> dict:
+def _write_result(path: str, result) -> dict:
     import hashlib
 
-    data = text.encode("utf-8")
+    data = _render(result).encode("utf-8")
     try:
         with open(path, "wb") as fh:
             fh.write(data)
@@ -105,19 +117,21 @@ def _write_result(path: str, text: str) -> dict:
     }
 
 
-def _emit(out, command, started, params, text, note="", extra=(), seed=None) -> int:
+def _emit(out, command, started, params, result, note="", extra=(), seed=None) -> int:
     """Deliver one run's result, what its command returned after ``out``,
     ``command`` and ``started``; returns the exit code 0.
 
-    With ``--out``: write ``text`` there and each ``(path, text)`` of
+    ``result`` and the results in ``extra`` are data that ``_render`` turns
+    into text: a dict for JSON or a list of rows, header first, for CSV.
+    With ``--out``: write ``result`` there and each ``(path, result)`` of
     ``extra`` after it, then one manifest next to ``--out`` listing every
     file written, and print ``wrote <out><note>``. Without ``--out``:
-    write ``text`` to stdout.
+    write ``result`` to stdout.
     """
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(_render(result))
         return 0
-    outputs = [_write_result(path, body) for path, body in ((out, text), *extra)]
+    outputs = [_write_result(path, body) for path, body in ((out, result), *extra)]
     manifest = {
         "version": __version__,
         "command": command,
@@ -127,7 +141,7 @@ def _emit(out, command, started, params, text, note="", extra=(), seed=None) -> 
         "finished": _utc_now(),
         "outputs": outputs,
     }
-    _write_result(out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
+    _write_result(out + ".manifest.json", manifest)
     print(f"wrote {out}{note}")
     return 0
 
@@ -312,9 +326,7 @@ def cmd_rate(opts: dict) -> tuple:
     bc, L, eps = opts["bc"], opts["L"], opts["eps"]
     params = {"bc": bc.value, "L": L, "eps": eps}
     rb = _rates.prefactor_corrected(L, eps, bc)
-    doc = dict(params)
-    doc.update((key, _jsonable(getattr(rb, key))) for key in _RATE_KEYS)
-    return params, json.dumps(doc, indent=2) + "\n"
+    return params, {**params, **{key: getattr(rb, key) for key in _RATE_KEYS}}
 
 
 def cmd_sweep(opts: dict) -> tuple:
@@ -326,10 +338,8 @@ def cmd_sweep(opts: dict) -> tuple:
     l_grid = opts["L_range"] or [opts["L"]]
     eps_list = sorted(opts["eps"])
     rows = [_breakdown_row(bc, L, eps) for eps in eps_list for L in sorted(l_grid)]
-    lines = [CSV_COLUMNS]
-    lines += [",".join(map(_fmt, row)) for row in rows]
     params = {"bc": bc.value, "L_grid": l_grid, "eps": eps_list}
-    return params, "\n".join(lines) + "\n", f" ({len(rows)} rows)"
+    return params, [_ROW_FIELDS, *rows], f" ({len(rows)} rows)"
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +350,8 @@ def cmd_sweep(opts: dict) -> tuple:
 def cmd_profile(opts: dict) -> tuple:
     bc, L, n_x = opts["bc"], opts["L"], opts["modes"]
     xs, values = _instanton._profile_samples(L, bc, n_x=n_x)
-    lines = ["x,phi"]
-    lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in zip(xs, values)]
     params = {"bc": bc.value, "L": L, "samples": n_x}
-    return params, "\n".join(lines) + "\n", f" ({n_x} samples)"
+    return params, [("x", "phi"), *zip(xs, values)], f" ({n_x} samples)"
 
 
 def cmd_spectrum(opts: dict) -> tuple:
@@ -357,13 +365,9 @@ def cmd_spectrum(opts: dict) -> tuple:
         profile = _instanton.instanton_profile(L, bc, n_x=1024)
         spec = hessian_spectrum(profile, L, bc, n_modes=max(256, 2 * n))
         regime = "instanton_saddle"
-    lines = ["index,eigenvalue,multiplicity"]
-    for i, (ev, mult) in enumerate(zip(spec.eigenvalues, spec.multiplicities)):
-        if i > n:
-            break
-        lines.append(f"{i},{_fmt(float(ev))},{int(mult)}")
+    rows = zip(range(n + 1), spec.eigenvalues.tolist(), spec.multiplicities.tolist())
     params = {"bc": bc.value, "L": L, "modes": n, "regime": regime}
-    return params, "\n".join(lines) + "\n"
+    return params, [("index", "eigenvalue", "multiplicity"), *rows]
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +377,11 @@ def cmd_spectrum(opts: dict) -> tuple:
 
 # mfpt option -> SimConfig field
 _SIM_FIELDS = {"modes": "K", "dt": "dt", "tmax": "t_max", "ntraj": "n_traj", "seed": "seed"}
+# the MfptEstimate fields the result document reports, in this order
+_ESTIMATE_KEYS = (
+    "mean_passage_time", "std_error", "n_completed", "n_censored", "n_blowup",
+    "rate", "rate_std_error", "rate_ci",
+)
 
 
 def cmd_mfpt(opts: dict) -> tuple:
@@ -398,34 +407,20 @@ def cmd_mfpt(opts: dict) -> tuple:
     ratio = None
     if opts["eps"] <= 0.5:
         rb = _rates.kramers_rate(config.params)
-        theory = {
-            "gamma0_corrected": _jsonable(rb.gamma0_corrected),
-            "deltaW": _jsonable(rb.deltaW),
-            "rate": _jsonable(rb.rate),
-        }
+        theory = {key: getattr(rb, key) for key in ("gamma0_corrected", "deltaW", "rate")}
         if rb.rate > 0:
             ratio = est.rate / rb.rate
     doc = {
         **run,
         "crossing_threshold": config.crossing_threshold,
-        "mean_passage_time": _jsonable(est.mean_passage_time),
-        "std_error": _jsonable(est.std_error),
-        "n_completed": est.n_completed,
-        "n_censored": est.n_censored,
-        "n_blowup": est.n_blowup,
-        "rate": _jsonable(est.rate),
-        "rate_std_error": _jsonable(est.rate_std_error),
-        "rate_ci": [_jsonable(est.rate_ci[0]), _jsonable(est.rate_ci[1])],
+        **{key: getattr(est, key) for key in _ESTIMATE_KEYS},
         "theory": theory,
-        "ratio_sim_over_theory": _jsonable(ratio),
+        "ratio_sim_over_theory": ratio,
     }
-    text = json.dumps(doc, indent=2) + "\n"
-    stem = (opts["out"] or "").removesuffix(".json")
-    traj_lines = ["trajectory,passage_time"]
-    traj_lines += [f"{i},{_fmt(t)}" for i, t in enumerate(est.per_trajectory)]
-    traj = (stem + ".trajectories.csv", "\n".join(traj_lines) + "\n")
+    traj_path = (opts["out"] or "").removesuffix(".json") + ".trajectories.csv"
+    traj_rows = [("trajectory", "passage_time"), *enumerate(est.per_trajectory)]
     params = {k: doc[k] for k in ("bc", "L", "eps", "modes", "dt", "tmax", "ntraj")}
-    return params, text, f" and {traj[0]}", [traj], run["seed"]
+    return params, doc, f" and {traj_path}", [(traj_path, traj_rows)], run["seed"]
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,7 @@ def prefactor_corrected(L: float, eps: float, bc: BoundaryCondition) -> RateBrea
 
     if L <= L_c:
         regime = "uniform_saddle"
-        lam1 = max(0.0, _lambda1(L, L_c))
+        lam1 = _lambda1(L, L_c)
         alpha = lam1 / a
         if not alpha < math.inf:  # NaN once a overflows too
             raise _too_short(L, lam1, alpha)

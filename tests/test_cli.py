@@ -34,6 +34,7 @@ from kramers_gl.cli import (
     _MAX_TRAJECTORIES,
     CSV_COLUMNS,
     _l_range,
+    _render,
     main,
 )
 from kramers_gl.instanton import BoundaryCondition, SystemParams, _grid, instanton_profile
@@ -68,6 +69,15 @@ def run_cli(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
+
+
+def _strict_json(text):
+    """Parse ``text``, failing on a NaN or Infinity token, which JSON lacks."""
+
+    def refuse(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +581,15 @@ def test_sweep_classical_column_empty_at_critical_length(capsys):
     assert float(row[8]) > 0  # corrected prefactor stays finite
 
 
+def test_rate_json_classical_prefactor_null_at_critical_length(capsys):
+    assert run_cli(["rate", "--bc", "neumann", "--L", repr(math.pi), "--eps", "1e-3"]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["L"] == math.pi
+    assert doc["regime"] == "uniform_saddle"
+    assert doc["gamma0_classical"] is None  # diverges exactly there
+    assert doc["gamma0_corrected"] > 0
+
+
 def test_sweep_empty_range_is_usage_error(capsys):
     assert run_cli(
         ["sweep", "--bc", "neumann", "--L-range", "4.0:3.0:0.1", "--eps", "1e-3"]
@@ -713,6 +732,55 @@ def test_sweep_deterministic_bytes_across_reruns(tmp_path, capsys):
     assert run_cli(argv + ["--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# rendering: every result and manifest goes through cli._render
+# ---------------------------------------------------------------------------
+
+
+def test_render_writes_every_nonfinite_json_number_as_null():
+    bad = (math.nan, math.inf, -math.inf)
+    result = {
+        "nan": math.nan,
+        "inf": math.inf,
+        "-inf": -math.inf,
+        "list": [1, *bad, "x"],
+        "tuple": (2.5, *bad),
+        "nested": {"deeper": {"values": list(bad)}, "f": -math.inf, "g": None, "h": True},
+        "finite": [0.1, -0.0, 1e308, 5e-324, 7, "text"],
+    }
+    expected = {
+        "nan": None,
+        "inf": None,
+        "-inf": None,
+        "list": [1, None, None, None, "x"],
+        "tuple": [2.5, None, None, None],
+        "nested": {"deeper": {"values": [None, None, None]}, "f": None, "g": None, "h": True},
+        "finite": [0.1, -0.0, 1e308, 5e-324, 7, "text"],
+    }
+    text = _render(result)
+    assert text == json.dumps(expected, indent=2) + "\n"
+    assert _strict_json(text) == expected
+
+
+def test_render_writes_rows_header_first_with_empty_nonfinite_cells():
+    rows = [
+        ("name", "x", "n"),
+        ("a", 0.1, 3),
+        ("b", None, 12),
+        ("c", math.nan, 0),
+        ("d", math.inf, -1),
+        ("e", -math.inf, 1 / 3),
+    ]
+    assert _render(rows) == (
+        "name,x,n\n"
+        "a,0.10000000000000001,3\n"
+        "b,,12\n"
+        "c,,0\n"
+        "d,,-1\n"
+        "e,,0.33333333333333331\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -984,7 +1052,7 @@ def test_mfpt_stdout_mode(capsys):
 
 def test_mfpt_single_completion_reports_null_error_estimates(capsys):
     assert run_cli(MFPT_ARGV + ["--ntraj", "1"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = _strict_json(capsys.readouterr().out)
     assert doc["n_completed"] == 1
     assert doc["rate"] > 0
     assert doc["std_error"] is None
