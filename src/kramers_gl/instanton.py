@@ -111,19 +111,14 @@ def _grid(L: float, n_x: int, bc: BoundaryCondition) -> list:
     return [i * (L / (n_x - 1)) for i in range(n_x - 1)] + [float(L)]
 
 
-def _length_of_modulus(m: float, bc: BoundaryCondition) -> float:
-    c = 4.0 if bc is BoundaryCondition.PERIODIC else 2.0
-    return c * math.sqrt(m + 1.0) * elliptic_K(m)
-
-
 def solve_m_from_L(L: float, bc: BoundaryCondition) -> float:
     """Invert the length relation c sqrt(m+1) K(m) = L for the modulus m.
 
-    c = 4 for periodic bc, 2 for Neumann bc. The left side is strictly
-    increasing in m, so the root is unique; bisection brackets it and a
-    few Newton steps polish it: |c sqrt(1+m) K(m) - L|/L is ~1e-16 to Neumann
-    L = 20, 1.2e-12 at 22 and 1.0e-4 at 49.4, where 1 - m is 1e-14 (periodic
-    bc: twice those L). ROADMAP item 3 plans a solve in 1 - m.
+    c = 2 L_c/pi: 4 periodic, 2 Neumann (the even half of a 2L circle). The
+    left side is strictly increasing in m, so the root is unique; bisection
+    brackets it and a few Newton steps polish it: |c sqrt(1+m) K(m) - L|/L is
+    ~1e-16 to Neumann L = 20, 1.2e-12 at 22 and 1.0e-4 at 49.4, where 1 - m is
+    1e-14 (periodic bc: twice those L). ROADMAP item 3 plans a solve in 1 - m.
     """
     L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
     if L <= bc.critical_length:
@@ -131,20 +126,20 @@ def solve_m_from_L(L: float, bc: BoundaryCondition) -> float:
             f"no instanton for L={L} <= critical length {bc.critical_length} "
             f"({bc.value} bc); the uniform saddle applies"
         )
+    c = 2.0 * bc.critical_length / math.pi
     lo, hi = 1e-16, 1.0 - 1e-16
-    if _length_of_modulus(hi, bc) < L:
+    if c * math.sqrt(hi + 1.0) * elliptic_K(hi) < L:
         raise ValueError(f"L={L} too large to resolve the modulus in double precision")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _length_of_modulus(mid, bc) < L:
+        if c * math.sqrt(mid + 1.0) * elliptic_K(mid) < L:
             lo = mid
         else:
             hi = mid
     m = 0.5 * (lo + hi)
     # Newton polish; d/dm [sqrt(1+m) K(m)] via dK/dm = (E - (1-m)K)/(2m(1-m))
-    c = 4.0 if bc is BoundaryCondition.PERIODIC else 2.0
     for _ in range(3):
         K, E = _elliptic_KE(m)
         f = c * math.sqrt(m + 1.0) * K - L
@@ -209,22 +204,23 @@ def activation_energy(L: float, bc: BoundaryCondition) -> float:
 
     L/4 up to the critical length (uniform saddle at phi = 0, whose energy
     is 0, against H[phi +-] = -L/4). Beyond it, the closed form in terms
-    of K(m) and E(m) at the instanton modulus; Neumann instantons carry
-    half the periodic value. Continuous across the critical length.
+    of K(m) and E(m) at the instanton modulus; a Neumann instanton is the
+    even half of the periodic one at 2L and carries half its energy.
+    Continuous across the critical length.
     """
     L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
     if L <= bc.critical_length:
         return L / 4.0
-    return _instanton_energy(solve_m_from_L(L, bc), bc)
+    m = solve_m_from_L(L, bc)
+    return _instanton_energy(m, *_elliptic_KE(m), bc)
 
 
-def _instanton_energy(m: float, bc: BoundaryCondition) -> float:
-    """Activation energy of the instanton saddle with modulus m."""
-    K, E = _elliptic_KE(m)
+def _instanton_energy(m: float, K: float, E: float, bc: BoundaryCondition) -> float:
+    """Activation energy of the instanton saddle with modulus m, K = K(m), E = E(m)."""
     dw = (8.0 * E - (1.0 - m) * (3.0 * m + 5.0) / (1.0 + m) * K) / (
         3.0 * math.sqrt(1.0 + m)
     )
-    return dw if bc is BoundaryCondition.PERIODIC else 0.5 * dw
+    return dw * (bc.critical_length / (2.0 * math.pi))
 
 
 def mu0(m: float) -> float:

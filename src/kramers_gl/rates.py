@@ -30,8 +30,7 @@ _LN2 = math.log(2.0)
 PSI_LIMIT_AT_ZERO = math.gamma(0.25) * 2.0**-1.25 / math.sqrt(math.pi)
 PSI_TILDE_LIMIT_AT_ZERO = math.sqrt(math.pi / 8.0)
 
-# lambda_1/sin(L) (Neumann) and lambda_1/sin(L/2) (periodic) share the
-# limit 2/pi at the respective critical lengths
+# limit of lambda_1/sin(L pi/L_c) at L = L_c, for either bc
 _CRITICAL_MODE_RATIO = 2.0 / math.pi
 
 
@@ -139,25 +138,18 @@ def phi_switch(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _neumann_det_combo(m: float) -> float:
-    """|(1-m)K(m) - (1+m)E(m)| = (3 pi/4) m [1 - m/8 - m^2/64 + O(m^3)]."""
+def _neumann_det_combo(m: float, K: float, E: float) -> float:
+    """|(1-m)K - (1+m)E| = (3 pi/4) m [1 - m/8 - m^2/64 + O(m^3)], K = K(m), E = E(m)."""
     if m < 1e-4:
         return 0.75 * math.pi * m * (1.0 - m / 8.0 - m * m / 64.0)
-    K, E = _elliptic_KE(m)
     return abs((1.0 - m) * K - (1.0 + m) * E)
 
 
-def _periodic_det_combo(m: float) -> float:
-    """|K(m) - ((1+m)/(1-m)) E(m)| = (3 pi/4) m [1 + 7m/8 + O(m^2)]."""
-    K, E = _elliptic_KE(m)
-    return abs(K - (1.0 + m) / (1.0 - m) * E)
-
-
-def _periodic_m_over_det(m: float) -> float:
-    """m / |K - ((1+m)/(1-m))E|, finite as m -> 0 (limit 4/(3 pi))."""
+def _periodic_m_over_det(m: float, K: float, E: float) -> float:
+    """m / |K - ((1+m)/(1-m))E|, K = K(m), E = E(m); 4/(3 pi) [1 - 7m/8 + O(m^2)]."""
     if m < 1e-6:
         return 4.0 / (3.0 * math.pi) / (1.0 + 7.0 * m / 8.0)
-    return m / _periodic_det_combo(m)
+    return m / abs(K - (1.0 + m) / (1.0 - m) * E)
 
 
 def _log_sinh(x: float) -> float:
@@ -179,12 +171,10 @@ def _too_short(L: float, lam1: float, alpha: float) -> ValueError:
 
 
 def _mode_ratio(L: float, bc: BoundaryCondition, lam1: float) -> float:
-    """lambda_1 / sin(L) resp. lambda_1 / sin(L/2); limit 2/pi at L_c."""
+    """lambda_1 / sin(L pi/L_c): sin(L) Neumann, sin(L/2) periodic; 2/pi at L_c."""
     if lam1 == 0.0:
         return _CRITICAL_MODE_RATIO
-    if bc is BoundaryCondition.NEUMANN:
-        return lam1 / math.sin(L)
-    return lam1 / math.sin(0.5 * L)
+    return lam1 / math.sin(L * (math.pi / bc.critical_length))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +209,8 @@ def prefactor_classical(
         raise ValueError(
             "eps is required on the periodic branch beyond the critical length"
         )
-    return _classical_instanton(L, bc, solve_m_from_L(L, bc), eps)
+    m = solve_m_from_L(L, bc)
+    return _classical_instanton(L, bc, m, *_elliptic_KE(m), eps)
 
 
 def _uniform_classical(L: float, bc: BoundaryCondition) -> float:
@@ -230,14 +221,14 @@ def _uniform_classical(L: float, bc: BoundaryCondition) -> float:
 
 
 def _classical_instanton(
-    L: float, bc: BoundaryCondition, m: float, eps: float | None
+    L: float, bc: BoundaryCondition, m: float, K: float, E: float, eps: float | None
 ) -> float:
-    """Classical prefactor beyond L_c at the instanton modulus m."""
+    """Classical prefactor beyond L_c at the instanton modulus m, K = K(m), E = E(m)."""
     if bc is BoundaryCondition.NEUMANN:
-        det = _neumann_det_combo(m)
+        det = _neumann_det_combo(m, K, E)
         ln_val = 0.5 * (_log_sinh(_SQRT2 * L) - math.log(_SQRT2 * det))
         return abs(mu0(m)) / math.pi * math.exp(ln_val)
-    ratio = _periodic_m_over_det(m)  # m / det, finite down to m = 0
+    ratio = _periodic_m_over_det(m, K, E)  # m / det, finite down to m = 0
     ln_val = (
         math.log(L)
         + math.log(abs(mu0(m)))
@@ -298,15 +289,16 @@ def prefactor_corrected(L: float, eps: float, bc: BoundaryCondition) -> RateBrea
     else:
         regime = "instanton_saddle"
         m = solve_m_from_L(L, bc)
+        K, E = _elliptic_KE(m)
         if bc is BoundaryCondition.NEUMANN:
             mu1 = mu1_approx(m)
             correction = 0.5 * math.sqrt(mu1 / (mu1 + a)) * psi_minus(mu1 / a)
         else:
             correction = phi_switch(3.0 * m / (2.0 * math.sqrt(3.0 * eps / L)))
             eps_exponent = -0.5
-        classical = _classical_instanton(L, bc, m, eps)
+        classical = _classical_instanton(L, bc, m, K, E, eps)
         corrected = classical * correction
-        deltaW = _instanton_energy(m, bc)
+        deltaW = _instanton_energy(m, K, E, bc)
 
     barrier = deltaW / eps
     rate = corrected * math.exp(-barrier)

@@ -99,16 +99,16 @@ def uniform_spectrum(
 ) -> LinearizationSpectrum:
     """Closed-form spectrum at a uniform state, modes k = 0 .. K_max.
 
-    Transition state phi = 0: lambda_k = -1 + ((pi/L) k)^2 (Neumann) or
-    -1 + ((2 pi/L) k)^2 (periodic), the simulator's mode rates. Stable states
-    phi = +-1: eta_k with -1 replaced by +2. Periodic k >= 1 have multiplicity 2.
+    Transition state phi = 0: lambda_k = -1 + (k L_c/L)^2, L_c = pi (Neumann)
+    or 2 pi (periodic), the simulator's mode rates. Stable states phi = +-1:
+    eta_k with -1 replaced by +2. Periodic k >= 1 have multiplicity 2.
     """
     L, bc = _real("L", L, 0.0), BoundaryCondition.parse(bc)
     K_max = _count("K_max", K_max, 1)
     if state not in ("stable", "transition"):
         raise ValueError(f"state must be 'stable' or 'transition', got {state!r}")
     k = np.arange(K_max + 1)
-    factor = (2.0 * math.pi if bc is BoundaryCondition.PERIODIC else math.pi) / L
+    factor = bc.critical_length / L
     base = -1.0 if state == "transition" else 2.0
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0: refused
         eigenvalues = base + (factor * k) ** 2

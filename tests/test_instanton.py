@@ -15,7 +15,7 @@ from kramers_gl.instanton import (
 )
 from kramers_gl.instanton import _grid
 from kramers_gl.specfun import elliptic_K, jacobi_sn
-from kramers_gl.spectrum import energy_functional
+from kramers_gl.spectrum import energy_functional, uniform_spectrum
 
 PERIODIC = BoundaryCondition.PERIODIC
 NEUMANN = BoundaryCondition.NEUMANN
@@ -253,12 +253,18 @@ class TestActivationEnergy:
         assert activation_energy(L, bc) == pytest.approx(barrier, abs=1e-8)
 
     def test_neumann_is_half_periodic(self):
-        for m in [0.1, 0.5, 0.9]:
-            Lp = length_of_m(m, PERIODIC)
-            Ln = length_of_m(m, NEUMANN)
-            assert activation_energy(Ln, NEUMANN) == pytest.approx(
-                0.5 * activation_energy(Lp, PERIODIC), rel=1e-13
-            )
+        # a Neumann interval of length L is the even half of the periodic
+        # circle of length 2L: the same modulus, half the barrier and the
+        # same uniform eigenvalues, bit for bit
+        for L in np.linspace(math.pi, 16.0 * math.pi, 3999).tolist():
+            assert activation_energy(L, NEUMANN) == 0.5 * activation_energy(2.0 * L, PERIODIC)
+            if L > math.pi:
+                assert solve_m_from_L(L, NEUMANN) == solve_m_from_L(2.0 * L, PERIODIC)
+        for L in np.linspace(0.0, 30.0, 400)[1:].tolist():
+            for state in ("stable", "transition"):
+                neumann = uniform_spectrum(L, NEUMANN, state, 64).eigenvalues
+                periodic = uniform_spectrum(2.0 * L, PERIODIC, state, 64).eigenvalues
+                assert np.array_equal(neumann, periodic)
 
 
 class TestParams:

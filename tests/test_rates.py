@@ -3,9 +3,11 @@
 Oracles: 30-digit mpmath evaluations of the closed forms (frozen
 constants below), adaptive-quadrature partition integrals reduced to
 the scaling functions through exact normal-form identities, truncated
-determinant products, and analytic limits at the critical lengths.
+determinant products, a Gel'fand-Yaglom initial-value solve on the Neumann
+instanton, and analytic limits at the critical lengths.
 """
 
+import functools
 import math
 import sys
 
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from kramers_gl import instanton, rates
 from kramers_gl.checks import (
@@ -28,6 +31,7 @@ from kramers_gl.instanton import (
     BoundaryCondition,
     SystemParams,
     activation_energy,
+    mu0,
     mu1_approx,
     solve_m_from_L,
 )
@@ -43,6 +47,7 @@ from kramers_gl.rates import (
     psi_plus,
     psi_plus_tilde,
 )
+from kramers_gl.specfun import _elliptic_KE, elliptic_K, jacobi_sn
 
 PER = BoundaryCondition.PERIODIC
 NEU = BoundaryCondition.NEUMANN
@@ -264,14 +269,14 @@ def test_classical_long_domain_soft_mode_suppression():
 
 
 def test_elliptic_combination_series_joins_direct_branch():
-    from kramers_gl.rates import _neumann_det_combo, _periodic_det_combo
+    from kramers_gl.rates import _neumann_det_combo, _periodic_m_over_det
 
     m = 2e-4
     series = 0.75 * math.pi * m * (1.0 - m / 8.0 - m * m / 64.0)
-    assert _neumann_det_combo(m) == pytest.approx(series, rel=1e-9)
+    assert _neumann_det_combo(m, *_elliptic_KE(m)) == pytest.approx(series, rel=1e-9)
     m = 2e-6
     series = 0.75 * math.pi * m * (1.0 + 7.0 * m / 8.0)
-    assert _periodic_det_combo(m) == pytest.approx(series, rel=1e-9)
+    assert _periodic_m_over_det(m, *_elliptic_KE(m)) == pytest.approx(m / series, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +619,53 @@ def test_determinants_refuse_a_length_beyond_double_range():
     # the eigenvalues overflowed, and the product came out NaN after warnings
     with pytest.raises(ValueError, match="L = 1e-200 is too short"):
         prefactor_from_determinants(1e-200, NEU, 64)
+
+
+# ---------------------------------------------------------------------------
+# Gel'fand-Yaglom oracle for the Neumann instanton branch
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _gelfand_yaglom(L):
+    """m and |y'(L)| for y'' = (3 phi_s^2 - 1) y on [0, L], y(0) = 1, y'(0) = 0.
+
+    phi_s is the Neumann instanton at the modulus m of L, built from
+    jacobi_sn. By Gel'fand and Yaglom, |y'(L)| / (sqrt2 sinh(sqrt2 L)) is
+    |det H_s| / det H_min with Neumann conditions: y = cosh(sqrt2 x) solves
+    the same problem at a stable state phi = +-1.
+    """
+    m = solve_m_from_L(L, NEU)
+    amplitude, scale = math.sqrt(2.0 * m / (1.0 + m)), 1.0 / math.sqrt(1.0 + m)
+    phase = elliptic_K(m)
+
+    def rhs(x, state):
+        phi = amplitude * jacobi_sn(scale * x + phase, m)
+        return [state[1], (3.0 * phi * phi - 1.0) * state[0]]
+
+    sol = solve_ivp(rhs, (0.0, L), [1.0, 0.0], method="DOP853", rtol=1e-13, atol=1e-15)
+    assert sol.success
+    return m, abs(sol.y[1, -1])
+
+
+@pytest.mark.parametrize("L", [3.3, 4.0, 6.0])
+def test_neumann_det_combo_matches_gelfand_yaglom(L):
+    m, slope = _gelfand_yaglom(L)
+    combo = rates._neumann_det_combo(m, *_elliptic_KE(m))
+    assert slope == pytest.approx(2.0 * combo / math.sqrt(1.0 + m), rel=1e-11)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the Neumann instanton prefactor is low by (1+m)^(1/4)",
+)
+@pytest.mark.parametrize("L", [3.3, 4.0, 6.0])
+def test_neumann_instanton_prefactor_matches_gelfand_yaglom(L):
+    m, slope = _gelfand_yaglom(L)
+    ratio = math.sqrt(2.0) * math.sinh(math.sqrt(2.0) * L) / slope
+    oracle = abs(mu0(m)) / math.pi * math.sqrt(ratio)
+    assert prefactor_classical(L, NEU) == pytest.approx(oracle, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -213,11 +213,11 @@ def test_each_modulus_runs_one_agm(monkeypatch):
     monkeypatch.setattr(sf, "_agm", counted)
     assert count(lambda: sf.jacobi_sn(0.3, 0.5)) == 1
     for L, bc in [(4.0, "neumann"), (9.0, "periodic")]:
-        # the modulus solve, then one (K, E) pair each for deltaW and the
-        # determinant combination
+        # the modulus solve, then one (K, E) pair that deltaW and the
+        # determinant combination share
         solve = count(lambda: solve_m_from_L(L, bc))
         row = count(lambda: prefactor_corrected(L, 0.05, bc))
-        assert row == solve + 2
+        assert row == solve + 1
         assert row <= 61
         # one AGM per profile after the solve, not one per sample
         short = count(lambda: instanton_profile(L, bc, n_x=16))
