@@ -32,7 +32,9 @@ data that ``_emit`` renders; ``main`` resolves, stamps the start and emits.
 ``__slots__`` records, and this module imports the array modules
 ``spectrum``, ``simulator`` and ``checks`` only in the commands that use
 them, so ``spectrum``, ``mfpt`` and ``verify`` import numpy when they
-run. Only a run with ``--out`` loads ``hashlib`` (and with it OpenSSL).
+run. A run with ``--out`` loads ``hashlib`` (and with it OpenSSL), and so
+does every ``mfpt`` run: its first ``trajectory_rng`` imports
+``numpy.random``, which imports ``secrets`` → ``hmac`` → ``hashlib``.
 """
 
 from __future__ import annotations

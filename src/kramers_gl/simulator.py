@@ -33,10 +33,10 @@ substreams keyed by (seed, trajectory index), so ensemble results are
 reproducible under any execution order or batching. An ensemble advances
 in blocks of at most 128 steps on the calling thread: draw a block's
 noise, integrate it, writing each step's state over the noise it used,
-then detect passages and blow-ups in the states the block left. Blocks
-fit the trajectories still running, inside one buffer of at most
-max(2^18, 16·n·width) draws for n trajectories of width draws, whatever
-the horizon.
+then detect passages and blow-ups in the states the block left. One
+noise buffer is sized once for n trajectories, whatever the horizon:
+⌊2^18/width⌋ rows of width draws, clipped to 16–128 rows a trajectory.
+Each block takes as many steps as it holds for the m still running.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ from .instanton import BoundaryCondition, SystemParams
 from .specfun import _count, _real
 from .spectrum import uniform_spectrum
 
-# Noise blocks: m active trajectories take B steps from a budget of draws per
-# block (2 MiB of float64). The floor keeps the per-block overhead small for
-# very wide ensembles; the cap keeps the draws thrown away after a passage few.
+# The noise buffer: a budget of draws (2 MiB of float64), clipped to 16-128
+# steps a trajectory. The floor keeps the per-block overhead small for very
+# wide ensembles; the cap keeps the draws thrown away after a passage few.
 _NOISE_BUDGET = 1 << 18
 _MIN_BLOCK_STEPS = 16
 _MAX_BLOCK_STEPS = 128
@@ -226,15 +226,9 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
-def _block_steps(n: int, width: int, n_steps: int) -> int:
-    """Steps per noise block: the budget's share, clipped to the bounds and horizon."""
-    fit = _NOISE_BUDGET // (n * width)
-    return min(n_steps, _MAX_BLOCK_STEPS, max(_MIN_BLOCK_STEPS, fit))
-
-
-def _block_capacity(n: int, width: int) -> int:
-    """Trajectory-steps of the largest block any m <= n gets; m·B(m) is not monotone."""
-    return min(_MAX_BLOCK_STEPS * n, max(_NOISE_BUDGET // width, _MIN_BLOCK_STEPS * n))
+def _block_steps(m: int, capacity: int, n_steps: int) -> int:
+    """Steps of m trajectories that capacity rows hold, at most 128 and n_steps."""
+    return min(n_steps, _MAX_BLOCK_STEPS, capacity // m)
 
 
 def _draw_noise(rngs, block: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -258,9 +252,10 @@ def _evolve_ensemble(
     (trajectory_index, step_index), step_index counting from 0 the first
     step after which some mode of the trajectory is non-finite.
 
-    Time advances in blocks of B = ``_block_steps(m, ...)`` steps for the m
-    active trajectories. Each block's noise is drawn and scaled on the
-    calling thread into one flat buffer of fixed size, viewed as
+    One flat buffer of ``capacity`` rows of width draws is sized once for
+    all n trajectories. A block of the m active ones takes the B =
+    ``_block_steps(m, capacity, ...)`` steps it holds, at most 128, and its
+    noise is drawn and scaled into it on the calling thread, viewed as
     (m, B, width). Step j writes its new state over the noise it has just
     used, so after the block the buffer holds the block's state history:
     passages are read from its mode-0 column, and a blown-up row's step
@@ -300,7 +295,8 @@ def _evolve_ensemble(
     g = np.empty((n, synth.shape[1]), dtype=np.float64)
     g3 = np.empty_like(g)
     cubic = np.empty_like(rows)
-    buffer = np.empty((_block_capacity(n, width), width), dtype=np.float64)
+    capacity = min(_MAX_BLOCK_STEPS * n, max(_NOISE_BUDGET // width, _MIN_BLOCK_STEPS * n))
+    buffer = np.empty((capacity, width), dtype=np.float64)
 
     outcomes: list = [None] * n
     blowups: list = []
@@ -309,7 +305,7 @@ def _evolve_ensemble(
     steps_done = 0
     while True:
         m = len(active)
-        bs = _block_steps(m, width, n_steps_total - steps_done)
+        bs = _block_steps(m, capacity, n_steps_total - steps_done)
         states = _draw_noise(active_rngs, buffer[: m * bs].reshape(m, bs, width), s)
         r, gv, g3v, cv, dv = rows[:m], g[:m], g3[:m], cubic[:m], decay[:m]
         # overflow in a diverging trajectory shows in the finiteness scan,

@@ -235,12 +235,16 @@ def test_closed_form_commands_leave_dataclasses_unloaded():
 
 
 def test_stdout_runs_leave_openssl_unloaded():
-    # hashlib, and the OpenSSL it loads, digests written files only
+    # hashlib, and the OpenSSL it loads, digests written files; only mfpt
+    # loads it otherwise, as numpy.random imports secrets -> hmac -> hashlib
     added = modules_added_by(
         [
             ["rate", "--bc", "periodic", "--L", "9.0", "--eps", "0.01"],
             ["rate", "--bc", "neumann", "--L", "2.0", "--eps", "0.01"],
             ["sweep", "--bc", "neumann", "--L-range", "2.5:4.5:0.5", "--eps", "0.01"],
+            ["profile", "--bc", "neumann", "--L", "4.0", "--modes", "64"],
+            ["spectrum", "--bc", "neumann", "--L", "4.0", "--modes", "4"],
+            ["verify", "--quick"],
         ]
     )
     assert "_hashlib" not in added

@@ -18,7 +18,6 @@ import textwrap
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -627,8 +626,8 @@ def test_engine_bytes_hold_as_the_block_length_follows_the_active_count(
     real = simulator._block_steps
     lengths = []  # per run, the block lengths not cut short by the horizon
 
-    def spy(m, width, n_steps):
-        bs = real(m, width, n_steps)
+    def spy(m, capacity, n_steps):
+        bs = real(m, capacity, n_steps)
         if bs < n_steps:
             lengths[-1].add(bs)
         return bs
@@ -649,12 +648,40 @@ def test_engine_bytes_hold_as_the_block_length_follows_the_active_count(
     budget=st.sampled_from([1 << 9, 1 << 12, simulator._NOISE_BUDGET]),
 )
 def test_every_block_fits_the_buffers(n, width, n_steps, budget):
-    # the buffers are sized once, for n trajectories; every later block has
-    # m <= n rows and must fit the same flat buffer
-    with mock.patch.object(simulator, "_NOISE_BUDGET", budget):
-        capacity = simulator._block_capacity(n, width)
-        for m in range(1, n + 1):
-            assert m * simulator._block_steps(m, width, n_steps) <= capacity, m
+    # the buffer is sized once, for n trajectories: the budget's rows, but
+    # 16 to 128 of each; every later block of m <= n rows takes the steps
+    # it holds, and leaves less than a step's rows unused unless capped
+    capacity = min(128 * n, max(budget // width, 16 * n))
+    for m in range(1, n + 1):
+        bs = simulator._block_steps(m, capacity, n_steps)
+        assert 1 <= bs <= min(128, n_steps), m
+        assert m * bs <= capacity, m
+        assert m * bs > capacity - m or bs in (128, n_steps), m
+
+
+def test_wide_ensemble_blocks_fill_their_buffer(monkeypatch):
+    # 2000 trajectories outgrow the budget's 16-step share, so the buffer
+    # is sized by the floor; as they stop, each block must take every step
+    # the buffer holds for the rest, up to the cap or the horizon
+    params = SystemParams(L=2.0, eps=0.5, bc=NEU)
+    cfg = SimConfig(params=params, K=8, t_max=3.0, n_traj=2000, seed=1)
+    n_steps = round(cfg.t_max / cfg.dt)
+    blocks = []  # (m, steps, steps left, buffer rows)
+    real = simulator._draw_noise
+
+    def draw_noise(rngs, block, s):
+        m, bs, _ = block.shape
+        left = n_steps - sum(b[1] for b in blocks)
+        blocks.append((m, bs, left, block.base.shape[0]))  # base: the flat buffer
+        return real(rngs, block, s)
+
+    monkeypatch.setattr(simulator, "_draw_noise", draw_noise)
+    est = estimate_mfpt(cfg)
+    assert est.n_completed > 400
+    assert len({m for m, *_ in blocks}) > 10
+    for m, bs, left, capacity in blocks:
+        assert m * bs <= capacity
+        assert m * bs > capacity - m or bs in (128, left), (m, bs, capacity)
 
 
 class FailingRng:
