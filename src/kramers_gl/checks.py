@@ -3,8 +3,10 @@
 A row of ``CHECKS`` is (name, tolerance, quick, check). A check yields its
 deviations from an independent oracle; ``worst`` reduces them to the
 largest, or to NaN if any is NaN, so a layer that returns NaN fails its row.
-Checks reach the layers through their modules (``_rates.psi_plus``), so a
-patched function or constant is what they check. The determinant-product
+Each kind of check is one function, and a row binds its case with
+``functools.partial``. Checks reach the layers through their modules when
+they run, a scaling function or limit constant by its name on ``rates``, so
+a patched function or constant is what they check. The determinant-product
 oracle for the classical prefactor and the quadrature oracles for the
 scaling functions live here, their only library caller. scipy is imported
 only inside the quadrature oracles, which ``verify --quick`` skips.
@@ -13,6 +15,7 @@ only inside the quadrature oracles, which ``verify --quick`` skips.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -96,22 +99,13 @@ def _check_determinant_prefactor():
     yield abs(truncated / closed - 1.0)
 
 
-def _check_psi_plus_asymptote():
-    # anchors of the soft-mode scaling function: the alpha -> 0 value
+def _check_asymptote(function: str, limit_at_zero: str, limit_at_infinity: float):
+    # anchors of a soft-mode scaling function: the alpha -> 0 value
     # (evaluated at alpha = 1e-8 so it goes through the Bessel route,
     # independently of the stored limit constant) and the limit at infinity
-    yield abs(_rates.psi_plus(1e-8) / _rates.PSI_LIMIT_AT_ZERO - 1.0)
-    yield abs(_rates.psi_plus(1e8) - 1.0)
-
-
-def _check_psi_minus_asymptote():
-    yield abs(_rates.psi_minus(1e-8) / _rates.PSI_LIMIT_AT_ZERO - 1.0)
-    yield abs(_rates.psi_minus(1e8) / 2.0 - 1.0)
-
-
-def _check_psi_tilde_asymptote():
-    yield abs(_rates.psi_plus_tilde(1e-8) / _rates.PSI_TILDE_LIMIT_AT_ZERO - 1.0)
-    yield abs(_rates.psi_plus_tilde(1e8) - 1.0)
+    psi = getattr(_rates, function)
+    yield abs(psi(1e-8) / getattr(_rates, limit_at_zero) - 1.0)
+    yield abs(psi(1e8) / limit_at_infinity - 1.0)
 
 
 def _check_phi_switch():
@@ -126,16 +120,10 @@ def _check_continuity_at_critical_length():
     yield abs(left.gamma0_corrected / right.gamma0_corrected - 1.0)
 
 
-def _check_anomalous_neumann_limit():
+def _check_anomalous_limit(bc: BoundaryCondition, exponent: float, constant: float):
     eps = 1e-8
-    value = _rates.prefactor_corrected(math.pi, eps, NEU).gamma0_corrected * eps**0.25
-    yield abs(value / NEUMANN_CRITICAL_CONST - 1.0)
-
-
-def _check_anomalous_periodic_limit():
-    eps = 1e-8
-    value = _rates.prefactor_corrected(2.0 * math.pi, eps, PER).gamma0_corrected * math.sqrt(eps)
-    yield abs(value / PERIODIC_CRITICAL_CONST - 1.0)
+    rate = _rates.prefactor_corrected(bc.critical_length, eps, bc)
+    yield abs(rate.gamma0_corrected * eps**exponent / constant - 1.0)
 
 
 def _check_instanton_lowest_eigenvalue():
@@ -275,22 +263,10 @@ def _psi_tilde_quadrature(alpha: float, L: float, eps: float) -> float:
     return (L * lam1 / eps) * val * (lam1 + a) / lam1
 
 
-def _check_psi_plus_quadrature():
+def _check_quadrature(function: str, oracle, L: float, eps: float):
+    psi = getattr(_rates, function)
     for alpha in (0.5, 1.0, 2.0, 5.0):
-        oracle = _psi_plus_quadrature(alpha, math.pi / 2.0, 1e-3)
-        yield abs(_rates.psi_plus(alpha) / oracle - 1.0)
-
-
-def _check_psi_minus_quadrature():
-    for alpha in (0.5, 1.0, 2.0, 5.0):
-        oracle = _psi_minus_quadrature(alpha, 4.0, 1e-2)
-        yield abs(_rates.psi_minus(alpha) / oracle - 1.0)
-
-
-def _check_psi_tilde_quadrature():
-    for alpha in (0.5, 1.0, 2.0, 5.0):
-        oracle = _psi_tilde_quadrature(alpha, 3.0, 1e-3)
-        yield abs(_rates.psi_plus_tilde(alpha) / oracle - 1.0)
+        yield abs(psi(alpha) / oracle(alpha, L, eps) - 1.0)
 
 
 CHECKS = (
@@ -300,16 +276,24 @@ CHECKS = (
     ("modulus solver roundtrip", 1e-10, True, _check_modulus_roundtrip),
     ("activation energy quadrature", 1e-8, True, _check_activation_energy_quadrature),
     ("determinant prefactor convergence", 1e-6, True, _check_determinant_prefactor),
-    ("psi_plus asymptote", 1e-6, True, _check_psi_plus_asymptote),
-    ("psi_minus asymptote", 1e-6, True, _check_psi_minus_asymptote),
-    ("psi_tilde asymptote", 1e-6, True, _check_psi_tilde_asymptote),
+    ("psi_plus asymptote", 1e-6, True,
+     partial(_check_asymptote, "psi_plus", "PSI_LIMIT_AT_ZERO", 1.0)),
+    ("psi_minus asymptote", 1e-6, True,
+     partial(_check_asymptote, "psi_minus", "PSI_LIMIT_AT_ZERO", 2.0)),
+    ("psi_tilde asymptote", 1e-6, True,
+     partial(_check_asymptote, "psi_plus_tilde", "PSI_TILDE_LIMIT_AT_ZERO", 1.0)),
     ("phi switch distribution", 1e-14, True, _check_phi_switch),
     ("continuity at critical length", 5e-2, True, _check_continuity_at_critical_length),
-    ("anomalous neumann limit", 1e-3, True, _check_anomalous_neumann_limit),
-    ("anomalous periodic limit", 1e-3, True, _check_anomalous_periodic_limit),
+    ("anomalous neumann limit", 1e-3, True,
+     partial(_check_anomalous_limit, NEU, 0.25, NEUMANN_CRITICAL_CONST)),
+    ("anomalous periodic limit", 1e-3, True,
+     partial(_check_anomalous_limit, PER, 0.5, PERIODIC_CRITICAL_CONST)),
     ("instanton lowest eigenvalue", 1e-6, True, _check_instanton_lowest_eigenvalue),
     ("periodic zero mode", 1e-6, True, _check_periodic_zero_mode),
-    ("psi_plus quadrature", 1e-5, False, _check_psi_plus_quadrature),
-    ("psi_minus quadrature", 1e-5, False, _check_psi_minus_quadrature),
-    ("psi_tilde quadrature", 1e-5, False, _check_psi_tilde_quadrature),
+    ("psi_plus quadrature", 1e-5, False,
+     partial(_check_quadrature, "psi_plus", _psi_plus_quadrature, math.pi / 2.0, 1e-3)),
+    ("psi_minus quadrature", 1e-5, False,
+     partial(_check_quadrature, "psi_minus", _psi_minus_quadrature, 4.0, 1e-2)),
+    ("psi_tilde quadrature", 1e-5, False,
+     partial(_check_quadrature, "psi_plus_tilde", _psi_tilde_quadrature, 3.0, 1e-3)),
 )

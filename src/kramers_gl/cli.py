@@ -339,7 +339,7 @@ def cmd_sweep(opts: dict) -> tuple:
         raise UsageError("missing required parameter: L (or L_range)")
     l_grid = opts["L_range"] or [opts["L"]]
     eps_list = sorted(opts["eps"])
-    rows = [_breakdown_row(bc, L, eps) for eps in eps_list for L in sorted(l_grid)]
+    rows = [_breakdown_row(bc, L, eps) for eps in eps_list for L in l_grid]
     params = {"bc": bc.value, "L_grid": l_grid, "eps": eps_list}
     return params, [_ROW_FIELDS, *rows], f" ({len(rows)} rows)"
 

@@ -4,8 +4,8 @@ main(argv) is exercised in-process: usage errors exit 2 and name the
 offending key, domain errors exit 1 with a readable message, result
 files are byte-deterministic across reruns, every run that writes files
 gets one manifest listing them with the full provenance, and the verify
-table fails loudly (naming the check) when an anchor constant is
-tampered with.
+table fails loudly (naming the check) when an anchor constant or a
+scaling function is tampered with, and its rows are pinned.
 """
 
 import ast
@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import kramers_gl
-from kramers_gl.checks import worst
+from kramers_gl.checks import CHECKS, worst
 from kramers_gl import cli
 from kramers_gl.cli import (
     _MAX_ENSEMBLE_DRAWS,
@@ -438,6 +438,33 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys):
     assert "missing.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{bad", "is not valid JSON"),
+        ("[1, 2]", "must contain a JSON object"),
+        ('{"bc": "neumann", "L": 2, "eps": []}', "invalid value for eps: [] (no value given)"),
+    ],
+)
+def test_malformed_config_is_usage_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    assert run_cli(["rate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_unwritable_out_is_a_domain_error_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    argv = ["rate", "--bc", "neumann", "--L", "2.0", "--eps", "0.1", "--out", str(out)]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert f"cannot write {out}" in captured.err
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # one table for every number option: the real and count options of
 # cli.OPTIONS, as flag text and as config values
@@ -604,6 +631,9 @@ def test_sweep_empty_range_is_usage_error(capsys):
         ["sweep", "--bc", "neumann", "--L-range", "1:1e308:1e-308", "--eps", "1e-3"]
     ) == 2
     assert "invalid value for L_range" in capsys.readouterr().err
+    # so is a range without its step
+    assert run_cli(["sweep", "--bc", "neumann", "--L-range", "1:2", "--eps", "0.1"]) == 2
+    assert "(expected start:stop:step)" in capsys.readouterr().err
 
 
 def _limit_address_space():
@@ -708,6 +738,9 @@ def test_sweep_rejects_both_L_and_range(capsys):
     )
     assert code == 2
     assert "L" in capsys.readouterr().err
+    # and neither
+    assert run_cli(["sweep", "--bc", "neumann", "--eps", "0.1"]) == 2
+    assert "missing required parameter: L (or L_range)" in capsys.readouterr().err
 
 
 def test_sweep_grid_endpoints_inclusive(capsys):
@@ -1081,7 +1114,7 @@ def test_verify_quick_passes_under_ten_seconds(capsys):
     assert "psi_plus asymptote" in out
     assert "FAIL" not in out
     # quick mode skips the quadrature oracles
-    assert "quadrature oracle" not in out.replace("energy quadrature", "")
+    assert not any(f"{psi} quadrature" in out for psi in ("psi_plus", "psi_minus", "psi_tilde"))
 
 
 def test_verify_full_includes_quadrature_oracles(capsys):
@@ -1112,6 +1145,21 @@ def test_verify_fails_when_psi_plus_anchor_is_tampered(monkeypatch, capsys):
     )
     assert "FAIL" in table_line
     assert "psi_plus asymptote" in captured.err
+
+
+def test_verify_fails_when_a_scaling_function_is_tampered(monkeypatch, capsys):
+    # the asymptote check looks the scaling function up on rates when it
+    # runs, so a patched function is what it checks; the 1 % also reaches
+    # the continuity row, which stays inside its 5e-2
+    import kramers_gl.rates as rates_module
+
+    psi_minus = rates_module.psi_minus
+    monkeypatch.setattr(rates_module, "psi_minus", lambda alpha: 1.01 * psi_minus(alpha))
+    code = run_cli(["verify", "--quick"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert _verify_row(captured.out, "psi_minus asymptote").endswith("FAIL")
+    assert captured.err == "verify failed: psi_minus asymptote\n"
 
 
 def _verify_row(out, name):
@@ -1162,3 +1210,27 @@ def test_verify_counts_match_mode(capsys):
     quick_n = int(quick_out.strip().split("\n")[-1].split()[0])
     full_n = int(full_out.strip().split("\n")[-1].split()[0])
     assert full_n == quick_n + 3
+
+
+def test_verify_table_rows_are_pinned():
+    # no row may be dropped, renamed, loosened or moved out of quick mode
+    assert [(name, tol, quick) for name, tol, quick, _ in CHECKS] == [
+        ("elliptic legendre relation", 5e-14, True),
+        ("jacobi sn quarter period", 1e-12, True),
+        ("bessel K from I connection", 1e-12, True),
+        ("modulus solver roundtrip", 1e-10, True),
+        ("activation energy quadrature", 1e-8, True),
+        ("determinant prefactor convergence", 1e-6, True),
+        ("psi_plus asymptote", 1e-6, True),
+        ("psi_minus asymptote", 1e-6, True),
+        ("psi_tilde asymptote", 1e-6, True),
+        ("phi switch distribution", 1e-14, True),
+        ("continuity at critical length", 5e-2, True),
+        ("anomalous neumann limit", 1e-3, True),
+        ("anomalous periodic limit", 1e-3, True),
+        ("instanton lowest eigenvalue", 1e-6, True),
+        ("periodic zero mode", 1e-6, True),
+        ("psi_plus quadrature", 1e-5, False),
+        ("psi_minus quadrature", 1e-5, False),
+        ("psi_tilde quadrature", 1e-5, False),
+    ]
