@@ -33,8 +33,9 @@ data that ``_emit`` renders; ``main`` resolves, stamps the start and emits.
 ``spectrum``, ``simulator`` and ``checks`` only in the commands that use
 them, so ``spectrum``, ``mfpt`` and ``verify`` import numpy when they
 run. A run with ``--out`` loads ``hashlib`` (and with it OpenSSL), and so
-does every ``mfpt`` run: its first ``trajectory_rng`` imports
-``numpy.random``, which imports ``secrets`` → ``hmac`` → ``hashlib``.
+does the process that runs an ``mfpt`` ensemble (this one, or each shard
+worker): its first ``trajectory_rng`` imports ``numpy.random``, which
+imports ``secrets`` → ``hmac`` → ``hashlib``.
 """
 
 from __future__ import annotations
@@ -196,8 +197,9 @@ def _one_eps(name, value) -> float:
 # 200 steps with 24-60 % of the trajectories crossing (eps = 20, L = 2), peak
 # RSS was 0.44 GiB for Neumann K = 16 and periodic K = 8, 0.40 GiB for Neumann
 # K = 64 and 0.38 GiB for periodic K = 64; over 20 steps without a crossing,
-# 0.43 GiB. Beyond L_c, spectrum diagonalises 2 modes per listed eigenvalue,
-# and hessian_spectrum takes 1024.
+# 0.43 GiB. In two shards (Neumann K = 16) each worker peaked at 0.25 GiB and
+# the calling process at 33 MB. Beyond L_c, spectrum diagonalises 2 modes per
+# listed eigenvalue, and hessian_spectrum takes 1024.
 _MAX_L_POINTS = 100_000
 _MAX_PROFILE_SAMPLES = 1_000_000
 _MAX_TRAJECTORIES = 100_000

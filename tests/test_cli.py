@@ -235,8 +235,9 @@ def test_closed_form_commands_leave_dataclasses_unloaded():
 
 
 def test_stdout_runs_leave_openssl_unloaded():
-    # hashlib, and the OpenSSL it loads, digests written files; only mfpt
-    # loads it otherwise, as numpy.random imports secrets -> hmac -> hashlib
+    # hashlib, and the OpenSSL it loads, digests written files; only an
+    # mfpt ensemble loads it otherwise, as numpy.random imports secrets ->
+    # hmac -> hashlib
     added = modules_added_by(
         [
             ["rate", "--bc", "periodic", "--L", "9.0", "--eps", "0.01"],

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -573,19 +574,18 @@ def _limit_address_space():
 def test_wide_ensemble_noise_buffers_stay_bounded():
     # 20000 periodic K = 16 trajectories over 200 steps: one noise block
     # of 512 steps, or two that span the horizon, would take 2.1-2.5 GiB,
-    # past the child's address-space limit
+    # past the child's address-space limit. The ensemble runs in the child
+    # itself, as one shard: estimate_mfpt would split it among workers
     src = os.path.dirname(os.path.dirname(kramers_gl.__file__))
     script = textwrap.dedent(
         """
-        from kramers_gl import BoundaryCondition, SimConfig, SystemParams, estimate_mfpt
-        from kramers_gl.simulator import EstimateUnavailable
+        from kramers_gl import BoundaryCondition, SimConfig, SystemParams
+        from kramers_gl.simulator import _run_shard
 
         params = SystemParams(L=7.0, eps=0.25, bc=BoundaryCondition.PERIODIC)
         cfg = SimConfig(params=params, K=16, t_max=0.2, n_traj=20000, seed=3)
-        try:
-            estimate_mfpt(cfg)
-        except EstimateUnavailable as exc:
-            print(exc)
+        outcomes, blowups = _run_shard(cfg, 0, cfg.n_traj, False)
+        print(outcomes.count(None) - len(blowups), "censored")
         """
     )
     proc = subprocess.run(
@@ -609,11 +609,12 @@ def test_ensemble_working_memory_stays_near_its_noise_budget():
     cfg = SimConfig(params=params, K=16, t_max=20.0, n_traj=256, seed=3)
     tracemalloc.start()
     try:
-        est = estimate_mfpt(cfg)
+        # in this process: estimate_mfpt would hand 256 trajectories to workers
+        outcomes, _ = simulator._run_shard(cfg, 0, cfg.n_traj, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert est.n_completed > 100  # compaction ran
+    assert sum(t is not None for t in outcomes) > 100  # compaction ran
     assert peak <= 3.5 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
@@ -676,8 +677,9 @@ def test_wide_ensemble_blocks_fill_their_buffer(monkeypatch):
         return real(rngs, block, s)
 
     monkeypatch.setattr(simulator, "_draw_noise", draw_noise)
-    est = estimate_mfpt(cfg)
-    assert est.n_completed > 400
+    # in this process, where the spy is: estimate_mfpt would shard 2000
+    outcomes, _ = simulator._run_shard(cfg, 0, cfg.n_traj, False)
+    assert sum(t is not None for t in outcomes) > 400
     assert len({m for m, *_ in blocks}) > 10
     for m, bs, left, capacity in blocks:
         assert m * bs <= capacity
@@ -820,6 +822,135 @@ def test_length_beyond_double_range_is_refused_before_any_step(monkeypatch, bc, 
 
 
 # ---------------------------------------------------------------------------
+# worker processes: contiguous trajectory shards, merged in index order
+# ---------------------------------------------------------------------------
+
+
+def test_shard_count_follows_the_usable_cpus_and_the_floor(monkeypatch):
+    floor = simulator._SHARD_FLOOR
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 4)
+    assert [simulator._shard_count(n) for n in (1, 2 * floor - 1, 2 * floor)] == [1, 1, 2]
+    assert simulator._shard_count(3 * floor + floor // 2) == 3
+    assert simulator._shard_count(100 * floor) == 4
+    monkeypatch.undo()
+    # the affinity set, not the host's CPU count, where the OS has one
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert simulator._shard_count(100 * floor) == 1
+
+
+def test_merge_shifts_each_shards_blowups_by_its_offset():
+    parts = [([1.0, None], [(1, 7)]), ([None], [(0, 0)]), ([None, 2.5, None], [(2, 3), (0, 9)])]
+    outcomes, blowups = simulator._merge_shards([0, 2, 3], parts)
+    assert outcomes == [1.0, None, None, None, 2.5, None]
+    assert blowups == [(1, 7), (2, 0), (5, 3), (3, 9)]
+
+
+# 25 trajectories: no shard count of 2 or 3 divides them
+SHARD_CASES = {
+    "neumann": (dict(L=2.0, eps=0.25, bc=NEU, K=8, dt=2e-3, t_max=500.0, n_traj=25, seed=4242), False),
+    "periodic_mirror": (dict(L=7.0, eps=0.5, bc=PER, K=8, dt=2e-3, t_max=300.0, n_traj=25, seed=99), True),
+    "neumann_censored": (dict(L=2.0, eps=0.25, bc=NEU, K=8, dt=2e-3, t_max=3.001, n_traj=25, seed=2718), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARD_CASES))
+def test_sharded_ensemble_equals_the_one_shard_run(monkeypatch, name):
+    spec, mirror = SHARD_CASES[name]
+    cfg = sim_config(**spec)
+    one = estimate_mfpt(cfg, _mirror=mirror)
+    if name == "neumann_censored":
+        assert one.n_censored > 15
+    for shards in (2, 3):
+        monkeypatch.setattr(simulator, "_shard_count", lambda n: shards)
+        est = estimate_mfpt(cfg, _mirror=mirror)
+        assert est.per_trajectory == one.per_trajectory, shards
+        assert est.blowup_records == one.blowup_records, shards
+        assert est == one
+
+
+def session_members(sid):
+    """Pids of the processes in session sid, read from /proc."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat", "rb") as fh:
+                    fields = fh.read().rsplit(b")", 1)[1].split()
+            except OSError:  # the process exited meanwhile
+                continue
+            if int(fields[3]) == sid:  # state, ppid, pgrp, session
+                pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads sessions from /proc")
+def test_workers_end_with_their_caller_and_their_errors_reach_it():
+    # a sharded ensemble, then a shard whose worker raises, then exit; the
+    # child leads its own session, so every process it started stays in it
+    src = os.path.dirname(os.path.dirname(kramers_gl.__file__))
+    script = textwrap.dedent(
+        """
+        import hashlib
+        from kramers_gl import BoundaryCondition, SimConfig, SystemParams, simulator
+
+        simulator._shard_count = lambda n: 2
+        neumann = BoundaryCondition.NEUMANN
+        cfg = SimConfig(params=SystemParams(L=2.0, eps=0.25, bc=neumann), K=8, dt=2e-3,
+                        t_max=500.0, n_traj=24, seed=4242)
+        est = simulator.estimate_mfpt(cfg)
+        print(hashlib.sha256(repr(est.per_trajectory).encode()).hexdigest())
+        short = SimConfig(params=SystemParams(L=1e-200, eps=0.1, bc=neumann), K=8,
+                          t_max=1.0, n_traj=4)
+        try:
+            simulator.estimate_mfpt(short)
+        except ValueError as exc:
+            print(type(exc).__name__, exc)
+        """
+    )
+    with subprocess.Popen(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as proc:
+        stdout, stderr = proc.communicate(timeout=300)
+    assert proc.returncode == 0, stderr
+    digest, error = stdout.splitlines()
+    assert digest == ENGINE_DIGESTS["neumann"][2]
+    assert error.startswith("ValueError L = 1e-200 is too short")
+    # the forkserver leaves once it reads its caller's exit
+    deadline = time.monotonic() + 30.0
+    while session_members(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert session_members(proc.pid) == []
+
+
+def _shards_in_a_daemonic_process(spec):
+    import multiprocessing
+
+    with multiprocessing.get_context("forkserver").Pool(1) as pool:  # daemonic workers
+        task = pool.apply_async(simulator._evolve_sharded, (sim_config(**spec), 2))
+        return task.get(timeout=300)
+
+
+def _shards_in_a_thread(spec):
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(simulator._evolve_sharded, sim_config(**spec), 2).result(timeout=300)
+
+
+@pytest.mark.parametrize("caller", [_shards_in_a_daemonic_process, _shards_in_a_thread])
+def test_sharded_ensemble_bytes_hold_from_any_caller(caller):
+    # a daemonic process may start no worker, so it runs the shards itself
+    spec, _, digest = ENGINE_DIGESTS["neumann"]
+    outcomes, blowups = caller(spec)
+    assert hashlib.sha256(repr(tuple(outcomes)).encode()).hexdigest() == digest
+    assert blowups == []
+
+
+# ---------------------------------------------------------------------------
 # ensemble statistics on the shared reference run (500 trajectories, about a
 # minute; the robustness runs add 300 trajectories each): marked slow
 # ---------------------------------------------------------------------------
@@ -877,6 +1008,25 @@ def test_trajectory_rngs_are_independent_substreams():
     a2 = trajectory_rng(123, 0).standard_normal(8)
     assert not np.allclose(a, b)
     np.testing.assert_array_equal(a, a2)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(0, 0), (2**64 - 1, 2**64 - 1), (12345, 0), (1, 2**63), (2**40 + 3, 987654321987654321)],
+)
+def test_trajectory_rng_is_philox_keyed_by_seed_and_index(key):
+    # the same state and draws as numpy's own keyed construction
+    ours = trajectory_rng(*key)
+    theirs = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+    a, b = ours.bit_generator.state, theirs.bit_generator.state
+    assert a["bit_generator"] == b["bit_generator"] == "Philox"
+    for name in ("counter", "key"):
+        np.testing.assert_array_equal(a["state"][name], b["state"][name])
+    np.testing.assert_array_equal(a["buffer"], b["buffer"])
+    assert (a["buffer_pos"], a["has_uint32"], a["uinteger"]) == (
+        b["buffer_pos"], b["has_uint32"], b["uinteger"]
+    )
+    np.testing.assert_array_equal(ours.standard_normal(10**4), theirs.standard_normal(10**4))
 
 
 def test_mfpt_estimate_validation():
