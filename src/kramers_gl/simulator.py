@@ -33,16 +33,14 @@ substreams keyed by (seed, trajectory index), so ensemble results are
 reproducible under any execution order, batching or split among
 processes. ``estimate_mfpt`` splits trajectories 0..n-1 into w
 contiguous shards, w = min(usable CPUs, ⌊n/64⌋), and runs each in a
-worker process (in this one when w = 1); the merged result has the
-bits of a one-process run. Sharding trades CPU-seconds for wall time:
-each shard runs its own narrow tail, and each worker takes 0.2-0.3 s
-to start. A shard advances in blocks of at most 128 steps in the process
-that runs it: draw a block's noise, integrate it, writing each step's
-state over the noise it used, then detect passages and blow-ups in the
-states the block left. One noise buffer is sized once for a shard's n
-trajectories, whatever the horizon: ⌊2^18/width⌋ rows of width draws,
-clipped to 16–128 rows a trajectory. Each block takes as many steps as
-it holds for the m still running.
+worker process (in this one when w = 1); the concatenated result has
+the bits of a one-process run. A shard advances in blocks of at most
+128 steps in the process that runs it: draw a block's noise, integrate
+it, writing each step's state over the noise it used, then detect
+passages and blow-ups in the states the block left. One noise buffer is
+sized once for a shard's n trajectories, whatever the horizon:
+⌊2^18/width⌋ rows of width draws, clipped to 16–128 rows a trajectory.
+Each block takes as many steps as it holds for the m still running.
 """
 
 from __future__ import annotations
@@ -50,6 +48,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -65,13 +64,17 @@ from .spectrum import uniform_spectrum
 _NOISE_BUDGET = 1 << 18
 _MIN_BLOCK_STEPS = 16
 _MAX_BLOCK_STEPS = 128
-# Trajectories per worker process at the least. A worker takes 0.2-0.3 s
-# to start (2 vCPUs, Python 3.11: a forkserver child importing numpy and
-# this package); 64 trajectories of the cheapest ensemble measured, Neumann
-# L = 2, eps = 0.25, K = 16, run about 1.1 s. Two shards against one process,
-# median wall-time ratio over four seeds: 1.06 at n = 64, 1.03 at 128 and
-# 1.53 at 192 there; 1.19, 1.50 and 1.57 for periodic L = 7, eps = 0.5.
+# Trajectories per worker process at the least, set when a worker took
+# 0.2-0.3 s to start (a two-worker call takes 0.05 s now, after the
+# forkserver's 0.2 s once a process; 2 vCPUs, Python 3.11): 64 trajectories
+# of the cheapest ensemble measured, Neumann L = 2, eps = 0.25, K = 16, run
+# about 1.1 s. Two shards against one process, median wall-time ratio over
+# four seeds: 1.06 at n = 64, 1.03 at 128 and 1.53 at 192 there; 1.19, 1.50
+# and 1.57 for periodic L = 7, eps = 0.5.
 _SHARD_FLOOR = 64
+# the forkserver's environment, whichever of these BLAS libraries numpy links
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+_ENVIRON_LOCK = threading.Lock()
 
 
 class SimulationBlowUp(RuntimeError):
@@ -127,27 +130,53 @@ class SimConfig:
 class MfptEstimate:
     """Mean first-passage time over an ensemble, with delta-method rate CI.
 
-    With a single completed trajectory there is no spread to estimate:
-    ``std_error`` and ``rate_std_error`` are NaN and ``rate_ci`` is
-    ``(nan, nan)``.
+    Built from the ensemble's outcomes alone: ``per_trajectory[i]`` is the
+    passage time of trajectory i, or None (censored or blown up), and
+    ``blowup_records`` holds a (trajectory_index, step_index) per blow-up.
+    Only completed trajectories enter the mean; with one there is no spread
+    to estimate, and ``std_error``, ``rate_std_error`` and ``rate_ci`` are
+    NaN. Raises ValueError for a passage time that is not positive and
+    finite, and EstimateUnavailable when none completed.
     """
 
-    mean_passage_time: float
-    std_error: float
-    n_completed: int
-    n_censored: int
-    n_blowup: int
-    rate: float
-    rate_std_error: float
-    rate_ci: tuple[float, float]
+    mean_passage_time: float = field(init=False)
+    std_error: float = field(init=False)
+    n_completed: int = field(init=False)
+    n_censored: int = field(init=False)
+    n_blowup: int = field(init=False)
+    rate: float = field(init=False)
+    rate_std_error: float = field(init=False)
+    rate_ci: tuple[float, float] = field(init=False)
     per_trajectory: tuple = field(repr=False)
     blowup_records: tuple = ()
 
     def __post_init__(self):
-        if self.n_completed > 0 and not self.mean_passage_time > 0:
-            raise ValueError("mean_passage_time must be positive")
-        if self.std_error < 0:
-            raise ValueError("std_error must be non-negative")
+        # a trajectory has a passage time (crossed) or a blow-up record, not both
+        times = np.array([t for t in self.per_trajectory if t is not None])
+        if not ((times > 0) & np.isfinite(times)).all():
+            raise ValueError("passage times must be positive and finite")
+        n_blowup = len(self.blowup_records)
+        n_censored = len(self.per_trajectory) - times.size - n_blowup
+        if times.size == 0:
+            raise EstimateUnavailable(
+                "no trajectory crossed within t_max; raise t_max or eps "
+                f"({n_censored} censored, {n_blowup} blown up)"
+            )
+        mean = float(times.mean())
+        rate = 1.0 / mean
+        if times.size > 1:
+            std_error = float(times.std(ddof=1) / math.sqrt(times.size))
+            rate_se = std_error / mean**2
+            ci = (max(0.0, rate - 1.96 * rate_se), rate + 1.96 * rate_se)
+        else:  # one passage time has no spread to estimate
+            std_error = rate_se = math.nan
+            ci = (math.nan, math.nan)
+        vars(self).update(  # past the frozen __setattr__
+            mean_passage_time=mean, std_error=std_error, n_completed=times.size,
+            n_censored=n_censored, n_blowup=n_blowup, rate=rate, rate_std_error=rate_se,
+            rate_ci=ci, per_trajectory=tuple(self.per_trajectory),
+            blowup_records=tuple(sorted(self.blowup_records)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -409,49 +438,57 @@ def run_to_transition(
     return outcomes[0]
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _shard_count(n: int) -> int:
-    """Worker processes for n trajectories: one per usable CPU, at least
-    ``_SHARD_FLOOR`` trajectories each."""
-    return max(1, min(_usable_cpus(), n // _SHARD_FLOOR))
+    """Worker processes for n trajectories: one per CPU this process may run
+    on, at least ``_SHARD_FLOOR`` trajectories each."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, n // _SHARD_FLOOR))
 
 
-def _run_shard(config: SimConfig, start: int, stop: int, mirror: bool) -> tuple[list, list]:
-    """``_evolve_ensemble`` over trajectories start..stop-1, indices local.
+def _run_shard(config: SimConfig, start: int, stop: int) -> tuple[list, list]:
+    """``_evolve_ensemble`` over trajectories start..stop-1, with blow-ups
+    by their index in the whole ensemble.
 
     The generators are built here, in the process that runs the shard. A
     worker finds this function by name; being private, it stays the
     module's own while wrappers replace public functions (a tracer's).
     """
     rngs = [trajectory_rng(config.seed, i) for i in range(start, stop)]
-    return _evolve_ensemble(config, rngs, mirror=mirror)
+    outcomes, blowups = _evolve_ensemble(config, rngs)
+    return outcomes, [(start + i, step) for i, step in blowups]
 
 
-def _merge_shards(starts: Sequence[int], parts: Sequence[tuple]) -> tuple[list, list]:
-    """Concatenate shard outcomes in index order; shift blow-up indices by
-    each shard's first trajectory."""
-    outcomes: list = []
-    blowups: list = []
-    for start, (shard_outcomes, shard_blowups) in zip(starts, parts):
-        outcomes += shard_outcomes
-        blowups += [(start + i, step) for i, step in shard_blowups]
-    return outcomes, blowups
+def _start_forkserver() -> None:
+    """Start the forkserver, unless it runs, with numpy preloaded and one
+    BLAS thread in its environment for the workers that share the CPUs;
+    ``os.environ`` is left as it was. Nothing of this package is preloaded:
+    the forkserver does not read the caller's ``sys.path`` (Python 3.11),
+    so it would import whichever copy its own path finds. A forkserver that
+    other code started keeps its own settings.
+    """
+    from multiprocessing import forkserver
+
+    forkserver.set_forkserver_preload(["numpy"])
+    with _ENVIRON_LOCK:
+        saved = {name: os.environ.get(name) for name in _ONE_BLAS_THREAD}
+        os.environ.update(_ONE_BLAS_THREAD)
+        try:
+            forkserver.ensure_running()
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    del os.environ[name]
+                else:
+                    os.environ[name] = value
 
 
-def _evolve_sharded(config: SimConfig, shards: int, mirror: bool = False) -> tuple[list, list]:
+def _evolve_sharded(config: SimConfig, shards: int) -> tuple[list, list]:
     """(outcomes, blowups) of all n_traj trajectories, split into contiguous
     shards that run in worker processes, one each.
 
     A single shard, a daemonic caller (which may not start processes) and
     a platform without the forkserver start method run the whole range in
-    this process. Workers come from a forkserver that preloads nothing, so
-    none is forked from a process whose BLAS threads are running.
+    this process.
     """
     n = config.n_traj
     if shards > 1:
@@ -463,63 +500,23 @@ def _evolve_sharded(config: SimConfig, shards: int, mirror: bool = False) -> tup
         ):
             from concurrent.futures import ProcessPoolExecutor
 
-            starts = [n * k // shards for k in range(shards)]
+            _start_forkserver()
             context = multiprocessing.get_context("forkserver")
-            context.set_forkserver_preload([])
+            bounds = [n * k // shards for k in range(shards + 1)]
             with ProcessPoolExecutor(shards, mp_context=context) as pool:
-                stops = starts[1:] + [n]
-                parts = pool.map(_run_shard, [config] * shards, starts, stops, [mirror] * shards)
-                return _merge_shards(starts, list(parts))
-    return _run_shard(config, 0, n, mirror)
+                parts = list(pool.map(_run_shard, [config] * shards, bounds[:-1], bounds[1:]))
+            return [t for part in parts for t in part[0]], [b for part in parts for b in part[1]]
+    return _run_shard(config, 0, n)
 
 
-def estimate_mfpt(config: SimConfig, *, _mirror: bool = False) -> MfptEstimate:
+def estimate_mfpt(config: SimConfig) -> MfptEstimate:
     """Mean first-passage time over n_traj independent trajectories.
 
-    Deterministic for a fixed config (per-trajectory Philox substreams).
-    Blown-up trajectories are discarded and reported in blowup_records;
-    censored trajectories do not enter the mean. Raises
-    EstimateUnavailable when no trajectory completes.
-
-    The trajectories run as ``_shard_count(n)`` contiguous shards, one
-    worker process each, with the same outcomes whatever the count. This
-    buys wall time with CPU-seconds: on 256 Neumann trajectories (L = 2,
-    eps = 0.25, K = 16) two shards on 2 vCPUs gave 1.31x the trajectory-steps
-    per second of one process (median of ten 25 s runs) and took 23-41 %
-    more CPU-seconds per trajectory-step, workers included, as each shard
-    runs its own narrow tail and each worker imports numpy. Every worker
+    Deterministic for a fixed config (per-trajectory Philox substreams);
+    raises EstimateUnavailable when no trajectory completes. The
+    trajectories run as ``_shard_count(n)`` contiguous shards, one worker
+    process each, with the same outcomes whatever the count. Every worker
     imports the main module, so a script that calls this on 128 or more
     trajectories guards its entry point with ``if __name__ == "__main__":``.
     """
-    outcomes, blowups = _evolve_sharded(config, _shard_count(config.n_traj), _mirror)
-    # a trajectory has a passage time (crossed) or a blow-up record, not both
-    times = np.array([t for t in outcomes if t is not None])
-    n_completed = times.size
-    n_blowup = len(blowups)
-    n_censored = config.n_traj - n_completed - n_blowup
-    if n_completed == 0:
-        raise EstimateUnavailable(
-            "no trajectory crossed within t_max; raise t_max or eps "
-            f"({n_censored} censored, {n_blowup} blown up)"
-        )
-    mean = float(times.mean())
-    rate = 1.0 / mean
-    if n_completed > 1:
-        std_error = float(times.std(ddof=1) / math.sqrt(n_completed))
-        rate_se = std_error / mean**2
-        ci = (max(0.0, rate - 1.96 * rate_se), rate + 1.96 * rate_se)
-    else:  # one passage time has no spread to estimate
-        std_error = rate_se = math.nan
-        ci = (math.nan, math.nan)
-    return MfptEstimate(
-        mean_passage_time=mean,
-        std_error=std_error,
-        n_completed=int(n_completed),
-        n_censored=int(n_censored),
-        n_blowup=int(n_blowup),
-        rate=rate,
-        rate_std_error=rate_se,
-        rate_ci=ci,
-        per_trajectory=tuple(outcomes),
-        blowup_records=tuple(sorted(blowups)),
-    )
+    return MfptEstimate(*_evolve_sharded(config, _shard_count(config.n_traj)))

@@ -442,12 +442,18 @@ def test_coarse_dt_divergence_is_detected_as_crossing():
     assert est.blowup_records == ()
 
 
+def mirrored_estimate(cfg):
+    """The estimate of cfg's ensemble run as its phi -> -phi image, in this process."""
+    rngs = [trajectory_rng(cfg.seed, i) for i in range(cfg.n_traj)]
+    return MfptEstimate(*simulator._evolve_ensemble(cfg, rngs, mirror=True))
+
+
 def test_mirrored_ensemble_is_bit_identical():
     # phi -> -phi symmetry of the full experiment, exact by construction
     cfg = SimConfig(
         params=quick_params(), K=8, dt=2e-3, t_max=300.0, n_traj=25, seed=808
     )
-    assert estimate_mfpt(cfg) == estimate_mfpt(cfg, _mirror=True)
+    assert estimate_mfpt(cfg) == mirrored_estimate(cfg)
 
 
 def test_threshold_sensitivity_is_within_relaxation_scale():
@@ -526,11 +532,18 @@ def sim_config(L, eps, bc, **kwargs):
     return SimConfig(params=SystemParams(L=L, eps=eps, bc=bc), **kwargs)
 
 
+def case_estimate(name):
+    """The estimate of an ENGINE_DIGESTS case, mirrored where it says so."""
+    spec, mirror, _ = ENGINE_DIGESTS[name]
+    cfg = sim_config(**spec)
+    return mirrored_estimate(cfg) if mirror else estimate_mfpt(cfg)
+
+
 @pytest.mark.parametrize("name", sorted(ENGINE_DIGESTS))
 def test_engine_bytes_are_pinned(name):
-    spec, mirror, digest = ENGINE_DIGESTS[name]
-    est = estimate_mfpt(sim_config(**spec), _mirror=mirror)
-    assert hashlib.sha256(repr(est.per_trajectory).encode()).hexdigest() == digest
+    est = case_estimate(name)
+    digest = hashlib.sha256(repr(est.per_trajectory).encode()).hexdigest()
+    assert digest == ENGINE_DIGESTS[name][2]
 
 
 @pytest.mark.parametrize("name", ["neumann_censored_odd_horizon", "periodic"])
@@ -551,14 +564,7 @@ def test_engine_bytes_hold_with_concurrent_ensembles_and_fast_switching():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(4) as pool:
-            futures = [
-                pool.submit(
-                    estimate_mfpt,
-                    sim_config(**ENGINE_DIGESTS[name][0]),
-                    _mirror=ENGINE_DIGESTS[name][1],
-                )
-                for name in names
-            ]
+            futures = [pool.submit(case_estimate, name) for name in names]
             results = [f.result(timeout=300) for f in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -584,7 +590,7 @@ def test_wide_ensemble_noise_buffers_stay_bounded():
 
         params = SystemParams(L=7.0, eps=0.25, bc=BoundaryCondition.PERIODIC)
         cfg = SimConfig(params=params, K=16, t_max=0.2, n_traj=20000, seed=3)
-        outcomes, blowups = _run_shard(cfg, 0, cfg.n_traj, False)
+        outcomes, blowups = _run_shard(cfg, 0, cfg.n_traj)
         print(outcomes.count(None) - len(blowups), "censored")
         """
     )
@@ -610,7 +616,7 @@ def test_ensemble_working_memory_stays_near_its_noise_budget():
     tracemalloc.start()
     try:
         # in this process: estimate_mfpt would hand 256 trajectories to workers
-        outcomes, _ = simulator._run_shard(cfg, 0, cfg.n_traj, False)
+        outcomes, _ = simulator._run_shard(cfg, 0, cfg.n_traj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -634,9 +640,9 @@ def test_engine_bytes_hold_as_the_block_length_follows_the_active_count(
         return bs
 
     monkeypatch.setattr(simulator, "_block_steps", spy)
-    for name, (spec, mirror, digest) in ENGINE_DIGESTS.items():
+    for name, (_, _, digest) in ENGINE_DIGESTS.items():
         lengths.append(set())
-        est = estimate_mfpt(sim_config(**spec), _mirror=mirror)
+        est = case_estimate(name)
         assert hashlib.sha256(repr(est.per_trajectory).encode()).hexdigest() == digest, name
     assert max(map(len, lengths)) >= 2, lengths
 
@@ -678,7 +684,7 @@ def test_wide_ensemble_blocks_fill_their_buffer(monkeypatch):
 
     monkeypatch.setattr(simulator, "_draw_noise", draw_noise)
     # in this process, where the spy is: estimate_mfpt would shard 2000
-    outcomes, _ = simulator._run_shard(cfg, 0, cfg.n_traj, False)
+    outcomes, _ = simulator._run_shard(cfg, 0, cfg.n_traj)
     assert sum(t is not None for t in outcomes) > 400
     assert len({m for m, *_ in blocks}) > 10
     for m, bs, left, capacity in blocks:
@@ -822,48 +828,54 @@ def test_length_beyond_double_range_is_refused_before_any_step(monkeypatch, bc, 
 
 
 # ---------------------------------------------------------------------------
-# worker processes: contiguous trajectory shards, merged in index order
+# worker processes: contiguous trajectory shards, concatenated in index order
 # ---------------------------------------------------------------------------
 
 
 def test_shard_count_follows_the_usable_cpus_and_the_floor(monkeypatch):
     floor = simulator._SHARD_FLOOR
-    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 4)
+    # the affinity set, not the host's CPU count, where the OS has one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert [simulator._shard_count(n) for n in (1, 2 * floor - 1, 2 * floor)] == [1, 1, 2]
     assert simulator._shard_count(3 * floor + floor // 2) == 3
     assert simulator._shard_count(100 * floor) == 4
-    monkeypatch.undo()
-    # the affinity set, not the host's CPU count, where the OS has one
-    if hasattr(os, "sched_getaffinity"):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert simulator._shard_count(100 * floor) == 1
+    # elsewhere the CPU count, and one CPU where that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert simulator._shard_count(100 * floor) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulator._shard_count(100 * floor) == 1
 
 
-def test_merge_shifts_each_shards_blowups_by_its_offset():
-    parts = [([1.0, None], [(1, 7)]), ([None], [(0, 0)]), ([None, 2.5, None], [(2, 3), (0, 9)])]
-    outcomes, blowups = simulator._merge_shards([0, 2, 3], parts)
-    assert outcomes == [1.0, None, None, None, 2.5, None]
-    assert blowups == [(1, 7), (2, 0), (5, 3), (3, 9)]
+def test_shard_reports_blowups_by_their_index_in_the_ensemble(monkeypatch):
+    # shards are concatenated as they come, so each gives its trajectories'
+    # indices in the whole ensemble
+    cfg = SimConfig(params=quick_params(), K=8, n_traj=6, seed=5)
+    clean = estimate_mfpt(cfg)
+    poison_trajectories(monkeypatch, {2: 2300, 4: 1001})
+    outcomes, blowups = simulator._run_shard(cfg, 2, 5)
+    assert outcomes == [None, clean.per_trajectory[3], None]
+    assert sorted(blowups) == [(2, 2300), (4, 1001)]
 
 
 # 25 trajectories: no shard count of 2 or 3 divides them
 SHARD_CASES = {
-    "neumann": (dict(L=2.0, eps=0.25, bc=NEU, K=8, dt=2e-3, t_max=500.0, n_traj=25, seed=4242), False),
-    "periodic_mirror": (dict(L=7.0, eps=0.5, bc=PER, K=8, dt=2e-3, t_max=300.0, n_traj=25, seed=99), True),
-    "neumann_censored": (dict(L=2.0, eps=0.25, bc=NEU, K=8, dt=2e-3, t_max=3.001, n_traj=25, seed=2718), False),
+    "neumann": dict(L=2.0, eps=0.25, bc=NEU, K=8, dt=2e-3, t_max=500.0, n_traj=25, seed=4242),
+    "periodic": dict(L=7.0, eps=0.5, bc=PER, K=8, dt=2e-3, t_max=300.0, n_traj=25, seed=99),
+    "neumann_censored": dict(L=2.0, eps=0.25, bc=NEU, K=8, dt=2e-3, t_max=3.001, n_traj=25, seed=2718),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SHARD_CASES))
 def test_sharded_ensemble_equals_the_one_shard_run(monkeypatch, name):
-    spec, mirror = SHARD_CASES[name]
-    cfg = sim_config(**spec)
-    one = estimate_mfpt(cfg, _mirror=mirror)
+    cfg = sim_config(**SHARD_CASES[name])
+    one = estimate_mfpt(cfg)
     if name == "neumann_censored":
         assert one.n_censored > 15
     for shards in (2, 3):
         monkeypatch.setattr(simulator, "_shard_count", lambda n: shards)
-        est = estimate_mfpt(cfg, _mirror=mirror)
+        est = estimate_mfpt(cfg)
         assert est.per_trajectory == one.per_trajectory, shards
         assert est.blowup_records == one.blowup_records, shards
         assert est == one
@@ -950,6 +962,106 @@ def test_sharded_ensemble_bytes_hold_from_any_caller(caller):
     assert blowups == []
 
 
+def run_child(script):
+    """Run script in a fresh interpreter, without any BLAS thread setting."""
+    src = os.path.dirname(os.path.dirname(kramers_gl.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in simulator._ONE_BLAS_THREAD}
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=dict(env, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_shard_workers_run_one_blas_thread():
+    # w workers share the CPUs, so none starts a BLAS thread pool of its own.
+    # The probe runs in a worker of the engine's forkserver: eval and
+    # os.getenv are builtins, which a worker unpickles without importing
+    # anything of the caller's
+    threads, setting = run_child(
+        """
+        import multiprocessing, os
+        from concurrent.futures import ProcessPoolExecutor
+        from kramers_gl import BoundaryCondition, SimConfig, SystemParams, simulator
+
+        simulator._shard_count = lambda n: 2
+        cfg = SimConfig(params=SystemParams(L=2.0, eps=0.25, bc=BoundaryCondition.NEUMANN),
+                        K=8, dt=2e-3, t_max=50.0, n_traj=24, seed=1)
+        simulator.estimate_mfpt(cfg)  # starts the forkserver
+        probe = "__import__('numpy') and len(__import__('os').listdir('/proc/self/task'))"
+        context = multiprocessing.get_context("forkserver")
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            print(pool.submit(eval, probe).result())
+            print(pool.submit(os.getenv, "OPENBLAS_NUM_THREADS").result())
+        """
+    )
+    assert (threads, setting) == ("1", "1")
+
+
+def test_a_forkserver_started_by_other_code_gives_the_same_bytes():
+    # it keeps its own preload and environment: only the speed may differ
+    setting, digest = run_child(
+        """
+        import hashlib, multiprocessing, os
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import forkserver
+
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload(["numpy"])
+        forkserver.ensure_running()
+
+        from kramers_gl import BoundaryCondition, SimConfig, SystemParams, simulator
+
+        simulator._shard_count = lambda n: 2
+        cfg = SimConfig(params=SystemParams(L=2.0, eps=0.25, bc=BoundaryCondition.NEUMANN),
+                        K=8, dt=2e-3, t_max=500.0, n_traj=24, seed=4242)
+        est = simulator.estimate_mfpt(cfg)
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            print(pool.submit(os.getenv, "OPENBLAS_NUM_THREADS").result())
+        print(hashlib.sha256(repr(est.per_trajectory).encode()).hexdigest())
+        """
+    )
+    assert setting == "None"
+    assert digest == ENGINE_DIGESTS["neumann"][2]
+
+
+def test_sharded_call_leaves_the_environment_as_it_was(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    monkeypatch.setattr(simulator, "_shard_count", lambda n: 2)
+    est = estimate_mfpt(sim_config(**ENGINE_DIGESTS["neumann"][0]))
+    assert dict(os.environ) == before
+    assert hashlib.sha256(repr(est.per_trajectory).encode()).hexdigest() == ENGINE_DIGESTS["neumann"][2]
+
+
+def test_one_shard_ensembles_load_no_process_pool():
+    # the pool machinery stays out of the import and of ensembles under 128
+    loaded = run_child(
+        """
+        import sys
+        import kramers_gl.simulator as simulator
+        from kramers_gl import BoundaryCondition, SimConfig, SystemParams
+
+        def pool_modules():
+            return ",".join(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules)
+
+        print("import:" + pool_modules())
+        cfg = SimConfig(params=SystemParams(L=2.0, eps=0.5, bc=BoundaryCondition.NEUMANN),
+                        K=8, dt=2e-3, t_max=3.0, n_traj=127, seed=1)
+        assert simulator._shard_count(cfg.n_traj) == 1
+        simulator.estimate_mfpt(cfg)
+        print("ensemble:" + pool_modules())
+        """
+    )
+    assert loaded == ["import:", "ensemble:"]
+
+
 # ---------------------------------------------------------------------------
 # ensemble statistics on the shared reference run (500 trajectories, about a
 # minute; the robustness runs add 300 trajectories each): marked slow
@@ -1030,27 +1142,22 @@ def test_trajectory_rng_is_philox_keyed_by_seed_and_index(key):
 
 
 def test_mfpt_estimate_validation():
-    with pytest.raises(ValueError):
-        MfptEstimate(
-            mean_passage_time=-1.0,
-            std_error=0.1,
-            n_completed=5,
-            n_censored=0,
-            n_blowup=0,
-            rate=1.0,
-            rate_std_error=0.1,
-            rate_ci=(0.8, 1.2),
-            per_trajectory=(1.0,) * 5,
-        )
-    with pytest.raises(ValueError):
-        MfptEstimate(
-            mean_passage_time=1.0,
-            std_error=-0.1,
-            n_completed=5,
-            n_censored=0,
-            n_blowup=0,
-            rate=1.0,
-            rate_std_error=0.1,
-            rate_ci=(0.8, 1.2),
-            per_trajectory=(1.0,) * 5,
-        )
+    # every field follows from the outcomes and the blow-up records alone
+    est = MfptEstimate((2.0, None, 4.0, None), blowup_records=((3, 7),))
+    assert (est.n_completed, est.n_censored, est.n_blowup) == (2, 1, 1)
+    assert (est.mean_passage_time, est.rate) == (3.0, 1.0 / 3.0)
+    assert est.std_error == pytest.approx(1.0)
+    assert est.rate_std_error == pytest.approx(1.0 / 9.0)
+    assert est.rate_ci == pytest.approx((1.0 / 3.0 - 1.96 / 9.0, 1.0 / 3.0 + 1.96 / 9.0))
+    assert est.per_trajectory == (2.0, None, 4.0, None)
+    assert MfptEstimate([None, None, 1.0], [(1, 5), (0, 3)]).blowup_records == ((0, 3), (1, 5))
+    one = MfptEstimate((2.0,))
+    assert math.isnan(one.std_error) and math.isnan(one.rate_std_error)
+    assert one == MfptEstimate((2.0,))
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            MfptEstimate((1.0, bad, None))
+    with pytest.raises(EstimateUnavailable, match=r"\(1 censored, 1 blown up\)"):
+        MfptEstimate((None, None), blowup_records=((1, 0),))
+    with pytest.raises(TypeError):
+        MfptEstimate((1.0,), mean_passage_time=1.0)
