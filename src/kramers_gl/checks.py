@@ -7,9 +7,10 @@ Each kind of check is one function, and a row binds its case with
 ``functools.partial``. Checks reach the layers through their modules when
 they run, a scaling function or limit constant by its name on ``rates``, so
 a patched function or constant is what they check. The determinant-product
-oracle for the classical prefactor and the quadrature oracles for the
-scaling functions live here, their only library caller. scipy is imported
-only inside the quadrature oracles, which ``verify --quick`` skips.
+oracle for the classical prefactor and one quadrature oracle for the three
+scaling functions, the partition integral of the soft-mode normal form in
+one or two dimensions, live here, their only library caller. scipy is
+imported only inside that oracle, which ``verify --quick`` skips.
 """
 
 from __future__ import annotations
@@ -173,100 +174,54 @@ def prefactor_from_determinants(L: float, bc: BoundaryCondition, K_max: int) -> 
     return abs_lambda0 * math.exp(0.5 * ln_prod) / (2.0 * math.pi)
 
 
-# Quadrature oracles for the scaling functions: the partition integral of
-# the soft-mode normal form V(phi) = L (lambda1 phi^2/2 + 3 phi^4/8), where
-# 3/8 comes from the cubic nonlinearity of the field equation.
+# Quadrature oracle for the scaling functions: the partition integral of the
+# soft-mode normal form V(r) = L (q r^2/2 + 3 r^4/8) on R^dim (3/8: the cubic).
 
 
-def _quartic_integral(lambda1: float, L: float, eps: float) -> float:
-    """Adaptive quadrature of int_-oo^oo exp(-V(phi)/eps) dphi.
+def _psi_quadrature(alpha: float, L: float, eps: float, dim=1, wells=False) -> float:
+    """psi_plus (dim 1), psi_minus (dim 1, wells) or psi_plus_tilde (dim 2).
 
-    The integrand maximum is factored out first so double wells
-    (lambda1 < 0) integrate at full relative precision; the quadrature
-    window covers every point within 200 eps of the maximum.
+    With kappa = alpha a and a = sqrt(3 eps/4L), q is kappa (one well at
+    r = 0) or -kappa/2 (two wells at r^2 = kappa/3, of curvature kappa). The
+    result is 2 int_0^oo r^(dim-1) exp(-(V - V_min)/eps) dr
+    (L (kappa + a)/(2 eps))^(dim/2) / Gamma(dim/2): the integral over its
+    Gaussian approximation times ((kappa + a)/kappa)^(dim/2), whose kappas
+    cancel, so alpha = 0 is valid. The window is centred on the well, cut at 0.
     """
     from scipy.integrate import quad
 
-    if not (math.isfinite(lambda1) and 0 < L < math.inf and 0 < eps < math.inf):
-        raise ValueError(
-            f"need finite lambda1, L > 0, eps > 0; got {lambda1}, {L}, {eps}"
-        )
+    alpha = _specfun._real("alpha", alpha, 0.0, ends="[)")
+    L, eps = _specfun._real("L", L, 0.0), _specfun._real("eps", eps, 0.0)
+    dim = _specfun._count("dim", dim, 1)
+    a = math.sqrt(3.0 * eps / (4.0 * L))
+    kappa = alpha * a
+    # V - V_min = L (3 (r^2 - r_well^2)^2/8 + q_plus r^2/2), q_plus = max(q, 0)
+    r_well = math.sqrt(kappa / 3.0) if wells else 0.0
+    q_plus = 0.0 if wells else kappa
 
-    def potential(phi: float) -> float:
-        p2 = phi * phi
-        return L * (0.5 * lambda1 * p2 + 0.375 * p2 * p2)
+    def excess(r: float) -> float:  # (V(r) - V_min)/eps
+        r2 = r * r
+        return L * (0.375 * (r2 - r_well * r_well) ** 2 + 0.5 * q_plus * r2) / eps
 
-    if lambda1 < 0:
-        phi_star = math.sqrt(-lambda1 / 1.5)  # the wells: V'(phi) = 0, 1.5 = 4 * 3/8
-        v_min = potential(phi_star)
-    else:
-        phi_star = 0.0
-        v_min = 0.0
-
-    def integrand(phi: float) -> float:
-        return math.exp(-(potential(phi) - v_min) / eps)
-
-    width = (eps / (L * 0.375)) ** 0.25
-    if lambda1 > 0:
-        width = min(width, math.sqrt(eps / (L * lambda1)))
-    upper = phi_star + width
-    for _ in range(200):
-        if (potential(upper) - v_min) / eps > 200.0:
+    width = (eps / (L * 0.375)) ** 0.25  # the quartic scale, or the quadratic if smaller
+    if q_plus > 0:
+        width = min(width, math.sqrt(eps / (L * q_plus)))
+    for _ in range(200):  # until V - V_min > 200 eps at both ends
+        if min(excess(r_well - width), excess(r_well + width)) > 200.0:
             break
-        upper *= 2.0
-    points = [phi_star] if 0.0 < phi_star < upper else None
+        width *= 2.0
     half, _err = quad(
-        integrand, 0.0, upper, points=points, limit=300, epsabs=0.0, epsrel=1e-12
+        lambda r: r ** (dim - 1) * math.exp(-excess(r)), max(r_well - width, 0.0),
+        r_well + width, points=[r_well] if r_well > 0 else None, limit=300,
+        epsabs=0.0, epsrel=1e-12,
     )
-    ln_value = math.log(2.0 * half) - v_min / eps
-    if ln_value > 709.0:
-        return math.inf
-    return math.exp(ln_value)
+    return 2.0 * half * (L * (kappa + a) / (2.0 * eps)) ** (0.5 * dim) / math.gamma(0.5 * dim)
 
 
-def _psi_plus_quadrature(alpha: float, L: float, eps: float) -> float:
-    """psi_plus from the single-mode partition integral."""
-    a = math.sqrt(3.0 * eps / (4.0 * L))
-    lam1 = alpha * a
-    gaussian = math.sqrt(2.0 * math.pi * eps / (L * lam1))
-    ratio = _quartic_integral(lam1, L, eps) / gaussian
-    return ratio * math.sqrt((lam1 + a) / lam1)
-
-
-def _psi_minus_quadrature(alpha: float, L: float, eps: float) -> float:
-    """psi_minus from the double-well partition integral.
-
-    The normal form with quadratic coefficient -mu1/2 has its two wells
-    at curvature exactly L*mu1; the well-depth Boltzmann factor
-    exp(L mu1^2/(24 eps)) is removed before normalizing.
-    """
-    a = math.sqrt(3.0 * eps / (4.0 * L))
-    mu1 = alpha * a
-    well_depth = math.exp(-L * mu1 * mu1 / (24.0 * eps))
-    shifted = _quartic_integral(-0.5 * mu1, L, eps) * well_depth
-    ratio = shifted / math.sqrt(2.0 * math.pi * eps / (L * mu1))
-    return ratio * math.sqrt((mu1 + a) / mu1)
-
-
-def _psi_tilde_quadrature(alpha: float, L: float, eps: float) -> float:
-    """psi_plus_tilde from the radial form of the two-mode integral."""
-    from scipy.integrate import quad
-
-    a = math.sqrt(3.0 * eps / (4.0 * L))
-    lam1 = alpha * a
-
-    def integrand(rho):
-        return rho * math.exp(-L * (0.5 * lam1 * rho**2 + 0.375 * rho**4) / eps)
-
-    upper = 10.0 * max((eps / L) ** 0.25, math.sqrt(eps / (L * lam1)))
-    val, _ = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=200)
-    return (L * lam1 / eps) * val * (lam1 + a) / lam1
-
-
-def _check_quadrature(function: str, oracle, L: float, eps: float):
+def _check_quadrature(function: str, L: float, eps: float, dim: int, wells: bool):
     psi = getattr(_rates, function)
     for alpha in (0.5, 1.0, 2.0, 5.0):
-        yield abs(psi(alpha) / oracle(alpha, L, eps) - 1.0)
+        yield abs(psi(alpha) / _psi_quadrature(alpha, L, eps, dim, wells) - 1.0)
 
 
 CHECKS = (
@@ -291,9 +246,9 @@ CHECKS = (
     ("instanton lowest eigenvalue", 1e-6, True, _check_instanton_lowest_eigenvalue),
     ("periodic zero mode", 1e-6, True, _check_periodic_zero_mode),
     ("psi_plus quadrature", 1e-5, False,
-     partial(_check_quadrature, "psi_plus", _psi_plus_quadrature, math.pi / 2.0, 1e-3)),
+     partial(_check_quadrature, "psi_plus", math.pi / 2.0, 1e-3, 1, False)),
     ("psi_minus quadrature", 1e-5, False,
-     partial(_check_quadrature, "psi_minus", _psi_minus_quadrature, 4.0, 1e-2)),
+     partial(_check_quadrature, "psi_minus", 4.0, 1e-2, 1, True)),
     ("psi_tilde quadrature", 1e-5, False,
-     partial(_check_quadrature, "psi_plus_tilde", _psi_tilde_quadrature, 3.0, 1e-3)),
+     partial(_check_quadrature, "psi_plus_tilde", 3.0, 1e-3, 2, False)),
 )

@@ -176,7 +176,10 @@ def _eps_list(name, value) -> list:
     items = value if isinstance(value, (list, tuple)) else [value]
     if not items:
         raise ValueError("no value given")
-    return [_positive(name, item) for item in items]
+    values = [_positive(name, item) for item in items]
+    if len(set(values)) < len(values):
+        raise ValueError(f"{max(values, key=values.count)!r} is repeated")
+    return values
 
 
 def _one_eps(name, value) -> float:

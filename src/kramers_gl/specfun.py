@@ -5,7 +5,8 @@ Complete elliptic integrals K(m), E(m) and Jacobi sn from one AGM
 transformations; modified Bessel functions of orders +-1/4 (K by Temme's
 series for small argument and Steed's continued fraction CF2 for large; I by
 its power series up to z = 80 and its asymptotic series beyond), and the
-scaled complementary error function.
+scaled complementary error function. A value beyond double range is inf,
+never an OverflowError: the unscaled I(z) is inf from z = 714 on.
 
 All functions are pure and reentrant. Every public argument goes through
 _real or _count, which refuse a bool, a str, NaN and a value outside the
@@ -180,6 +181,8 @@ _I_SERIES_LIMIT = 80.0
 # would run there too, but near 2^1023 its d = 1/b is subnormal and costs
 # an ulp, and from 2^1023 on b = 2(1 + z) overflows.
 _K_LEADING_TERM_FROM = 1e17
+# math.exp(z) overflows from z = 709.78 on; I_(+-1/4)(z) only from z = 713.95.
+_EXP_LIMIT = 709.0
 
 
 def _temme_k(x: float) -> float:
@@ -297,7 +300,8 @@ def bessel_I14(order: float, z: float, scaled: bool = False) -> float:
     """Modified Bessel function I_order(z) for order in {-1/4, +1/4}, z > 0.
 
     With scaled=True returns e^(-z) I_order(z), representable for
-    arbitrarily large z.
+    arbitrarily large z. Unscaled, it is inf where I_order(z) exceeds the
+    largest double (from z = 714 on) and at z = inf.
     """
     if order not in (0.25, -0.25):
         raise ValueError(f"order must be +1/4 or -1/4, got {order}")
@@ -306,6 +310,9 @@ def bessel_I14(order: float, z: float, scaled: bool = False) -> float:
         i = _i_series(float(order), z)
         return i * math.exp(-z) if scaled else i
     i_scaled = _i_asymptotic_scaled(z)
+    if z > _EXP_LIMIT and not scaled:  # e^z overflows: a product beyond range is inf
+        half = math.exp(0.5 * min(z, 2.0 * _EXP_LIMIT))
+        return i_scaled * half * half if z < math.inf else math.inf
     return i_scaled if scaled else i_scaled * math.exp(z)
 
 

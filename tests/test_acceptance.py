@@ -26,9 +26,7 @@ import pytest
 from kramers_gl.checks import (
     NEUMANN_CRITICAL_CONST,
     PERIODIC_CRITICAL_CONST,
-    _psi_minus_quadrature,
-    _psi_plus_quadrature,
-    _psi_tilde_quadrature,
+    _psi_quadrature,
     prefactor_from_determinants,
 )
 from kramers_gl.cli import CSV_COLUMNS, main as cli_main
@@ -207,13 +205,13 @@ def test_instanton_hessian_lowest_eigenvalue_and_zero_mode(m):
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])
 def test_scaling_functions_match_quadrature_oracles(alpha):
     assert psi_plus(alpha) == pytest.approx(
-        _psi_plus_quadrature(alpha, math.pi / 2.0, 1e-3), rel=1e-5
+        _psi_quadrature(alpha, math.pi / 2.0, 1e-3), rel=1e-5
     )
     assert psi_minus(alpha) == pytest.approx(
-        _psi_minus_quadrature(alpha, 4.0, 1e-2), rel=1e-5
+        _psi_quadrature(alpha, 4.0, 1e-2, wells=True), rel=1e-5
     )
     assert psi_plus_tilde(alpha) == pytest.approx(
-        _psi_tilde_quadrature(alpha, 3.0, 1e-3), rel=1e-5
+        _psi_quadrature(alpha, 3.0, 1e-3, dim=2), rel=1e-5
     )
 
 

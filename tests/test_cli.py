@@ -302,6 +302,17 @@ def test_rate_rejects_multiple_eps(capsys):
     assert "eps" in capsys.readouterr().err
 
 
+def test_sweep_refuses_a_repeated_eps(tmp_path, capsys):
+    # wrote every curve twice under the same (bc, L, eps) key
+    argv = ["sweep", "--bc", "neumann", "--L", "4", "--eps", "1e-3", "--eps", "0.001"]
+    assert run_cli(argv) == 2
+    assert "(0.001 is repeated)" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"bc": "neumann", "L": 4, "eps": [0.01, 1e-3, 1e-2]}))
+    assert run_cli(["sweep", "--config", str(cfg)]) == 2
+    assert "(0.01 is repeated)" in capsys.readouterr().err
+
+
 def test_rate_refuses_a_length_beyond_double_range(capsys):
     # ended in a ZeroDivisionError traceback
     argv = ["rate", "--bc", "neumann", "--L", "1e-200", "--eps", "0.1"]

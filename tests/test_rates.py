@@ -21,10 +21,7 @@ from kramers_gl import instanton, rates
 from kramers_gl.checks import (
     NEUMANN_CRITICAL_CONST,
     PERIODIC_CRITICAL_CONST,
-    _psi_minus_quadrature,
-    _psi_plus_quadrature,
-    _psi_tilde_quadrature,
-    _quartic_integral,
+    _psi_quadrature,
     prefactor_from_determinants,
 )
 from kramers_gl.instanton import (
@@ -170,30 +167,25 @@ def test_phi_switch_is_a_distribution_function(x):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])
-def test_psi_plus_matches_quadrature(alpha):
-    for eps in (1e-4, 1e-3):
-        assert psi_plus(alpha) == pytest.approx(
-            _psi_plus_quadrature(alpha, math.pi / 2, eps), rel=1e-6
-        )
-
-
 # alpha = 12, 40, 100 put z = alpha^2/64 at 2.25, 25 and 156, on both
-# sides of the Bessel regime boundary at z = 80
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0, 12.0, 40.0, 100.0])
-def test_psi_minus_matches_quadrature(alpha):
-    for eps in (1e-2,):
-        assert psi_minus(alpha) == pytest.approx(
-            _psi_minus_quadrature(alpha, 4.0, eps), rel=1e-6
-        )
-
-
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])
-def test_psi_tilde_matches_two_mode_radial_quadrature(alpha):
-    for eps in (1e-3,):
-        assert psi_plus_tilde(alpha) == pytest.approx(
-            _psi_tilde_quadrature(alpha, 3.0, eps), rel=1e-6
-        )
+# sides of psi_minus's Bessel regime boundary at z = 80
+@pytest.mark.parametrize(
+    "function, L, eps, dim, wells, alpha",
+    [
+        (function, L, eps, dim, wells, alpha)
+        for function, L, eps, dim, wells, alphas in [
+            ("psi_plus", math.pi / 2, 1e-4, 1, False, (0.5, 1.0, 2.0, 5.0)),
+            ("psi_plus", math.pi / 2, 1e-3, 1, False, (0.5, 1.0, 2.0, 5.0)),
+            ("psi_minus", 4.0, 1e-2, 1, True, (0.5, 1.0, 2.0, 5.0, 12.0, 40.0, 100.0)),
+            ("psi_plus_tilde", 3.0, 1e-3, 2, False, (0.5, 1.0, 2.0, 5.0)),
+        ]
+        for alpha in alphas
+    ],
+)
+def test_scaling_function_matches_quadrature(function, L, eps, dim, wells, alpha):
+    assert getattr(rates, function)(alpha) == pytest.approx(
+        _psi_quadrature(alpha, L, eps, dim, wells), rel=1e-6
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -669,45 +661,52 @@ def test_neumann_instanton_prefactor_matches_gelfand_yaglom(L):
 
 
 # ---------------------------------------------------------------------------
-# quartic quadrature oracle
+# the quadrature oracle: its limits and its domain
 # ---------------------------------------------------------------------------
 
 
-def test_quartic_gaussian_limit():
-    eps = 1e-3
-    assert _quartic_integral(50.0, 1.0, eps) == pytest.approx(
-        math.sqrt(2 * math.pi * eps / 50.0), rel=1e-4
-    )
+# the Gaussian limit: psi = limit (1 + dim/(2 alpha) + O(alpha^-2)), for one
+# well or two. At alpha = 1e6 the two wells lie near r = +-100 and are 2e-4
+# wide, so the window must be centred on them: one from r = 0 gives 1, not 2.
+@pytest.mark.parametrize(
+    "dim, wells, limit", [(1, False, 1.0), (1, True, 2.0), (2, False, 1.0)]
+)
+def test_quadrature_large_alpha_limit(dim, wells, limit):
+    for L, eps in ((1.0, 1e-3), (4.0, 1e-2)):
+        assert _psi_quadrature(1e6, L, eps, dim, wells) == pytest.approx(
+            limit * (1.0 + 0.5 * dim / 1e6), rel=1e-9
+        )
 
 
-def test_quartic_pure_quartic_point():
-    # closed form Gamma(1/4)/2 * (8 eps/(3 L))^{1/4} at lambda1 = 0
-    L, eps = 2.0, 1e-3
-    expect = math.gamma(0.25) / 2.0 * (8.0 * eps / (3.0 * L)) ** 0.25
-    assert _quartic_integral(0.0, L, eps) == pytest.approx(expect, rel=1e-8)
+# at alpha = 0 the integral is the pure quartic's Gamma(dim/4) closed form;
+# the limit constants are checked here without the Bessel route
+@pytest.mark.parametrize(
+    "dim, wells, constant",
+    [
+        (1, False, PSI_LIMIT_AT_ZERO),
+        (1, True, PSI_LIMIT_AT_ZERO),
+        (2, False, rates.PSI_TILDE_LIMIT_AT_ZERO),
+    ],
+)
+def test_quadrature_at_alpha_zero_gives_the_limit_constant(dim, wells, constant):
+    for L, eps in ((math.pi / 2, 1e-3), (2.0, 1e-3), (4.0, 1e-2)):
+        assert _psi_quadrature(0.0, L, eps, dim, wells) == pytest.approx(constant, rel=1e-12)
 
 
-def test_quartic_double_well_dominates_single_well():
-    eps = 0.05
-    lo = _quartic_integral(1.0, 2.0, eps)
-    hi = _quartic_integral(-1.0, 2.0, eps)
-    assert hi > lo
+def test_quadrature_two_wells_exceed_one():
+    assert _psi_quadrature(1.0, 2.0, 0.05, wells=True) > _psi_quadrature(1.0, 2.0, 0.05)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-def test_quartic_deep_double_well_overflows_to_inf():
-    # the sharply peaked integrand triggers a roundoff warning from quad;
-    # only the (intentional) overflow of the Boltzmann weight matters here
-    assert math.isinf(_quartic_integral(-60.0, 4.0, 1e-3))
-
-
-def test_quartic_validation():
-    with pytest.raises(ValueError, match="lambda1"):
-        _quartic_integral(math.nan, 1.0, 1e-3)
-    with pytest.raises(ValueError, match="L > 0"):
-        _quartic_integral(1.0, 0.0, 1e-3)
-    with pytest.raises(ValueError, match="eps > 0"):
-        _quartic_integral(1.0, 1.0, 0.0)
+def test_quadrature_validation():
+    for alpha in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match="alpha must be a number in"):
+            _psi_quadrature(alpha, 1.0, 1e-3)
+    with pytest.raises(ValueError, match="L must be a number in"):
+        _psi_quadrature(1.0, 0.0, 1e-3)
+    with pytest.raises(ValueError, match="eps must be a number in"):
+        _psi_quadrature(1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        _psi_quadrature(1.0, 1.0, 1e-3, dim=0)
 
 
 def test_breakdown_dataclass_validation():

@@ -362,6 +362,17 @@ class TestBesselI14:
                     sf.bessel_I14(order, z) * math.exp(-z), rel=1e-12
                 )
 
+    # math.exp(z) raised OverflowError from z = 709.78 on, where I(z) is
+    # still a finite double, and z = inf gave NaN
+    @pytest.mark.parametrize("order", [0.25, -0.25])
+    def test_unscaled_value_is_finite_until_it_overflows_to_inf(self, order):
+        from scipy.special import iv
+
+        for z in (709.0, 711.0, 713.5):
+            assert sf.bessel_I14(order, z) == pytest.approx(iv(order, z), rel=1e-12)
+        for z in (714.0, 800.0, math.inf):
+            assert sf.bessel_I14(order, z) == math.inf
+
     def test_domain(self):
         with pytest.raises(ValueError):
             sf.bessel_I14(0.5, 1.0)
