@@ -187,6 +187,8 @@ def _psi_quadrature(alpha: float, L: float, eps: float, dim=1, wells=False) -> f
     (L (kappa + a)/(2 eps))^(dim/2) / Gamma(dim/2): the integral over its
     Gaussian approximation times ((kappa + a)/kappa)^(dim/2), whose kappas
     cancel, so alpha = 0 is valid. The window is centred on the well, cut at 0.
+    Where the result is 0 or not finite (a or the window underflowed), a
+    ValueError names L and eps.
     """
     from scipy.integrate import quad
 
@@ -215,7 +217,10 @@ def _psi_quadrature(alpha: float, L: float, eps: float, dim=1, wells=False) -> f
         r_well + width, points=[r_well] if r_well > 0 else None, limit=300,
         epsabs=0.0, epsrel=1e-12,
     )
-    return 2.0 * half * (L * (kappa + a) / (2.0 * eps)) ** (0.5 * dim) / math.gamma(0.5 * dim)
+    result = 2.0 * half * (L * (kappa + a) / (2.0 * eps)) ** (0.5 * dim) / math.gamma(0.5 * dim)
+    if not 0.0 < result < math.inf:  # psi is finite and positive
+        raise ValueError(f"no finite partition integral at L = {L!r}, eps = {eps!r}")
+    return result
 
 
 def _check_quadrature(function: str, L: float, eps: float, dim: int, wells: bool):

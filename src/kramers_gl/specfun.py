@@ -303,11 +303,12 @@ def bessel_I14(order: float, z: float, scaled: bool = False) -> float:
     arbitrarily large z. Unscaled, it is inf where I_order(z) exceeds the
     largest double (from z = 714 on) and at z = inf.
     """
-    if order not in (0.25, -0.25):
-        raise ValueError(f"order must be +1/4 or -1/4, got {order}")
+    nu = _real("order", order)
+    if nu not in (0.25, -0.25):
+        raise ValueError(f"order must be +1/4 or -1/4, got {order!r}")
     z = _real("z", z, 0.0, math.inf, "(]")
     if z <= _I_SERIES_LIMIT:
-        i = _i_series(float(order), z)
+        i = _i_series(nu, z)
         return i * math.exp(-z) if scaled else i
     i_scaled = _i_asymptotic_scaled(z)
     if z > _EXP_LIMIT and not scaled:  # e^z overflows: a product beyond range is inf

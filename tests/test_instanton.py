@@ -133,26 +133,6 @@ class TestProfile:
         ]
         assert all(v == e for v, e in zip(profile, expect, strict=True))
 
-    @pytest.mark.parametrize("L, phase", [(math.nan, 0.0), (8.0, math.nan), (8.0, math.inf)])
-    def test_sample_rejects_nonfinite_arguments(self, L, phase):
-        with pytest.raises(ValueError):
-            instanton_profile(L, PERIODIC, phase=phase)
-
-    def test_rejects_a_sign_other_than_plus_or_minus_one(self):
-        with pytest.raises(ValueError, match="sign"):
-            instanton_profile(8.0, PERIODIC, sign=0)
-
-    @pytest.mark.parametrize("bc, n_x", [(PERIODIC, 0), (NEUMANN, 1), (NEUMANN, 15)])
-    def test_rejects_fewer_than_16_samples(self, bc, n_x):
-        with pytest.raises(ValueError, match=r"^n_x must be an integer in \[16, inf\)"):
-            instanton_profile(8.0, bc, n_x=n_x)
-
-    # 16.5 and "32" ended in a raw TypeError, and True ran as n_x = 1
-    @pytest.mark.parametrize("n_x", [16.5, "32", True, np.True_, np.float64(32.0)])
-    def test_rejects_a_count_that_is_no_integer_by_name(self, n_x):
-        with pytest.raises(ValueError, match=r"^n_x must be an integer in \[16, inf\), got"):
-            instanton_profile(8.0, PERIODIC, n_x=n_x)
-
     # a finite phase was ignored: phase=0.5 gave the phase=0.0 profile bit for bit
     @pytest.mark.parametrize("phase", [0.5, -1e-300, np.float32(2.0)])
     def test_neumann_refuses_a_nonzero_phase(self, phase):
@@ -163,11 +143,6 @@ class TestProfile:
         pinned = instanton_profile(4.0, NEUMANN, n_x=64).tobytes()
         assert instanton_profile(4.0, NEUMANN, phase=-0.0, n_x=64).tobytes() == pinned
         assert instanton_profile(4.0, NEUMANN, phase=0, n_x=64).tobytes() == pinned
-
-    def test_rejects_a_boolean_sign(self):
-        # True == 1, so it used to pass as sign = +1
-        with pytest.raises(ValueError, match="sign must be"):
-            instanton_profile(4.0, NEUMANN, sign=True)
 
     @pytest.mark.parametrize("bc, L", [(PERIODIC, 9.0), (NEUMANN, 4.0)])
     def test_is_a_float_array_and_takes_a_numpy_count(self, bc, L):
@@ -273,10 +248,6 @@ class TestParams:
         assert p.bc is NEUMANN
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            SystemParams(L=-1.0, eps=0.1, bc=PERIODIC)
-        with pytest.raises(ValueError):
-            SystemParams(L=1.0, eps=0.0, bc=PERIODIC)
         with pytest.raises(ValueError):
             SystemParams(L=1.0, eps=0.1, bc="dirichlet")
 

