@@ -141,7 +141,7 @@ def solve_m_from_L(L: float, bc: BoundaryCondition) -> float:
     m = 0.5 * (lo + hi)
     # Newton polish; d/dm [sqrt(1+m) K(m)] via dK/dm = (E - (1-m)K)/(2m(1-m))
     for _ in range(3):
-        K, E = _elliptic_KE(m)
+        K, E, _ = _elliptic_KE(m)
         f = c * math.sqrt(m + 1.0) * K - L
         dKdm = (E - (1.0 - m) * K) / (2.0 * m * (1.0 - m))
         df = c * (K / (2.0 * math.sqrt(m + 1.0)) + math.sqrt(m + 1.0) * dKdm)
@@ -212,7 +212,7 @@ def activation_energy(L: float, bc: BoundaryCondition) -> float:
     if L <= bc.critical_length:
         return L / 4.0
     m = solve_m_from_L(L, bc)
-    return _instanton_energy(m, *_elliptic_KE(m), bc)
+    return _instanton_energy(m, *_elliptic_KE(m)[:2], bc)
 
 
 def _instanton_energy(m: float, K: float, E: float, bc: BoundaryCondition) -> float:

@@ -131,25 +131,14 @@ def phi_switch(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Elliptic-integral combinations entering the instanton-branch
-# prefactors. Both vanish linearly in m; the Neumann combination and the
-# periodic ratio m / combination are evaluated by series below a small-m
-# switch to avoid the K - E cancellation.
+# The determinant combination of both instanton branches. It vanishes
+# linearly in m and takes the K - E the AGM sums, so it has no cancellation.
 # ---------------------------------------------------------------------------
 
 
-def _neumann_det_combo(m: float, K: float, E: float) -> float:
-    """|(1-m)K - (1+m)E| = (3 pi/4) m [1 - m/8 - m^2/64 + O(m^3)], K = K(m), E = E(m)."""
-    if m < 1e-4:
-        return 0.75 * math.pi * m * (1.0 - m / 8.0 - m * m / 64.0)
-    return abs((1.0 - m) * K - (1.0 + m) * E)
-
-
-def _periodic_m_over_det(m: float, K: float, E: float) -> float:
-    """m / |K - ((1+m)/(1-m))E|, K = K(m), E = E(m); 4/(3 pi) [1 - 7m/8 + O(m^2)]."""
-    if m < 1e-6:
-        return 4.0 / (3.0 * math.pi) / (1.0 + 7.0 * m / 8.0)
-    return m / abs(K - (1.0 + m) / (1.0 - m) * E)
+def _det_combo(m: float, K: float, E: float, K_minus_E: float) -> float:
+    """|(1-m)K - (1+m)E| = (3 pi/4) m [1 - m/8 + O(m^2)], from _elliptic_KE(m)."""
+    return abs(K_minus_E - m * (K + E))
 
 
 def _log_sinh(x: float) -> float:
@@ -171,10 +160,16 @@ def _too_short(L: float, lam1: float, alpha: float) -> ValueError:
 
 
 def _mode_ratio(L: float, bc: BoundaryCondition, lam1: float) -> float:
-    """lambda_1 / sin(L pi/L_c): sin(L) Neumann, sin(L/2) periodic; 2/pi at L_c."""
+    """lambda_1 / sin(L pi/L_c): sin(L) Neumann, sin(L/2) periodic; 2/pi at L_c.
+
+    From L_c/2 on the sine is sin((L_c - L) pi/L_c): L_c - L is exact there
+    (Sterbenz), so it and lambda_1 vanish at the same float L_c. Below, it
+    reads L itself, since L_c - L rounds to L_c for a tiny L.
+    """
     if lam1 == 0.0:
         return _CRITICAL_MODE_RATIO
-    return lam1 / math.sin(L * (math.pi / bc.critical_length))
+    L_c = bc.critical_length
+    return lam1 / math.sin((L_c - L if 2.0 * L >= L_c else L) * (math.pi / L_c))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +205,7 @@ def prefactor_classical(
             "eps is required on the periodic branch beyond the critical length"
         )
     m = solve_m_from_L(L, bc)
-    return _classical_instanton(L, bc, m, *_elliptic_KE(m), eps)
+    return _classical_instanton(L, bc, m, _det_combo(m, *_elliptic_KE(m)), eps)
 
 
 def _uniform_classical(L: float, bc: BoundaryCondition) -> float:
@@ -221,14 +216,13 @@ def _uniform_classical(L: float, bc: BoundaryCondition) -> float:
 
 
 def _classical_instanton(
-    L: float, bc: BoundaryCondition, m: float, K: float, E: float, eps: float | None
+    L: float, bc: BoundaryCondition, m: float, det: float, eps: float | None
 ) -> float:
-    """Classical prefactor beyond L_c at the instanton modulus m, K = K(m), E = E(m)."""
+    """Classical prefactor beyond L_c at the instanton modulus m, det = _det_combo at m."""
     if bc is BoundaryCondition.NEUMANN:
-        det = _neumann_det_combo(m, K, E)
         ln_val = 0.5 * (_log_sinh(_SQRT2 * L) - math.log(_SQRT2 * det))
         return abs(mu0(m)) / math.pi * math.exp(ln_val)
-    ratio = _periodic_m_over_det(m, K, E)  # m / det, finite down to m = 0
+    ratio = m * (1.0 - m) / det  # m / |K - (1+m)E/(1-m)|, finite down to m = 0
     ln_val = (
         math.log(L)
         + math.log(abs(mu0(m)))
@@ -289,14 +283,14 @@ def prefactor_corrected(L: float, eps: float, bc: BoundaryCondition) -> RateBrea
     else:
         regime = "instanton_saddle"
         m = solve_m_from_L(L, bc)
-        K, E = _elliptic_KE(m)
+        K, E, K_minus_E = _elliptic_KE(m)
         if bc is BoundaryCondition.NEUMANN:
             mu1 = mu1_approx(m)
             correction = 0.5 * math.sqrt(mu1 / (mu1 + a)) * psi_minus(mu1 / a)
         else:
             correction = phi_switch(3.0 * m / (2.0 * math.sqrt(3.0 * eps / L)))
             eps_exponent = -0.5
-        classical = _classical_instanton(L, bc, m, K, E, eps)
+        classical = _classical_instanton(L, bc, m, _det_combo(m, K, E, K_minus_E), eps)
         corrected = classical * correction
         deltaW = _instanton_energy(m, K, E, bc)
 

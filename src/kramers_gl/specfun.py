@@ -64,9 +64,11 @@ def _count(name: str, n, lo: int, hi: float = math.inf) -> int:
 def _agm(m: float, means: list | None = None):
     """The AGM of a_0 = 1 and b_0 = sqrt(1 - m): the one loop K, E and sn read.
 
-    Returns a_N and sum 2^(n-1) c_n^2, where c_0 = sqrt(m) and c_(n+1) =
-    (a_n - b_n)/2, and appends every (a_n, b_n) to means if given. It stops
-    once c_n <= 2.2e-16 a_n: at most 9 steps for any double m < 1.
+    Returns a_N and sum 2^(n-1) c_n^2 = 1 - E/K, where c_0 = sqrt(m) and
+    c_(n+1) = (a_n - b_n)/2, and appends every (a_n, b_n) to means if given.
+    Its terms are positive, and a c_n that loses digits to cancellation is
+    small and enters squared, so K - E = K sum keeps full precision as
+    m -> 0. It stops once c_n <= 2.2e-16 a_n: at most 9 steps for any m < 1.
     """
     a, b = 1.0, math.sqrt(1.0 - m)
     c = math.sqrt(m)
@@ -84,10 +86,10 @@ def _agm(m: float, means: list | None = None):
 
 
 def _elliptic_KE(m: float):
-    """(K(m), E(m)) from one AGM, for 0 < m < 1 already checked."""
+    """(K(m), E(m), K(m) - E(m)) from one AGM, for 0 < m < 1 already checked."""
     a, csum = _agm(m)
     k = math.pi / (2.0 * a)
-    return k, k * (1.0 - csum)
+    return k, k * (1.0 - csum), k * csum
 
 
 def elliptic_K(m: float) -> float:
@@ -320,13 +322,15 @@ def bessel_I14(order: float, z: float, scaled: bool = False) -> float:
 def erfcx(x: float) -> float:
     """Scaled complementary error function e^(x^2) erfc(x) for x >= 0.
 
-    Direct product below x=25 (both factors representable there), continued
-    via the asymptotic series 1/(x sqrt(pi)) sum (-1)^n (2n-1)!!/(2x^2)^n
-    beyond, where the series truncates below 1e-16.
+    Direct product below x=25, as e^(hi^2) e^(x^2 - hi^2) erfc(x) with hi = x
+    rounded to 2^-20, so hi^2 is exact and the rounding of x^2 is not
+    amplified; beyond, the asymptotic series 1/(x sqrt(pi)) sum (-1)^n
+    (2n-1)!!/(2x^2)^n, which truncates below 1e-16 there.
     """
     x = _real("x", x, 0.0, math.inf, "[]")
     if x < 25.0:
-        return math.exp(x * x) * math.erfc(x)
+        hi = round(x * 2.0**20) / 2.0**20
+        return math.exp(hi * hi) * math.exp((x - hi) * (x + hi)) * math.erfc(x)
     inv2x2 = 1.0 / (2.0 * x * x)
     term = 1.0
     total = 1.0

@@ -16,7 +16,6 @@ soft-mode substitution carries a relative error O(eps^{1/4}), the
 alpha -> infinity limits are approached at rate 1/alpha).
 """
 
-import json
 import math
 import time
 
@@ -36,7 +35,6 @@ from kramers_gl.instanton import (
     activation_energy,
     instanton_profile,
     mu0,
-    solve_m_from_L,
 )
 from kramers_gl.rates import (
     kramers_rate,

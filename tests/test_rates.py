@@ -244,15 +244,76 @@ def test_classical_long_domain_soft_mode_suppression():
     assert v < prefactor_classical(5.0, NEU)
 
 
-def test_elliptic_combination_series_joins_direct_branch():
-    from kramers_gl.rates import _neumann_det_combo, _periodic_m_over_det
+# Frozen 50-digit mpmath values (mpmath is no dependency; the tests import
+# none of it). The combination |(1-m)K - (1+m)E| and its periodic form
+# m/|K - (1+m)E/(1-m)| from ellipk and ellipe; gamma0_corrected from the four
+# branches of prefactor_corrected transcribed term by term (besselk, besseli,
+# erfc, ncdf; m by bisection of c sqrt(1+m) ellipk(m) = L, c = 2 Neumann and 4
+# periodic), at L = L_c(1 + d) with L_c the float critical length the package
+# branches on; erfcx as exp(x^2) erfc(x). Near L_c, at small m and for erfcx
+# close to 25 these held the losses that a K - E difference, a mode ratio
+# with two L_c's and the rounding of x^2 left: up to 3.9e-8. At L = 1e-6 L_c
+# the mode ratio's sine must read L, since L_c - L rounds there.
+COMBINATIONS = {  # m: the combination, its periodic form
+    1.2e-6: (2.8274329641157419348e-6, 0.42441273594448960895),
+    1.6e-4: (0.00037698357845760261623, 0.42435376271433929958),
+    0.3: (0.67924937001131107312, 0.3091648064340538289),
+    0.9: (1.8412627808029220375, 0.048879497776386679737),
+}
+GAMMA0 = {  # (bc, d, eps): gamma0_corrected at L = L_c(1 + d)
+    (NEU, -0.999999, 1e-2): 0.22507907903983187337,
+    (NEU, -1e-9, 1e-4): 12.113598531019922115,
+    (NEU, -1e-9, 1e-2): 3.830656539159281924,
+    (NEU, 1e-9, 1e-4): 12.113600904472755046,
+    (NEU, 1e-9, 1e-2): 3.8306566151709778082,
+    (NEU, 1.1e-6, 1e-4): 12.114883883037519782,
+    (NEU, 1.1e-6, 1e-2): 3.8306917173988303176,
+    (PER, -0.999999, 1e-2): 0.22507907904038722935,
+    (PER, -1e-9, 1e-4): 781.12198253021536938,
+    (PER, -1e-9, 1e-2): 78.112214488338161289,
+    (PER, 1e-9, 1e-4): 781.12234485508967839,
+    (PER, 1e-9, 1e-2): 78.112218250189719417,
+    (PER, 1.1e-6, 1e-4): 781.3193317553156398,
+    (PER, 1.1e-6, 1e-2): 78.114074348617961119,
+}
+ERFCX = {23.4: 0.024088709542152283265, 24.9: 0.022639987776049506286}
 
-    m = 2e-4
-    series = 0.75 * math.pi * m * (1.0 - m / 8.0 - m * m / 64.0)
-    assert _neumann_det_combo(m, *_elliptic_KE(m)) == pytest.approx(series, rel=1e-9)
-    m = 2e-6
-    series = 0.75 * math.pi * m * (1.0 + 7.0 * m / 8.0)
-    assert _periodic_m_over_det(m, *_elliptic_KE(m)) == pytest.approx(m / series, rel=1e-9)
+
+def _combination(m, periodic):
+    combo = rates._det_combo(m, *_elliptic_KE(m))
+    return m * (1.0 - m) / combo if periodic else combo
+
+
+def _gamma0(bc, d, eps):
+    return prefactor_corrected(bc.critical_length * (1.0 + d), eps, bc).gamma0_corrected
+
+
+# row -> (the value the package computes, the mpmath value, relative tolerance)
+MPMATH_VALUES = {
+    **{
+        f"{form} m={m:g}": (
+            functools.partial(_combination, m, form == "periodic"), value, 1e-15,
+        )
+        for m, pair in COMBINATIONS.items()
+        for form, value in zip(("combination", "periodic"), pair)
+    },
+    **{
+        f"gamma0 {bc.value} L_c(1{d:+g}) eps={eps:g}": (
+            functools.partial(_gamma0, bc, d, eps), value, 5e-14,
+        )
+        for (bc, d, eps), value in GAMMA0.items()
+    },
+    **{
+        f"erfcx {x:g}": (functools.partial(specfun.erfcx, x), value, 1e-15)
+        for x, value in ERFCX.items()
+    },
+}
+
+
+@pytest.mark.parametrize("row", MPMATH_VALUES)
+def test_matches_frozen_mpmath_value(row):
+    compute, value, rel = MPMATH_VALUES[row]
+    assert abs(compute() - value) <= rel * value
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +465,7 @@ def test_modulus_is_solved_once_and_reported(monkeypatch):
     def counts():
         return collections.Counter(name for name, _ in calls)
 
-    # an instanton row solves once, and K and E come from 4 _elliptic_KE
+    # an instanton row solves once, and K, E and K - E come from 4 _elliptic_KE
     # calls: 3 in the Newton polish and 1 at the solved modulus
     cases = ((NEU, 2.0), (NEU, math.pi), (NEU, 4.0), (PER, 5.0), (PER, 8.0), (PER, 9.0))
     for bc, L in cases:
@@ -581,9 +642,9 @@ def _gelfand_yaglom(L):
 
 
 @pytest.mark.parametrize("L", [3.3, 4.0, 6.0])
-def test_neumann_det_combo_matches_gelfand_yaglom(L):
+def test_det_combo_matches_gelfand_yaglom(L):
     m, slope = _gelfand_yaglom(L)
-    combo = rates._neumann_det_combo(m, *_elliptic_KE(m))
+    combo = rates._det_combo(m, *_elliptic_KE(m))
     assert slope == pytest.approx(2.0 * combo / math.sqrt(1.0 + m), rel=1e-11)
 
 

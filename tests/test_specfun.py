@@ -139,7 +139,7 @@ ELLIPTIC_DIGESTS = {
     "E": "16e36dc125154b4037103247906597aa2aa94ad44b477df57fd6ceae1ea8246c",
     "sn": "ce741747032e3f034faabb68e66ce61150f3f84e9b088055c7412bb845ab4a13",
     "profiles": "27f82ec5abeed7030781088015737684ed45dd508c79ba45981c73ede4ff317e",
-    "rates": "b6816bd0916d6fd3d60949c903fae99c88c739a1ec892bf391e5d48a3d684655",
+    "rates": "3802c4abbb168773f27e3df57044c0753aade819a0b6a996241815b38137c7da",
 }
 
 
@@ -197,7 +197,7 @@ def test_each_modulus_runs_one_agm(monkeypatch):
     monkeypatch.setattr(sf, "_agm", counted)
     assert count(lambda: sf.jacobi_sn(0.3, 0.5)) == 1
     for L, bc in [(4.0, "neumann"), (9.0, "periodic")]:
-        # the modulus solve, then one (K, E) pair that deltaW and the
+        # the modulus solve, then one (K, E, K - E) that deltaW and the
         # determinant combination share
         solve = count(lambda: solve_m_from_L(L, bc))
         row = count(lambda: prefactor_corrected(L, 0.05, bc))
