@@ -45,7 +45,6 @@ Each block takes as many steps as it holds for the m still running.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
@@ -264,35 +263,10 @@ def _cubic_real(rows: np.ndarray, synth: np.ndarray, anal: np.ndarray) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _philox_key_type() -> type:
-    """A seed sequence whose state is the Philox key it holds.
-
-    ``Philox(key=...)`` also builds a ``SeedSequence()`` from OS entropy
-    that a keyed Philox never reads, half the cost of a construction;
-    ``Philox(seed=...)`` takes its key from ``seed.generate_state(2,
-    uint64)``, so handing it the key gives the same state. Built on first
-    use, because importing ``numpy.random`` loads ``hashlib``.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class PhiloxKey(ISeedSequence):
-        __slots__ = ("key",)
-
-        def __init__(self, key: np.ndarray):
-            self.key = key
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.key
-
-    return PhiloxKey
-
-
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based substream for one trajectory: Philox keyed (seed, index)."""
     key = [_count("seed", seed, 0, 2**64 - 1), _count("index", index, 0, 2**64 - 1)]
-    key = _philox_key_type()(np.array(key, dtype=np.uint64))
-    return np.random.Generator(np.random.Philox(seed=key))
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 def _block_steps(m: int, capacity: int, n_steps: int) -> int:
@@ -498,13 +472,20 @@ def _evolve_sharded(config: SimConfig, shards: int) -> tuple[list, list]:
             not multiprocessing.current_process().daemon
             and "forkserver" in multiprocessing.get_all_start_methods()
         ):
-            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
             _start_forkserver()
             context = multiprocessing.get_context("forkserver")
             bounds = [n * k // shards for k in range(shards + 1)]
             with ProcessPoolExecutor(shards, mp_context=context) as pool:
-                parts = list(pool.map(_run_shard, [config] * shards, bounds[:-1], bounds[1:]))
+                try:
+                    parts = list(pool.map(_run_shard, [config] * shards, bounds[:-1], bounds[1:]))
+                except BrokenProcessPool as exc:
+                    raise RuntimeError(
+                        "a shard worker ended abruptly: it was killed (out of memory, for "
+                        "example), or the script that started it lacks an "
+                        '`if __name__ == "__main__":` guard around its entry point'
+                    ) from exc
             return [t for part in parts for t in part[0]], [b for part in parts for b in part[1]]
     return _run_shard(config, 0, n)
 
@@ -517,6 +498,8 @@ def estimate_mfpt(config: SimConfig) -> MfptEstimate:
     trajectories run as ``_shard_count(n)`` contiguous shards, one worker
     process each, with the same outcomes whatever the count. Every worker
     imports the main module, so a script that calls this on 128 or more
-    trajectories guards its entry point with ``if __name__ == "__main__":``.
+    trajectories guards its entry point with ``if __name__ == "__main__":``;
+    a worker that ends abruptly, for that or another reason, raises
+    RuntimeError.
     """
     return MfptEstimate(*_evolve_sharded(config, _shard_count(config.n_traj)))

@@ -133,6 +133,14 @@ class TestProfile:
         ]
         assert all(v == e for v, e in zip(profile, expect, strict=True))
 
+    @pytest.mark.parametrize(
+        "bc, L, n_x",
+        [(NEUMANN, 4.0, 32), (NEUMANN, 3.5, 16), (PERIODIC, 9.0, 32), (PERIODIC, 7.3, 16)],
+    )
+    def test_grid_is_numpys_bit_for_bit(self, bc, L, n_x):
+        numpy_grid = np.linspace(0.0, L, n_x) if bc is NEUMANN else np.arange(n_x) * (L / n_x)
+        assert np.array_equal(np.array(_grid(L, n_x, bc)), numpy_grid)
+
     # a finite phase was ignored: phase=0.5 gave the phase=0.0 profile bit for bit
     @pytest.mark.parametrize("phase", [0.5, -1e-300, np.float32(2.0)])
     def test_neumann_refuses_a_nonzero_phase(self, phase):

@@ -919,6 +919,41 @@ def test_workers_end_with_their_caller_and_their_errors_reach_it():
     assert session_members(proc.pid) == []
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads sessions from /proc")
+def test_a_broken_shard_pool_names_the_entry_point_guard(tmp_path):
+    # an unguarded script: each worker imports it as its main module, runs
+    # the ensemble again and dies in the bootstrapping phase; the caller
+    # printed only that a process of the pool "was terminated abruptly"
+    script = tmp_path / "unguarded.py"
+    script.write_text(textwrap.dedent(
+        """
+        from kramers_gl import BoundaryCondition, SimConfig, SystemParams, simulator
+
+        simulator._shard_count = lambda n: 2
+        params = SystemParams(L=2.0, eps=0.25, bc=BoundaryCondition.NEUMANN)
+        simulator.estimate_mfpt(SimConfig(params=params, K=8, t_max=1.0, n_traj=128))
+        """
+    ))
+    src = os.path.dirname(os.path.dirname(kramers_gl.__file__))
+    with subprocess.Popen(
+        [sys.executable, str(script)],
+        env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as proc:
+        _, stderr = proc.communicate(timeout=300)
+    assert proc.returncode == 1
+    last = stderr.splitlines()[-1]
+    assert last.startswith("RuntimeError: a shard worker ended abruptly"), stderr
+    assert 'lacks an `if __name__ == "__main__":` guard' in last
+    deadline = time.monotonic() + 30.0
+    while session_members(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert session_members(proc.pid) == []
+
+
 def _shards_in_a_daemonic_process(spec):
     import multiprocessing
 
